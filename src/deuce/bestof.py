@@ -28,6 +28,7 @@ from .core import (
 )
 from .game import game_points_moments, game_win_prob
 from .sets import _decisive_pair_prob, stt_win_prob
+from .sets import _set_game_probs as _game_win_pair
 
 __all__ = [
     "BestOfGamesSpec",
@@ -93,11 +94,6 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
         mean=m1,
         variance=m2 - m1 * m1,
     )
-
-
-def _game_win_pair(pa, pb):
-    """(A wins an A-served game, A wins a B-served game)."""
-    return game_win_prob(pa), np.subtract(1.0, game_win_prob(pb))
 
 
 def _bog_score_masses(wa, wb, l: int):

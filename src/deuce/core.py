@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,10 +224,13 @@ def geometric_moments(eta):
 class PointCountDistribution:
     """A (possibly truncated) PMF over the number of points played.
 
-    ``support`` holds (n, mass) pairs up to the truncation point;
-    ``truncation_mass`` is the exact residual beyond it (geometric tails make
-    this computable in closed form), never silently dropped.  ``mean`` and
-    ``variance`` are the exact closed-form moments of the *untruncated*
+    ``support`` holds (n, mass) pairs up to the truncation point.  Geometric
+    tails stop at the first entry whose mass underflows to 0, so the support
+    can end before the truncation point; the composed set and match laws
+    list only their positive entries.  ``truncation_mass`` is the residual
+    beyond the truncation point (exact for the geometric tails, one minus
+    the listed mass for composed laws), never silently dropped.  ``mean``
+    and ``variance`` are the exact closed-form moments of the *untruncated*
     distribution, not truncated-sum estimates.
     """
 
@@ -250,6 +254,75 @@ class PointCountDistribution:
         m1 = sum(n * m for n, m in self.support) / m0
         m2 = sum(n * n * m for n, m in self.support) / m0
         return m1, m2 - m1 * m1
+
+
+def _pmf_array(support) -> np.ndarray:
+    """(n, mass) pairs sorted by n -> array indexed by n, ending at the last positive mass."""
+    arr = np.zeros(support[-1][0] + 1 if support else 0)
+    for n, mass in support:
+        arr[n] = mass
+    return np.trim_zeros(arr, "b")
+
+
+def _convolve_capped(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
+    """PMF of the sum of two independent lengths, cut at ``n_max`` and at its last positive mass."""
+    if a.size == 0 or b.size == 0:
+        return np.zeros(0)
+    return np.trim_zeros(np.convolve(a, b)[: n_max + 1], "b")
+
+
+class _ScoreRow(NamedTuple):
+    """One final score of a length mixture.
+
+    With probability ``mass`` the length is the sum of the first ``units``
+    per-unit lengths, plus one independent draw of the extra law when
+    ``stacked``; ``mean`` and ``var`` are that sum's moments.
+    """
+
+    mass: float | np.ndarray
+    units: int
+    stacked: bool
+    mean: float | np.ndarray
+    var: float | np.ndarray
+
+
+def _mixture_moments(rows):
+    """(mean, variance) of a mixture over final scores, by the iterated rules."""
+    mean = sum(r.mass * r.mean for r in rows)
+    second = sum(r.mass * (r.var + r.mean**2) for r in rows)
+    return mean, second - mean**2
+
+
+def _compose_length_law(units, extra, rows, n_max: int) -> PointCountDistribution:
+    """Length PMF of a mixture, over final scores, of sums of per-unit lengths.
+
+    ``units`` are the per-unit PMF arrays in playing order and ``extra`` the
+    PMF array stacked on ``stacked`` rows (see :class:`_ScoreRow`).  Every
+    array ends at its last positive mass, and every partial sum is cut at
+    ``n_max`` and trimmed the same way, so no convolution pays for mass that
+    underflowed to 0 or lies past the cap.  Convolution is direct: all terms
+    are positive, so each entry keeps its full relative accuracy down to the
+    smallest normal floats.  An FFT product would add round-off of about
+    1e-17 times the largest mass to every entry and swamp the far tails.
+    ``truncation_mass`` is one minus the mass kept.
+    """
+    runs = [np.ones(1)]
+    for unit in units[: max(r.units for r in rows)]:
+        runs.append(_convolve_capped(runs[-1], unit, n_max))
+    total = np.zeros(n_max + 1)
+    for row in rows:
+        arr = runs[row.units]
+        if row.stacked:
+            arr = _convolve_capped(arr, extra, n_max)
+        total[: arr.size] += row.mass * arr
+    mean, var = _mixture_moments(rows)
+    (n,) = np.nonzero(total)
+    return PointCountDistribution(
+        support=tuple(zip(n.tolist(), total[n].tolist())),
+        truncation_mass=max(0.0, 1.0 - float(total.sum())),
+        mean=float(mean),
+        variance=float(var),
+    )
 
 
 @dataclass(frozen=True)

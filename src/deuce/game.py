@@ -73,11 +73,15 @@ def game_win_prob(p):
     tie-breaker win probability:
 
         p^4 + 4 p^4 q + 10 p^4 q^2 + 20 p^3 q^3 * gt_win_prob(p)
+
+    Rounding can carry the sum one ulp past 1 (p near 1), so it is clipped
+    there; small values are never touched.
     """
     _check_prob("p", p)
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
     out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * gt_win_prob(p)
+    out = np.minimum(out, 1.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
-                   _check_count, _check_prob)
-from .sets import set_points_distribution, set_points_moments, set_win_prob
+                   _check_count, _check_prob, _compose_length_law,
+                   _mixture_moments, _pmf_array, _ScoreRow)
+from .sets import (_set_game_probs, _set_game_units, _set_length_law,
+                   set_points_moments, set_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -67,22 +69,18 @@ class SetScoreJPMF:
         return sum(self.absorbing.values())
 
 
+def _per_k(fn, pa, pb, spec: MatchSpec):
+    """(fn at k0, fn at k1), evaluating fn once when the two targets agree."""
+    first = fn(pa, pb, spec.k0)
+    return first, first if spec.k1 == spec.k0 else fn(pa, pb, spec.k1)
+
+
 def _theta_pair(pa, pb, spec: MatchSpec):
     """(theta for a non-deciding set, theta for the deciding set)."""
-    return set_win_prob(pa, pb, spec.k0), set_win_prob(pa, pb, spec.k1)
+    return _per_k(set_win_prob, pa, pb, spec)
 
 
-def match_set_jpmf(pa: float, pb: float, spec: MatchSpec) -> SetScoreJPMF:
-    """Exact joint PMF of the final set score.
-
-    Transient states follow the binomial path-count C(a+b, a) theta^a (1-theta)^b;
-    a match ends by winning set a+b+1 from (q, b) or (a, q), with the decider
-    from (q, q) using k1.
-    """
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
-    theta0, theta1 = _theta_pair(pa, pb, spec)
-    q = spec.q
+def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
     transient = {
         (a, b): math.comb(a + b, a) * theta0**a * (1.0 - theta0) ** b
         for a in range(q + 1)
@@ -97,6 +95,27 @@ def match_set_jpmf(pa: float, pb: float, spec: MatchSpec) -> SetScoreJPMF:
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
 
 
+def match_set_jpmf(pa: float, pb: float, spec: MatchSpec) -> SetScoreJPMF:
+    """Exact joint PMF of the final set score.
+
+    Transient states follow the binomial path-count C(a+b, a) theta^a (1-theta)^b;
+    a match ends by winning set a+b+1 from (q, b) or (a, q), with the decider
+    from (q, q) using k1.
+    """
+    pa = float(_check_prob("pa", pa))
+    pb = float(_check_prob("pb", pb))
+    return _set_score_jpmf(*_theta_pair(pa, pb, spec), spec.q)
+
+
+def _match_win(theta0, theta1, q: int):
+    theta0 = np.asarray(theta0, dtype=float)
+    out = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q * theta1
+    for b in range(q):
+        out = out + math.comb(q + b, b) * theta0 ** (q + 1) * (1.0 - theta0) ** b
+    out = np.minimum(out, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def match_win_prob(pa, pb, spec: MatchSpec):
     """First player's probability of winning the match.
 
@@ -104,14 +123,32 @@ def match_win_prob(pa, pb, spec: MatchSpec):
 
         sum_{b<q} C(q+b, b) theta0^(q+1) (1-theta0)^b
           + C(2q, q) theta0^q (1-theta0)^q * theta1
+
+    clipped at 1 like ``set_win_prob``, since rounding can carry it an ulp
+    past.
     """
-    theta0, theta1 = _theta_pair(pa, pb, spec)
+    return _match_win(*_theta_pair(pa, pb, spec), spec.q)
+
+
+def _match_rows(theta0, q: int, set0, set1) -> list:
+    """Final-score rows of the match, both winners merged, by the loser's set count.
+
+    ``set0`` / ``set1`` are (mean, variance) of a set at k0 / k1.  A score
+    (q+1, b) with b < q plays q+1+b sets at k0; the full-length score plays
+    2q at k0 and stacks the k1 decider.  Per-set moments add.
+    """
     theta0 = np.asarray(theta0, dtype=float)
-    q = spec.q
-    out = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q * theta1
+    (mu0, var0), (mu1, var1) = set0, set1
+    rows = []
     for b in range(q):
-        out = out + math.comb(q + b, b) * theta0 ** (q + 1) * (1.0 - theta0) ** b
-    return float(out) if np.asarray(out).ndim == 0 else out
+        prob = math.comb(q + b, b) * (
+            theta0 ** (q + 1) * (1.0 - theta0) ** b
+            + (1.0 - theta0) ** (q + 1) * theta0**b
+        )
+        rows.append(_ScoreRow(prob, q + 1 + b, False, (q + 1 + b) * mu0, (q + 1 + b) * var0))
+    prob_full = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q
+    rows.append(_ScoreRow(prob_full, 2 * q, True, 2 * q * mu0 + mu1, 2 * q * var0 + var1))
+    return rows
 
 
 def match_points_moments(pa, pb, spec: MatchSpec):
@@ -122,28 +159,9 @@ def match_points_moments(pa, pb, spec: MatchSpec):
     Per-set moments add (sets are independent), and the mixture over the
     final score combines by the iterated expectation/variance rules.
     """
-    theta0, theta1 = _theta_pair(pa, pb, spec)
-    theta0 = np.asarray(theta0, dtype=float)
-    mu0, var0 = set_points_moments(pa, pb, spec.k0)
-    mu1, var1 = set_points_moments(pa, pb, spec.k1)
-    q = spec.q
-    mean = 0.0
-    second = 0.0
-    for b in range(q):
-        prob = math.comb(q + b, b) * (
-            theta0 ** (q + 1) * (1.0 - theta0) ** b
-            + (1.0 - theta0) ** (q + 1) * theta0**b
-        )
-        m = (q + 1 + b) * mu0
-        v = (q + 1 + b) * var0
-        mean = mean + prob * m
-        second = second + prob * (v + m**2)
-    prob_full = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q
-    m = 2 * q * mu0 + mu1
-    v = 2 * q * var0 + var1
-    mean = mean + prob_full * m
-    second = second + prob_full * (v + m**2)
-    var = second - mean**2
+    theta0, _ = _theta_pair(pa, pb, spec)
+    rows = _match_rows(theta0, spec.q, *_per_k(set_points_moments, pa, pb, spec))
+    mean, var = _mixture_moments(rows)
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -153,34 +171,27 @@ def match_breakdown(pa: float, pb: float, spec: MatchSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    jpmf = match_set_jpmf(pa, pb, spec)
-    mu0, var0 = set_points_moments(pa, pb, spec.k0)
-    mu1, var1 = set_points_moments(pa, pb, spec.k1)
+    theta0, theta1 = _theta_pair(pa, pb, spec)
     q = spec.q
-    rows = []
-    for b in range(q + 1):
-        if b < q:
-            m = (q + 1 + b) * mu0
-            v = (q + 1 + b) * var0
-        else:
-            m = 2 * q * mu0 + mu1
-            v = 2 * q * var0 + var1
-        rows.append(
-            BreakdownRow(
-                score=f"{q + 1}-{b}",
-                loser_score=b,
-                p_first_wins=jpmf.absorbing[(q + 1, b)],
-                p_second_wins=jpmf.absorbing[(b, q + 1)],
-                cond_mean=float(m),
-                cond_var=float(v),
-            )
+    jpmf = _set_score_jpmf(theta0, theta1, q)
+    score_rows = _match_rows(theta0, q, *_per_k(set_points_moments, pa, pb, spec))
+    rows = tuple(
+        BreakdownRow(
+            score=f"{q + 1}-{b}",
+            loser_score=b,
+            p_first_wins=jpmf.absorbing[(q + 1, b)],
+            p_second_wins=jpmf.absorbing[(b, q + 1)],
+            cond_mean=float(row.mean),
+            cond_var=float(row.var),
         )
-    mean, var = match_points_moments(pa, pb, spec)
+        for b, row in enumerate(score_rows)
+    )
+    mean, var = _mixture_moments(score_rows)
     return ScoreBreakdown(
-        rows=tuple(rows),
-        win_prob=match_win_prob(pa, pb, spec),
-        mean=mean,
-        variance=var,
+        rows=rows,
+        win_prob=_match_win(theta0, theta1, q),
+        mean=float(mean),
+        variance=float(var),
         label="match",
     )
 
@@ -193,34 +204,25 @@ def match_points_distribution(pa: float, pb: float, spec: MatchSpec,
     the first ``2q`` sets use the ``k0`` tie-break law and a decider uses
     ``k1``.  Truncated moments agree with ``mean`` and ``variance`` up to
     tail mass.
+
+    Composition is exact and direct, as for the set law: ``support`` omits
+    entries whose mass underflows to 0, the set laws end where theirs does,
+    and no convolution runs past ``n_max``.  FFT is not used because its
+    round-off of about 1e-17 absolute would swamp the small masses (the
+    three-set floor at 72 points is about 1e-21).  Each set law is built
+    once, a single one when k0 == k1, and carries the set moments that the
+    match moments need.
     """
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
-
-    from .sets import _dense_pmf
-
-    set0 = _dense_pmf(set_points_distribution(pa, pb, spec.k0, n_max), n_max)
-    set1 = _dense_pmf(set_points_distribution(pa, pb, spec.k1, n_max), n_max)
-    runs = [np.zeros(n_max + 1)]
-    runs[0][0] = 1.0
-    for _ in range(2 * spec.q):
-        runs.append(np.convolve(runs[-1], set0)[: n_max + 1])
-
-    total = np.zeros(n_max + 1)
-    for (a, b), mass in match_set_jpmf(pa, pb, spec).absorbing.items():
-        sets = a + b
-        if sets == 2 * spec.q + 1:  # decider played under the k1 rule
-            arr = np.convolve(runs[sets - 1], set1)[: n_max + 1]
-        else:
-            arr = runs[sets]
-        total += mass * arr
-
-    mean, var = match_points_moments(pa, pb, spec)
-    covered = float(total.sum())
-    return PointCountDistribution(
-        support=tuple((n, float(m)) for n, m in enumerate(total) if m > 0.0),
-        truncation_mass=max(0.0, 1.0 - covered),
-        mean=float(mean),
-        variance=float(var),
+    wa, wb = _set_game_probs(pa, pb)
+    games = _set_game_units(pa, pb)
+    set0, set1 = _per_k(
+        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, wa, wb, games), pa, pb, spec
+    )
+    theta0 = set_win_prob(pa, pb, spec.k0)
+    rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance), (set1.mean, set1.variance))
+    return _compose_length_law(
+        [_pmf_array(set0.support)] * (2 * spec.q), _pmf_array(set1.support), rows, n_max
     )

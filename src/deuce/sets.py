@@ -32,6 +32,10 @@ from .core import (
     ScoreBreakdown,
     _check_count,
     _check_prob,
+    _compose_length_law,
+    _mixture_moments,
+    _pmf_array,
+    _ScoreRow,
     binomial_convolution_mass,
     first_server_on_point,
     first_server_serves_game,
@@ -98,6 +102,18 @@ def stt_win_prob(pa, pb):
     return float(out) if out.ndim == 0 else out
 
 
+def _geometric_tail(first, rho, count: int) -> list:
+    """[first * rho**j for j < count], cut before the first mass that underflows to 0.
+
+    Each entry is one power, not a running product: a running product sticks
+    at the smallest subnormal (5e-324 * rho rounds back up to 5e-324 once
+    rho > 0.5) and never reaches 0.
+    """
+    tail = first * rho ** np.arange(count, dtype=float)
+    (zeros,) = np.nonzero(tail == 0.0)
+    return tail[: zeros[0] if zeros.size else count].tolist()
+
+
 def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCountDistribution:
     """PMF of the number of points in the STT, truncated at ``n_max``.
 
@@ -110,14 +126,10 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     _require_terminating(pa, pb)
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
     rho = 1.0 - eta
-    support = []
-    weight = eta
-    for pairs in range(1, n_max // 2 + 1):
-        support.append((2 * pairs, weight))
-        weight *= rho
+    lengths = range(2, n_max + 1, 2)
     g_mean, g_var = geometric_moments(eta)
     return PointCountDistribution(
-        support=tuple(support),
+        support=tuple(zip(lengths, _geometric_tail(eta, rho, len(lengths)))),
         truncation_mass=rho ** (n_max // 2),
         mean=2.0 * g_mean,
         variance=4.0 * g_var,
@@ -221,6 +233,24 @@ def st_points_moments(pa, pb, k: int):
     return mean, var
 
 
+def _st_support(pa: float, pb: float, k: int, tie, n_max: int) -> list:
+    """(n, mass) pairs of the ST point count up to ``n_max``.
+
+    Mass at n in [K, 2K-2] comes from the direct scores (K, n-K) and (n-K, K);
+    mass at even n >= 2K is the tie probability times the geometric STT
+    landing on pair (n - 2K + 2)/2.
+    """
+    qa, qb = 1.0 - pa, 1.0 - pb
+    support = [
+        (n, _st_score_prob(pa, qb, k, n - k) + _st_score_prob(qa, pb, k, n - k))
+        for n in range(k, 2 * k - 1)
+    ]
+    eta = pa * qb + qa * pb
+    lengths = range(2 * k, n_max + 1, 2)
+    support.extend(zip(lengths, _geometric_tail(tie * eta, 1.0 - eta, len(lengths))))
+    return support
+
+
 def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
     """PMF of the ST point count, truncated at ``n_max``.
 
@@ -232,25 +262,17 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    qa, qb = 1.0 - pa, 1.0 - pb
     tie = _st_tie_prob(pa, pb, k)
     if tie > 0.0:
         _require_terminating(pa, pb)
-    support = []
-    for n in range(k, 2 * k - 1):
-        h = n - k
-        support.append((n, _st_score_prob(pa, qb, k, h) + _st_score_prob(qa, pb, k, h)))
-    eta = pa * qb + qa * pb
-    rho = 1.0 - eta
-    pairs_kept = (n_max - (2 * k - 2)) // 2
-    weight = tie * eta
-    for pairs in range(1, pairs_kept + 1):
-        support.append((2 * k - 2 + 2 * pairs, weight))
-        weight *= rho
-    residual = tie * rho**pairs_kept if tie > 0.0 else 0.0
+    rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
+    residual = tie * rho ** ((n_max - (2 * k - 2)) // 2) if tie > 0.0 else 0.0
     mean, var = _st_points_moments(pa, pb, k)
     return PointCountDistribution(
-        support=tuple(support), truncation_mass=float(residual), mean=float(mean), variance=float(var)
+        support=tuple(_st_support(pa, pb, k, tie, n_max)),
+        truncation_mass=float(residual),
+        mean=float(mean),
+        variance=float(var),
     )
 
 
@@ -315,8 +337,14 @@ def _set_score_prob(win_odd_game, win_even_game, h: int):
 
 
 def _set_game_probs(pa, pb):
-    """A's win probability in A-served and B-served games."""
-    return game_win_prob(pa), 1.0 - game_win_prob(pb)
+    """A's win probability in A-served and B-served games.
+
+    A wins a B-served game when B, serving with pB, loses it.  Scoring is the
+    same for either player, so that is a server with 1 - pB winning: the
+    direct route keeps full relative accuracy where 1 - game_win_prob(pB)
+    would cancel (pB near 1).
+    """
+    return game_win_prob(pa), game_win_prob(np.subtract(1.0, pb))
 
 
 def set_win_prob(pa, pb, k: int):
@@ -326,6 +354,9 @@ def set_win_prob(pa, pb, k: int):
     6-6 tie resolved by the ST:
 
         sum_h theta(6,h) + theta(7,5) + theta(6,6) * st_win_prob(pa, pb, k)
+
+    Rounding can carry the sum one ulp past 1, so it is clipped there; small
+    values are never touched.
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
@@ -339,17 +370,38 @@ def set_win_prob(pa, pb, k: int):
     p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
     if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
         _require_terminating(pa, pb)
-    out = head + p75 + p66 * st_win_prob(pa, pb, k)
-    return float(out) if np.asarray(out).ndim == 0 else out
+    out = np.minimum(head + p75 + p66 * st_win_prob(pa, pb, k), 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def _set_games_moments(pa, pb, games: int):
-    """(mean, variance) of the points in ``games`` alternating-server games."""
+def _set_rows(pa, pb, k: int, wa, wb) -> list:
+    """Final-score rows 6-0 .. 6-4, 7-5, 7-6 of a set, both winners merged.
+
+    A score with g games plays g alternating-server games; the 7-6 row
+    stacks the ST on its twelve.  Row moments add per-game moments.
+    """
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
-    ta = games_served_by_first_server(games)
-    tb = games - ta
-    return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
+
+    def games_moments(games):
+        ta = games_served_by_first_server(games)
+        tb = games - ta
+        return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
+
+    reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
+    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
+    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
+        _require_terminating(pa, pb)
+    rows = []
+    for h in range(5):
+        prob = _set_score_prob(wa, wb, h) + _set_score_prob(1.0 - wa, 1.0 - wb, h)
+        rows.append(_ScoreRow(prob, 6 + h, False, *games_moments(6 + h)))
+    p75 = reach_55 * (wa * wb + (1.0 - wa) * (1.0 - wb))
+    m12, v12 = games_moments(12)
+    rows.append(_ScoreRow(p75, 12, False, m12, v12))
+    st_mean, st_var = _st_points_moments(pa, pb, k)
+    rows.append(_ScoreRow(p66, 12, True, m12 + st_mean, v12 + st_var))
+    return rows
 
 
 def set_points_moments(pa, pb, k: int):
@@ -365,24 +417,7 @@ def set_points_moments(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    wa, wb = _set_game_probs(pa, pb)
-    reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
-    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
-    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
-        _require_terminating(pa, pb)
-    categories = []  # (probability, conditional mean, conditional variance)
-    for h in range(5):
-        prob = _set_score_prob(wa, wb, h) + _set_score_prob(1.0 - wa, 1.0 - wb, h)
-        m, v = _set_games_moments(pa, pb, 6 + h)
-        categories.append((prob, m, v))
-    p75 = reach_55 * (wa * wb + (1.0 - wa) * (1.0 - wb))
-    m12, v12 = _set_games_moments(pa, pb, 12)
-    categories.append((p75, m12, v12))
-    st_mean, st_var = _st_points_moments(pa, pb, k)
-    categories.append((p66, m12 + st_mean, v12 + st_var))
-    mean = sum(p * m for p, m, _ in categories)
-    second = sum(p * (v + m**2) for p, m, v in categories)
-    var = second - mean**2
+    mean, var = _mixture_moments(_set_rows(pa, pb, k, *_set_game_probs(pa, pb)))
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -399,63 +434,51 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     wa, wb = _set_game_probs(pa, pb)
-    rows = []
-    for h in range(5):
-        m, v = _set_games_moments(pa, pb, 6 + h)
-        rows.append(
-            BreakdownRow(
-                score=f"6-{h}",
-                loser_score=h,
-                p_first_wins=float(_set_score_prob(wa, wb, h)),
-                p_second_wins=float(_set_score_prob(1.0 - wa, 1.0 - wb, h)),
-                cond_mean=float(m),
-                cond_var=float(v),
-            )
-        )
+    score_rows = _set_rows(pa, pb, k, wa, wb)
     reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
-    m12, v12 = _set_games_moments(pa, pb, 12)
-    rows.append(
-        BreakdownRow(
-            score="7-5",
-            loser_score=5,
-            p_first_wins=float(reach_55 * wa * wb),
-            p_second_wins=float(reach_55 * (1.0 - wa) * (1.0 - wb)),
-            cond_mean=float(m12),
-            cond_var=float(v12),
-        )
-    )
-    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
+    # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
+    splits = [
+        (f"6-{h}", h, _set_score_prob(wa, wb, h), _set_score_prob(1.0 - wa, 1.0 - wb, h))
+        for h in range(5)
+    ]
+    splits.append(("7-5", 5, reach_55 * wa * wb, reach_55 * (1.0 - wa) * (1.0 - wb)))
+    p66 = score_rows[-1].mass
     if p66 > 0.0:
-        _require_terminating(pa, pb)
         theta_st = st_win_prob(pa, pb, k)
-        st_mean, st_var = _st_points_moments(pa, pb, k)
-        rows.append(
-            BreakdownRow(
-                score="7-6",
-                loser_score=6,
-                p_first_wins=float(p66 * theta_st),
-                p_second_wins=float(p66 * (1.0 - theta_st)),
-                cond_mean=float(m12 + st_mean),
-                cond_var=float(v12 + st_var),
-            )
+        splits.append(("7-6", 6, p66 * theta_st, p66 * (1.0 - theta_st)))
+    rows = tuple(
+        BreakdownRow(
+            score=score,
+            loser_score=loser,
+            p_first_wins=float(first),
+            p_second_wins=float(second),
+            cond_mean=float(row.mean),
+            cond_var=float(row.var),
         )
-    mean, var = set_points_moments(pa, pb, k)
+        for (score, loser, first, second), row in zip(splits, score_rows)
+    )
+    mean, var = _mixture_moments(score_rows)
     return ScoreBreakdown(
-        rows=tuple(rows),
+        rows=rows,
         win_prob=set_win_prob(pa, pb, k),
-        mean=mean,
-        variance=var,
+        mean=float(mean),
+        variance=float(var),
         label="set",
     )
 
 
-def _dense_pmf(dist: PointCountDistribution, n_max: int) -> np.ndarray:
-    """Support list -> dense array over 0..n_max (excess mass left truncated)."""
-    arr = np.zeros(n_max + 1)
-    for n, mass in dist.support:
-        if n <= n_max:
-            arr[n] = mass
-    return arr
+def _set_game_units(pa: float, pb: float) -> list:
+    """Game-length PMF arrays in playing order: A serves the odd games."""
+    game_a = _pmf_array(game_points_pmf(pa).support)
+    game_b = _pmf_array(game_points_pmf(pb).support)
+    return [game_a, game_b] * _SET_TARGET
+
+
+def _set_length_law(pa: float, pb: float, k: int, n_max: int, wa, wb,
+                    games) -> PointCountDistribution:
+    """Set length law from the game probabilities and game-length units already in hand."""
+    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(pa, pb, k), n_max))
+    return _compose_length_law(games, st, _set_rows(pa, pb, k, wa, wb), n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -466,36 +489,15 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     serve split (A serves the odd games), appending the tie-break length on
     the 7-6 row.  Its truncated moments therefore reproduce ``mean`` and
     ``variance`` exactly up to tail mass.
+
+    Composition is exact and direct, and skips only mass that is zero:
+    ``support`` omits the entries whose mass underflows to 0 (typically past
+    2-3k points), and each convolution stops there.  An FFT would be faster
+    per product but adds round-off of about 1e-17 absolute to every entry,
+    which would wipe out the relative accuracy of the small masses.
     """
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-
-    game_a = _dense_pmf(game_points_pmf(pa), n_max)
-    game_b = _dense_pmf(game_points_pmf(pb), n_max)
-    # runs[g]: length pmf of the first g games, serve order A, B, A, ...
-    runs = [np.zeros(n_max + 1)]
-    runs[0][0] = 1.0
-    for g in range(1, 2 * _SET_TARGET + 1):
-        nxt = np.convolve(runs[-1], game_a if g % 2 == 1 else game_b)
-        runs.append(nxt[: n_max + 1])
-
-    total = np.zeros(n_max + 1)
-    for row in set_breakdown(pa, pb, k).rows:
-        mass = row.p_first_wins + row.p_second_wins
-        games = 2 * _SET_TARGET if row.loser_score >= 5 else _SET_TARGET + row.loser_score
-        arr = runs[games]
-        if row.loser_score == _SET_TARGET:  # 7-6: stack the tie-break
-            st_arr = _dense_pmf(st_points_distribution(pa, pb, k, n_max), n_max)
-            arr = np.convolve(arr, st_arr)[: n_max + 1]
-        total += mass * arr
-
-    mean, var = set_points_moments(pa, pb, k)
-    covered = float(total.sum())
-    return PointCountDistribution(
-        support=tuple((n, float(m)) for n, m in enumerate(total) if m > 0.0),
-        truncation_mass=max(0.0, 1.0 - covered),
-        mean=float(mean),
-        variance=float(var),
-    )
+    return _set_length_law(pa, pb, k, n_max, *_set_game_probs(pa, pb), _set_game_units(pa, pb))

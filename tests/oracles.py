@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 
 def abba_server_is_first(n: int) -> bool:
     """Who serves point n of a tie-breaker, by literally walking the rotation.
@@ -514,3 +516,148 @@ def bog_true_stats(
                 finals[label] = [x + y for x, y in zip(finals[label], vec)]
     total = [x + y for x, y in zip(finals["A"], finals["B"])]
     return (finals["A"][0],) + _central_stats(total)[1:]
+
+
+# ------------------------------------------------------- dense length laws
+#
+# The set and match point-count laws composed the plain way: every factor a
+# full-length array over 0..n_max and every convolution O(n_max^2).  Score
+# masses come from the score walks above; game lengths are cut at 400 points
+# like the library's default game PMF.
+
+GAME_PMF_POINTS = 400
+
+
+def _dense(pmf: dict[int, float], n_max: int) -> np.ndarray:
+    arr = np.zeros(n_max + 1)
+    for n, mass in pmf.items():
+        if n <= n_max:
+            arr[n] = mass
+    return arr
+
+
+def _dense_sums(units: list[np.ndarray], n_max: int) -> list[np.ndarray]:
+    """[law of the sum of the first g units for g = 0..len(units)], each cut at n_max."""
+    runs = [_dense({0: 1.0}, n_max)]
+    for unit in units:
+        runs.append(np.convolve(runs[-1], unit)[: n_max + 1])
+    return runs
+
+
+def st_length_pmf(pa: float, pb: float, k: int, n_max: int) -> dict[int, float]:
+    """Set tie-breaker length PMF: score-walk finals plus the pair-count tail."""
+    finals, tie = st_score_probs_dp(pa, pb, k)
+    out: dict[int, float] = {}
+    for (a, b), w in finals.items():
+        out[a + b] = out.get(a + b, 0.0) + w
+    eta = pa * (1 - pb) + (1 - pa) * pb
+    pairs = 1
+    while tie > 0.0 and 2 * (k - 1) + 2 * pairs <= n_max:
+        out[2 * (k - 1) + 2 * pairs] = tie * eta * (1 - eta) ** (pairs - 1)
+        pairs += 1
+    return out
+
+
+def game_outcome_exact(p: float) -> tuple[Fraction, Fraction]:
+    """(server wins, server loses) of a game, exact for the float ``p``.
+
+    Walks the score to 4 points or to deuce in rational arithmetic; from
+    deuce the first decisive pair (p^2 or q^2) settles it.
+    """
+    p = Fraction(p)
+    q = 1 - p
+    won = lost = Fraction(0)
+    states = {(0, 0): Fraction(1)}
+    while states:
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a, b), prob in states.items():
+            if (a, b) == (3, 3):
+                won += prob * p * p / (p * p + q * q)
+                lost += prob * q * q / (p * p + q * q)
+                continue
+            for na, nb, w in ((a + 1, b, p), (a, b + 1, q)):
+                if na == 4:
+                    won += prob * w
+                elif nb == 4:
+                    lost += prob * w
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + prob * w
+        states = nxt
+    return won, lost
+
+
+def set_score_probs_dp(pa: float, pb: float) -> dict[tuple[int, int], float]:
+    """Final set-score probabilities by an exact game-score walk, 6-6 kept as one state.
+
+    Each service game is won or lost with its own exact mass, so a break of
+    serve is never formed as one minus a rounded hold.
+    """
+    hold_a, lose_a = game_outcome_exact(pa)
+    hold_b, lose_b = game_outcome_exact(pb)
+    finals: dict[tuple[int, int], Fraction] = {}
+    states = {(0, 0): Fraction(1)}
+    g = 0
+    while states:
+        g += 1
+        a_wins, b_wins = (hold_a, lose_a) if g % 2 == 1 else (lose_b, hold_b)
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a, b), prob in states.items():
+            for na, nb, w in ((a + 1, b, a_wins), (a, b + 1, b_wins)):
+                hi, lo = max(na, nb), min(na, nb)
+                if (hi == 6 and lo <= 4) or hi == 7 or (hi, lo) == (6, 6):
+                    finals[(na, nb)] = finals.get((na, nb), 0) + prob * w
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + prob * w
+        states = nxt
+    return {score: float(m) for score, m in finals.items()}
+
+
+def set_points_pmf_dense(pa: float, pb: float, k: int, n_max: int) -> tuple[np.ndarray, float]:
+    """(set length PMF over 0..n_max, truncation mass), composed densely.
+
+    Rows by final score: g games for a g-game score, the twelve games plus
+    the tie-breaker from 6-6; games alternate servers with A first.
+    """
+    game_a = _dense(game_length_pmf_dp(pa, GAME_PMF_POINTS), n_max)
+    game_b = _dense(game_length_pmf_dp(pb, GAME_PMF_POINTS), n_max)
+    runs = _dense_sums([game_a, game_b] * 6, n_max)
+    tie_break = _dense(st_length_pmf(pa, pb, k, n_max), n_max)
+    total = np.zeros(n_max + 1)
+    for (a, b), prob in set_score_probs_dp(pa, pb).items():
+        if a == b:
+            total += prob * np.convolve(runs[12], tie_break)[: n_max + 1]
+        else:
+            total += prob * runs[a + b]
+    return total, max(0.0, 1.0 - float(total.sum()))
+
+
+def match_points_pmf_dense(
+    pa: float, pb: float, k0: int, k1: int, q: int, n_max: int
+) -> tuple[np.ndarray, float]:
+    """(match length PMF over 0..n_max, truncation mass), composed densely.
+
+    Walks set scores to their absorbing masses (the decider from (q, q) uses
+    the k1 set), then mixes sums of set lengths over them.
+    """
+    set0, _ = set_points_pmf_dense(pa, pb, k0, n_max)
+    set1, _ = set_points_pmf_dense(pa, pb, k1, n_max)
+    finals = set_score_probs_dp(pa, pb)
+    head = sum(m for (a, b), m in finals.items() if a > b)
+    tied = finals.get((6, 6), 0.0)
+    theta = {kk: head + tied * st_win_prob_paths(pa, pb, kk) for kk in {k0, k1}}
+    runs = _dense_sums([set0] * (2 * q), n_max)
+    decided = np.convolve(runs[2 * q], set1)[: n_max + 1]
+    total = np.zeros(n_max + 1)
+    states = {(0, 0): 1.0}
+    while states:
+        nxt: dict[tuple[int, int], float] = {}
+        for (a, b), prob in states.items():
+            decider = a == q and b == q
+            t = theta[k1 if decider else k0]
+            for na, nb, w in ((a + 1, b, t), (a, b + 1, 1 - t)):
+                if max(na, nb) == q + 1:
+                    total += prob * w * (decided if decider else runs[na + nb])
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0.0) + prob * w
+        states = nxt
+    return total, max(0.0, 1.0 - float(total.sum()))

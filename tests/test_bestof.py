@@ -281,6 +281,15 @@ def test_bog_moments_vs_exact_process(pa, pb, l, tb, var_band):
     assert lo < (var - t_var) / t_var < hi
 
 
+def test_bog_underdog_win_prob_keeps_relative_accuracy():
+    # A's chance of breaking a near-certain server, formed as one minus the
+    # hold, lost about 5e-10 relative here to cancellation.
+    pa, pb = 0.09983, 0.98988
+    theta = oracles.bog_true_stats(pa, pb, 7, "sttg")[0]
+    got = bog_match_win_prob(pa, pb, BestOfGamesSpec(7, "sttg"))
+    assert got == pytest.approx(theta, rel=1e-11, abs=0.0)
+
+
 def test_bog_broadcasting():
     pa = np.linspace(0.2, 0.8, 5)
     pb = 0.55

@@ -187,3 +187,15 @@ def test_st_decomposes_into_head_plus_tie():
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v"]))
+
+
+def test_win_probabilities_stay_in_unit_interval_on_grid():
+    # Rounding used to carry sums of score masses one ulp past 1 on this grid.
+    g = np.linspace(0.01, 0.99, 99)
+    pa, pb = np.meshgrid(g, g, indexing="ij")
+    for k in (2, 7, 10):
+        theta = set_win_prob(pa, pb, k)
+        assert np.all((theta >= 0.0) & (theta <= 1.0))
+    for spec in (MatchSpec(7, 7, 2), MatchSpec(7, 10, 2), MatchSpec(7, 7, 1), MatchSpec(6, 9, 3)):
+        theta = match_win_prob(pa, pb, spec)
+        assert np.all((theta >= 0.0) & (theta <= 1.0))

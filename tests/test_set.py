@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
 from deuce.core import (
@@ -109,6 +109,21 @@ def test_stt_distribution_moments_match_truncated_sums():
         t_mean, t_var = d.truncated_moments()
         assert d.mean == pytest.approx(t_mean, abs=1e-8)
         assert d.variance == pytest.approx(t_var, abs=1e-8)
+
+
+def test_geometric_tails_end_where_mass_underflows():
+    # rho = 1 - eta > 0.5 here: a running product would stick at 5e-324 and
+    # fill every even count up to n_max with it.
+    for dist in (
+        stt_points_distribution(0.55, 0.55, n_max=4000),
+        st_points_distribution(0.55, 0.55, 7, n_max=4000),
+    ):
+        masses = [m for _, m in dist.support]
+        assert dist.support[-1][0] < 4000
+        assert masses[-1] > 0.0
+        # a tail falling by ~0.505 per pair rounds at most two entries to 5e-324
+        assert sum(m == 5e-324 for m in masses) <= 2
+        assert dist.total_mass() + dist.truncation_mass == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------- ST
@@ -365,6 +380,7 @@ def test_set_degenerate_pairs():
     pb=hyp.floats(0.02, 0.98),
     k=hyp.integers(2, 12),
 )
+@example(pa=0.9453125, pb=0.03125, k=2)  # summed to 1.0000000000000002 before the clip
 def test_set_win_prob_properties(pa, pb, k):
     theta = set_win_prob(pa, pb, k)
     assert 0.0 <= theta <= 1.0
