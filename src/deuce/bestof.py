@@ -20,14 +20,12 @@ from .core import (
     _TIEBREAKS,
     _check_count,
     _check_prob,
-    binomial_convolution_mass,
-    binomial_convolution_tail,
     first_server_serves_game,
     games_served_by_first_server,
     geometric_moments,
 )
 from .game import game_points_moments, game_win_prob
-from .sets import _decisive_pair_prob, stt_win_prob
+from .sets import _decisive_pair_prob, _game_split, stt_win_prob
 from .sets import _set_game_probs as _game_win_pair
 
 __all__ = [
@@ -103,16 +101,17 @@ def _bog_score_masses(wa, wb, l: int):
     games A takes l under the alternating serve split, then wins game l+1+b
     from whichever serve slot that game falls on.  ``tie`` is the l-l mass.
     """
+    split = _game_split(wa, wb, l)
     a_wins, b_wins = [], []
     for b in range(l):
         played = l + b
         ta = games_served_by_first_server(played)
         last_on_a_serve = first_server_serves_game(l + 1 + b)
-        head_a = binomial_convolution_mass(ta, wa, played - ta, wb, l)
+        head_a = split.mass(ta, played - ta, l)
         a_wins.append(head_a * (wa if last_on_a_serve else wb))
-        head_b = binomial_convolution_mass(ta, wa, played - ta, wb, b)
+        head_b = split.mass(ta, played - ta, b)
         b_wins.append(head_b * ((1.0 - wa) if last_on_a_serve else (1.0 - wb)))
-    tie = binomial_convolution_mass(l, wa, l, wb, l)
+    tie = split.mass(l, l, l)
     return a_wins, b_wins, tie
 
 
@@ -121,7 +120,7 @@ def _tie_win_prob(pa, pb, wa, wb, spec: BestOfGamesSpec):
         # a fair coin picks the sudden game's server
         return 0.5 * (wa + wb)
     if spec.tiebreak == "sttg":
-        return stt_win_prob(game_win_prob(pa), game_win_prob(pb))
+        return stt_win_prob(wa, game_win_prob(pb))
     return stt_win_prob(pa, pb)
 
 
@@ -137,8 +136,9 @@ def bog_match_win_prob(pa, pb, spec: BestOfGamesSpec):
     _check_prob("pb", pb)
     wa, wb = _game_win_pair(pa, pb)
     l = spec.l
-    head = binomial_convolution_tail(l, wa, l, wb, l + 1)
-    tie = binomial_convolution_mass(l, wa, l, wb, l)
+    split = _game_split(wa, wb, l)
+    head = split.tail(l, l, l + 1)
+    tie = split.mass(l, l, l)
     out = np.asarray(head + tie * _tie_win_prob(pa, pb, wa, wb, spec))
     return float(out) if out.ndim == 0 else out
 

@@ -67,7 +67,8 @@ class QuadratureError(RuntimeError):
 def _check_prob(name: str, p) -> np.ndarray | float:
     """Validate that ``p`` is a probability (scalar or array), return as-is."""
     arr = np.asarray(p, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    # min and max propagate NaN, and NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return p
 
@@ -126,13 +127,94 @@ def first_server_serves_game(g: int) -> bool:
     return g % 2 == 1
 
 
-def _powers(x, n: int) -> list:
-    """[x**0, x**1, ..., x**n] built by repeated multiplication (broadcast-safe)."""
-    x = np.asarray(x, dtype=float)
-    out = [np.ones_like(x)]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+class _SplitPowers:
+    """Power tables shared by every serve-split sum of one evaluation.
+
+    A serve-split sum counts successes over ``n1`` trials of a first kind and
+    ``n2`` of a second kind.  This holds ``x**0 .. x**n``, by repeated
+    multiplication, for the four per-trial probabilities: success and
+    failure on the first kind (``win1``, ``loss1``) and on the second kind
+    (``win2``, ``loss2``).  ``n`` is the largest trial count of either kind
+    that any read will use; no table is built longer.
+
+    All four probabilities are validated once, here, when the tables are
+    built (each must lie in [0, 1]; NaN is rejected).  ``mass`` and ``tail``
+    read the tables without further checks, so one evaluation builds and
+    validates one set of tables however many terms it sums.
+    """
+
+    def __init__(self, n: int, win1, loss1, win2, loss2):
+        for name, x in (("p1", win1), ("q1", loss1), ("p2", win2), ("q2", loss2)):
+            _check_prob(name, x)
+        self.n = n
+        self.win1, self.loss1, self.win2, self.loss2 = win1, loss1, win2, loss2
+        self.shape = np.broadcast_shapes(*(np.shape(x) for x in (win1, loss1, win2, loss2)))
+        # one allocation for all four tables: row [t, i] is x_t ** i
+        tables = np.empty((4, n + 1) + self.shape)
+        tables[:, 0] = 1.0
+        for rows, x in zip(tables, (win1, loss1, win2, loss2)):
+            for i in range(1, n + 1):
+                np.multiply(rows[i - 1 : i], x, out=rows[i : i + 1])
+        self._tables = tables
+
+    def _fits(self, n1: int, n2: int) -> None:
+        if max(n1, n2) > self.n:
+            raise ValueError(f"trial counts ({n1}, {n2}) exceed the tables' {self.n}")
+
+    def mass(self, n1: int, n2: int, k: int):
+        """Pr{X + Y = k} for X ~ Binomial(n1, win1), Y ~ Binomial(n2, win2).
+
+        Of the k successes, j fall on the first kind and k-j on the second;
+        terms with j > n1 or k-j > n2 are zero-probability configurations and
+        are skipped (C(n, k) = 0 for k > n).
+        """
+        self._fits(n1, n2)
+        if k > n1 + n2:
+            return _scalar_or_array(np.zeros(self.shape))
+        pw1, qw1, pw2, qw2 = self._tables
+        total = np.zeros(self.shape)
+        for j in range(max(0, k - n2), min(n1, k) + 1):
+            coeff = math.comb(n1, j) * math.comb(n2, k - j)
+            total = total + coeff * pw1[j] * qw1[n1 - j] * pw2[k - j] * qw2[n2 - (k - j)]
+        return _scalar_or_array(total)
+
+    def tail(self, n1: int, n2: int, k: int):
+        """Pr{X + Y >= k} for the same pair of binomials.
+
+        Sums Pr{X = j} * Pr{Y >= k - j} over j.  The survival of Y is
+        accumulated from the top as j rises, so only its current value is
+        kept, and the sum avoids the O(k^2) term-by-term double loop.
+        """
+        self._fits(n1, n2)
+        if k <= 0:
+            return _scalar_or_array(np.ones(self.shape))
+        if k > n1 + n2:
+            return _scalar_or_array(np.zeros(self.shape))
+        pw1, qw1, pw2, qw2 = self._tables
+        survival = np.zeros(self.shape)  # Pr{Y >= i}
+        i = n2 + 1
+        total = np.zeros(self.shape)
+        for j in range(max(0, k - n2), n1 + 1):
+            term = math.comb(n1, j) * pw1[j] * qw1[n1 - j]
+            need = k - j
+            if need > 0:
+                while i > need:
+                    i -= 1
+                    survival = survival + math.comb(n2, i) * pw2[i] * qw2[n2 - i]
+                term = term * survival
+            total = total + term
+        return _scalar_or_array(np.minimum(total, 1.0))
+
+
+def _plain_split(n1: int, p1, n2: int, p2) -> _SplitPowers:
+    """Tables for the public serve-split sums, failures formed as 1 - p."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    return _SplitPowers(max(n1, n2), p1, 1.0 - p1, p2, 1.0 - p2)
 
 
 def binomial_convolution_mass(n1: int, p1, n2: int, p2, k: int):
@@ -146,22 +228,7 @@ def binomial_convolution_mass(n1: int, p1, n2: int, p2, k: int):
     n1 = _check_count("n1", n1, minimum=0)
     n2 = _check_count("n2", n2, minimum=0)
     k = _check_count("k", k, minimum=0)
-    _check_prob("p1", p1)
-    _check_prob("p2", p2)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    shape = np.broadcast_shapes(p1.shape, p2.shape)
-    if k > n1 + n2:
-        out = np.zeros(shape)
-        return float(out) if out.ndim == 0 else out
-    jlo, jhi = max(0, k - n2), min(n1, k)
-    pw1, qw1 = _powers(p1, n1), _powers(1.0 - p1, n1)
-    pw2, qw2 = _powers(p2, n2), _powers(1.0 - p2, n2)
-    total = np.zeros(shape)
-    for j in range(jlo, jhi + 1):
-        coeff = math.comb(n1, j) * math.comb(n2, k - j)
-        total = total + coeff * pw1[j] * qw1[n1 - j] * pw2[k - j] * qw2[n2 - (k - j)]
-    return float(total) if total.ndim == 0 else total
+    return _plain_split(n1, p1, n2, p2).mass(n1, n2, k)
 
 
 def binomial_convolution_tail(n1: int, p1, n2: int, p2, k: int):
@@ -172,34 +239,7 @@ def binomial_convolution_tail(n1: int, p1, n2: int, p2, k: int):
     """
     n1 = _check_count("n1", n1, minimum=0)
     n2 = _check_count("n2", n2, minimum=0)
-    _check_prob("p1", p1)
-    _check_prob("p2", p2)
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    shape = np.broadcast_shapes(p1.shape, p2.shape)
-    if k <= 0:
-        out = np.ones(shape)
-        return float(out) if out.ndim == 0 else out
-    if k > n1 + n2:
-        out = np.zeros(shape)
-        return float(out) if out.ndim == 0 else out
-    pw1, qw1 = _powers(p1, n1), _powers(1.0 - p1, n1)
-    pw2, qw2 = _powers(p2, n2), _powers(1.0 - p2, n2)
-    # survival[i] = Pr{Y >= i}; build from the top so each entry is a fresh array
-    survival = [np.zeros(shape)] * (n2 + 2)
-    acc = np.zeros(shape)
-    for i in range(n2, -1, -1):
-        acc = acc + math.comb(n2, i) * pw2[i] * qw2[n2 - i]
-        survival[i] = acc
-    total = np.zeros(shape)
-    for j in range(n1 + 1):
-        need = k - j
-        if need > n2:
-            continue
-        sy = survival[max(need, 0)] if need > 0 else np.ones(shape)
-        total = total + math.comb(n1, j) * pw1[j] * qw1[n1 - j] * sy
-    out = np.minimum(total, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _plain_split(n1, p1, n2, p2).tail(n1, n2, k)
 
 
 def geometric_moments(eta):

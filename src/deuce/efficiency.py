@@ -27,6 +27,11 @@ import numpy as np
 
 from .core import QuadratureError, SystemSpec
 
+# Nodes per surface call in the 2-D rule.  A block's temporaries stay small
+# enough to be reused from the heap instead of being mapped and faulted in
+# afresh for every operation, as grid-sized (up to 320 x 320) ones were.
+_BLOCK_NODES = 4096
+
 __all__ = [
     "BetaPrior",
     "EfficiencyReport",
@@ -116,6 +121,21 @@ def _eff_one(curve, prior: BetaPrior, panels: int, order: int) -> float:
     return total
 
 
+def _blocked_surface(surface, pa, pb) -> np.ndarray:
+    """``surface(pa, pb)`` over the broadcast grid, evaluated ``_BLOCK_NODES`` nodes at a time.
+
+    Every surface is elementwise, so each node's value is the one a single
+    call on the whole grid would give.
+    """
+    pa, pb = np.broadcast_arrays(pa, pb)
+    theta = np.empty(pa.shape)
+    flat_a, flat_b, flat = pa.reshape(-1), pb.reshape(-1), theta.reshape(-1)
+    for start in range(0, flat.size, _BLOCK_NODES):
+        block = slice(start, start + _BLOCK_NODES)
+        flat[block] = surface(flat_a[block], flat_b[block])
+    return theta
+
+
 def _eff_two_parts(
     surface, prior_a: BetaPrior, prior_b: BetaPrior, panels: int, order: int
 ) -> tuple[float, float]:
@@ -128,12 +148,12 @@ def _eff_two_parts(
     jac = x
 
     # upper triangle pA > pB: pA = x, pB = t x
-    theta = np.asarray(surface(np.broadcast_to(x, w2.shape), t * x), dtype=float)
+    theta = _blocked_surface(surface, x, t * x)
     dens = prior_a.pdf(x) * prior_b.pdf(t * x)
     upper = float(np.sum(w2 * (2.0 * theta - 1.0) * dens * jac))
 
     # lower triangle pA < pB: pB = x, pA = t x
-    theta = np.asarray(surface(t * x, np.broadcast_to(x, w2.shape)), dtype=float)
+    theta = _blocked_surface(surface, t * x, x)
     dens = prior_a.pdf(t * x) * prior_b.pdf(x)
     lower = float(np.sum(w2 * (1.0 - 2.0 * theta) * dens * jac))
     return lower, upper

@@ -19,8 +19,9 @@ import numpy as np
 from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
                    _check_count, _check_prob, _compose_length_law,
                    _mixture_moments, _pmf_array, _ScoreRow)
-from .sets import (_set_game_probs, _set_game_units, _set_length_law,
-                   set_points_moments, set_win_prob)
+from .sets import (_set_game_probs, _set_game_units, _set_head, _set_length_law,
+                   _set_win, set_points_moments, set_win_prob,
+                   st_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -76,8 +77,15 @@ def _per_k(fn, pa, pb, spec: MatchSpec):
 
 
 def _theta_pair(pa, pb, spec: MatchSpec):
-    """(theta for a non-deciding set, theta for the deciding set)."""
-    return _per_k(set_win_prob, pa, pb, spec)
+    """(theta for a non-deciding set, theta for the deciding set).
+
+    Only the tie-breaker depends on the target, so the rest of the set is
+    evaluated once for both.
+    """
+    _check_prob("pa", pa)
+    _check_prob("pb", pb)
+    head, p66 = _set_head(pa, pb)
+    return _per_k(lambda pa, pb, k: _set_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:

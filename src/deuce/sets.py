@@ -36,7 +36,7 @@ from .core import (
     _mixture_moments,
     _pmf_array,
     _ScoreRow,
-    binomial_convolution_mass,
+    _SplitPowers,
     first_server_on_point,
     first_server_serves_game,
     games_served_by_first_server,
@@ -136,28 +136,48 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     )
 
 
-def _st_score_prob(win_on_a_serve, win_on_b_serve, k: int, h: int):
-    """Probability one player takes the set tie-breaker K points to h.
+def _point_split(win_on_a_serve, win_on_b_serve, k: int) -> _SplitPowers:
+    """One player's per-point tables for a K-point set tie-breaker.
 
     ``win_on_a_serve`` / ``win_on_b_serve`` are that player's per-point win
     probabilities when A (the tie-breaker's first server) serves and when B
-    serves.  Of the first K+h-1 points the player must win K-1, split across
-    the serve counts of the ABBA rotation, then take point K+h.
+    serves.  No score before the tie reads more than K-1 points of either
+    serve, so the tables stop there.
+    """
+    win_on_a_serve = np.asarray(win_on_a_serve, dtype=float)
+    win_on_b_serve = np.asarray(win_on_b_serve, dtype=float)
+    return _SplitPowers(k - 1, win_on_a_serve, 1.0 - win_on_a_serve,
+                        win_on_b_serve, 1.0 - win_on_b_serve)
+
+
+def _st_splits(pa, pb, k: int) -> tuple[_SplitPowers, _SplitPowers]:
+    """(A's, B's) per-point tables of a K-point set tie-breaker."""
+    pa = np.asarray(pa, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    return _point_split(pa, 1.0 - pb, k), _point_split(1.0 - pa, pb, k)
+
+
+def _st_score_prob(split: _SplitPowers, k: int, h: int):
+    """Probability one player takes the set tie-breaker K points to h.
+
+    ``split`` holds that player's per-point tables (see :func:`_point_split`).
+    Of the first K+h-1 points the player must win K-1, split across the
+    serve counts of the ABBA rotation, then take point K+h.
     """
     n = k + h - 1
     sa = serves_by_first_server(n)
-    mass = binomial_convolution_mass(sa, win_on_a_serve, n - sa, win_on_b_serve, k - 1)
-    last = win_on_a_serve if first_server_on_point(k + h) else win_on_b_serve
-    return mass * last
+    last = split.win1 if first_server_on_point(k + h) else split.win2
+    return split.mass(sa, n - sa, k - 1) * last
 
 
-def _st_tie_prob(pa, pb, k: int):
+def _st_tie_prob(split: _SplitPowers, k: int):
     """Probability the set tie-breaker reaches K-1 points all.
 
     The ABBA rotation splits the first 2(K-1) points evenly, so this is the
-    convolution mass Pr{B(K-1, pA) + B(K-1, qB) = K-1}.
+    convolution mass Pr{B(K-1, pA) + B(K-1, qB) = K-1}, read from either
+    player's tables.
     """
-    return binomial_convolution_mass(k - 1, pa, k - 1, np.subtract(1.0, pb), k - 1)
+    return split.mass(k - 1, k - 1, k - 1)
 
 
 def st_win_prob(pa, pb, k: int):
@@ -178,11 +198,9 @@ def st_win_prob(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    qb = 1.0 - pb
-    head = 0.0
-    for h in range(k - 1):
-        head = head + _st_score_prob(pa, qb, k, h)
-    tie = _st_tie_prob(pa, pb, k)
+    split = _point_split(pa, 1.0 - pb, k)
+    head = sum(_st_score_prob(split, k, h) for h in range(k - 1))
+    tie = _st_tie_prob(split, k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (tie > 0.0)):
         _require_terminating(pa, pb)
     if first_server_on_point(2 * k - 1):
@@ -202,10 +220,8 @@ def _st_points_moments(pa, pb, k: int):
     variance inside every non-tie category is zero, so only the tie's
     geometric variance and the spread of the category means contribute.
     """
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    qa, qb = 1.0 - pa, 1.0 - pb
-    tie = _st_tie_prob(pa, pb, k)
+    a, b = _st_splits(pa, pb, k)
+    tie = _st_tie_prob(a, k)
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
     tie_mean = 2.0 * (k - 1) + 2.0 * g_mean
@@ -213,7 +229,7 @@ def _st_points_moments(pa, pb, k: int):
     mean = tie * tie_mean
     second = tie * tie_mean**2
     for h in range(k - 1):
-        prob = _st_score_prob(pa, qb, k, h) + _st_score_prob(qa, pb, k, h)
+        prob = _st_score_prob(a, k, h) + _st_score_prob(b, k, h)
         mean = mean + (k + h) * prob
         second = second + (k + h) ** 2 * prob
     var = second - mean**2 + tie * tie_var
@@ -225,7 +241,8 @@ def st_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (np.asarray(_st_tie_prob(pa, pb, k)) > 0.0)):
+    tie = _st_tie_prob(_point_split(pa, np.subtract(1.0, pb), k), k)
+    if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (np.asarray(tie) > 0.0)):
         _require_terminating(pa, pb)
     mean, var = _st_points_moments(pa, pb, k)
     if np.asarray(mean).ndim == 0:
@@ -240,12 +257,12 @@ def _st_support(pa: float, pb: float, k: int, tie, n_max: int) -> list:
     mass at even n >= 2K is the tie probability times the geometric STT
     landing on pair (n - 2K + 2)/2.
     """
-    qa, qb = 1.0 - pa, 1.0 - pb
+    a, b = _st_splits(pa, pb, k)
     support = [
-        (n, _st_score_prob(pa, qb, k, n - k) + _st_score_prob(qa, pb, k, n - k))
+        (n, _st_score_prob(a, k, n - k) + _st_score_prob(b, k, n - k))
         for n in range(k, 2 * k - 1)
     ]
-    eta = pa * qb + qa * pb
+    eta = pa * (1.0 - pb) + (1.0 - pa) * pb
     lengths = range(2 * k, n_max + 1, 2)
     support.extend(zip(lengths, _geometric_tail(tie * eta, 1.0 - eta, len(lengths))))
     return support
@@ -262,7 +279,7 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    tie = _st_tie_prob(pa, pb, k)
+    tie = _st_tie_prob(_point_split(pa, 1.0 - pb, k), k)
     if tie > 0.0:
         _require_terminating(pa, pb)
     rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
@@ -282,7 +299,8 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     qa, qb = 1.0 - pa, 1.0 - pb
-    tie = _st_tie_prob(pa, pb, k)
+    a, b = _st_splits(pa, pb, k)
+    tie = _st_tie_prob(a, k)
     if tie > 0.0:
         _require_terminating(pa, pb)
     rows = []
@@ -291,8 +309,8 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
             BreakdownRow(
                 score=f"{k}-{h}",
                 loser_score=h,
-                p_first_wins=float(_st_score_prob(pa, qb, k, h)),
-                p_second_wins=float(_st_score_prob(qa, pb, k, h)),
+                p_first_wins=float(_st_score_prob(a, k, h)),
+                p_second_wins=float(_st_score_prob(b, k, h)),
                 cond_mean=float(k + h),
                 cond_var=0.0,
             )
@@ -321,19 +339,27 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     )
 
 
-def _set_score_prob(win_odd_game, win_even_game, h: int):
+def _game_split(win_odd_game, win_even_game, n: int = _SET_TARGET - 1) -> _SplitPowers:
+    """One player's per-game tables: game wins and losses in A-served (odd)
+    and B-served (even) games.
+
+    No set score reads more than five games of either serve, so the set's
+    tables stop there; best-of-games races pass their own ``n``.
+    """
+    return _SplitPowers(n, win_odd_game, 1.0 - win_odd_game, win_even_game, 1.0 - win_even_game)
+
+
+def _set_score_prob(split: _SplitPowers, h: int):
     """Probability one player takes the set six games to h (h = 0..4).
 
-    ``win_odd_game`` / ``win_even_game`` are that player's win probabilities
-    in games served by A (odd games) and by B (even games).  Five of the
-    first 5+h games must go to the player, split across the alternation,
-    then game 6+h closes it out.
+    ``split`` holds that player's per-game tables (see :func:`_game_split`).
+    Five of the first 5+h games must go to the player, split across the
+    alternation, then game 6+h closes it out.
     """
     g = 5 + h
     ta = games_served_by_first_server(g)
-    mass = binomial_convolution_mass(ta, win_odd_game, g - ta, win_even_game, 5)
-    last = win_odd_game if first_server_serves_game(6 + h) else win_even_game
-    return mass * last
+    last = split.win1 if first_server_serves_game(6 + h) else split.win2
+    return split.mass(ta, g - ta, 5) * last
 
 
 def _set_game_probs(pa, pb):
@@ -345,6 +371,29 @@ def _set_game_probs(pa, pb):
     would cancel (pB near 1).
     """
     return game_win_prob(pa), game_win_prob(np.subtract(1.0, pb))
+
+
+def _set_head(pa, pb):
+    """(A's mass on the scores 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
+
+    This is the part of a set win probability that the tie-breaker target
+    does not change, so a match evaluates it once for both of its targets.
+    """
+    wa, wb = _set_game_probs(pa, pb)
+    split = _game_split(wa, wb)
+    head = sum(_set_score_prob(split, h) for h in range(5))
+    reach_55 = split.mass(5, 5, 5)
+    p75 = reach_55 * wa * wb
+    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
+    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
+        _require_terminating(pa, pb)
+    return head + p75, p66
+
+
+def _set_win(head, p66, theta_st):
+    """Set win probability from :func:`_set_head` and the tie-breaker's win probability."""
+    out = np.minimum(head + p66 * theta_st, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def set_win_prob(pa, pb, k: int):
@@ -361,25 +410,22 @@ def set_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    wa, wb = _set_game_probs(pa, pb)
-    head = 0.0
-    for h in range(5):
-        head = head + _set_score_prob(wa, wb, h)
-    reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
-    p75 = reach_55 * wa * wb
-    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
-    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
-        _require_terminating(pa, pb)
-    out = np.minimum(head + p75 + p66 * st_win_prob(pa, pb, k), 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _set_win(*_set_head(pa, pb), st_win_prob(pa, pb, k))
 
 
-def _set_rows(pa, pb, k: int, wa, wb) -> list:
+def _set_splits(wa, wb) -> tuple[_SplitPowers, _SplitPowers]:
+    """(A's, B's) per-game tables of a set."""
+    return _game_split(wa, wb), _game_split(1.0 - wa, 1.0 - wb)
+
+
+def _set_rows(pa, pb, k: int, a: _SplitPowers, b: _SplitPowers) -> list:
     """Final-score rows 6-0 .. 6-4, 7-5, 7-6 of a set, both winners merged.
 
-    A score with g games plays g alternating-server games; the 7-6 row
-    stacks the ST on its twelve.  Row moments add per-game moments.
+    ``a`` / ``b`` are the two players' per-game tables.  A score with g games
+    plays g alternating-server games; the 7-6 row stacks the ST on its
+    twelve.  Row moments add per-game moments.
     """
+    wa, wb = a.win1, a.win2
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
 
@@ -388,13 +434,13 @@ def _set_rows(pa, pb, k: int, wa, wb) -> list:
         tb = games - ta
         return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
 
-    reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
+    reach_55 = a.mass(5, 5, 5)
     p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
     if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
         _require_terminating(pa, pb)
     rows = []
     for h in range(5):
-        prob = _set_score_prob(wa, wb, h) + _set_score_prob(1.0 - wa, 1.0 - wb, h)
+        prob = _set_score_prob(a, h) + _set_score_prob(b, h)
         rows.append(_ScoreRow(prob, 6 + h, False, *games_moments(6 + h)))
     p75 = reach_55 * (wa * wb + (1.0 - wa) * (1.0 - wb))
     m12, v12 = games_moments(12)
@@ -417,7 +463,7 @@ def set_points_moments(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    mean, var = _mixture_moments(_set_rows(pa, pb, k, *_set_game_probs(pa, pb)))
+    mean, var = _mixture_moments(_set_rows(pa, pb, k, *_set_splits(*_set_game_probs(pa, pb))))
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -434,17 +480,15 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     wa, wb = _set_game_probs(pa, pb)
-    score_rows = _set_rows(pa, pb, k, wa, wb)
-    reach_55 = binomial_convolution_mass(5, wa, 5, wb, 5)
+    a, b = _set_splits(wa, wb)
+    score_rows = _set_rows(pa, pb, k, a, b)
+    reach_55 = a.mass(5, 5, 5)
     # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
-    splits = [
-        (f"6-{h}", h, _set_score_prob(wa, wb, h), _set_score_prob(1.0 - wa, 1.0 - wb, h))
-        for h in range(5)
-    ]
+    splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
     splits.append(("7-5", 5, reach_55 * wa * wb, reach_55 * (1.0 - wa) * (1.0 - wb)))
     p66 = score_rows[-1].mass
+    theta_st = st_win_prob(pa, pb, k)
     if p66 > 0.0:
-        theta_st = st_win_prob(pa, pb, k)
         splits.append(("7-6", 6, p66 * theta_st, p66 * (1.0 - theta_st)))
     rows = tuple(
         BreakdownRow(
@@ -460,7 +504,7 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     mean, var = _mixture_moments(score_rows)
     return ScoreBreakdown(
         rows=rows,
-        win_prob=set_win_prob(pa, pb, k),
+        win_prob=_set_win(sum(first for _, _, first, _ in splits[:6]), p66, theta_st),
         mean=float(mean),
         variance=float(var),
         label="set",
@@ -477,8 +521,8 @@ def _set_game_units(pa: float, pb: float) -> list:
 def _set_length_law(pa: float, pb: float, k: int, n_max: int, wa, wb,
                     games) -> PointCountDistribution:
     """Set length law from the game probabilities and game-length units already in hand."""
-    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(pa, pb, k), n_max))
-    return _compose_length_law(games, st, _set_rows(pa, pb, k, wa, wb), n_max)
+    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(_point_split(pa, 1.0 - pb, k), k), n_max))
+    return _compose_length_law(games, st, _set_rows(pa, pb, k, *_set_splits(wa, wb)), n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
