@@ -26,7 +26,6 @@ from .core import (
 )
 from .game import game_points_moments, game_win_prob
 from .sets import _decisive_pair_prob, _game_split, stt_win_prob
-from .sets import _set_game_probs as _game_win_pair
 
 __all__ = [
     "BestOfGamesSpec",
@@ -94,33 +93,34 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     )
 
 
-def _bog_score_masses(wa, wb, l: int):
+def _bog_score_masses(split, l: int):
     """Final-game-score masses (a_wins, b_wins, tie) of the best-of-games race.
 
+    ``split`` holds A's per-game tables, ``_game_split(pa, pb, l)``.
     ``a_wins[b]`` is the chance A clinches (l+1, b): among the first l+b
     games A takes l under the alternating serve split, then wins game l+1+b
     from whichever serve slot that game falls on.  ``tie`` is the l-l mass.
     """
-    split = _game_split(wa, wb, l)
     a_wins, b_wins = [], []
     for b in range(l):
         played = l + b
         ta = games_served_by_first_server(played)
         last_on_a_serve = first_server_serves_game(l + 1 + b)
         head_a = split.mass(ta, played - ta, l)
-        a_wins.append(head_a * (wa if last_on_a_serve else wb))
+        a_wins.append(head_a * (split.win1 if last_on_a_serve else split.win2))
         head_b = split.mass(ta, played - ta, b)
-        b_wins.append(head_b * ((1.0 - wa) if last_on_a_serve else (1.0 - wb)))
+        b_wins.append(head_b * (split.loss1 if last_on_a_serve else split.loss2))
     tie = split.mass(l, l, l)
     return a_wins, b_wins, tie
 
 
-def _tie_win_prob(pa, pb, wa, wb, spec: BestOfGamesSpec):
+def _tie_win_prob(pa, pb, split, spec: BestOfGamesSpec):
     if spec.tiebreak == "sg":
         # a fair coin picks the sudden game's server
-        return 0.5 * (wa + wb)
+        return 0.5 * (split.win1 + split.win2)
     if spec.tiebreak == "sttg":
-        return stt_win_prob(wa, game_win_prob(pb))
+        # game-level advantage race: each player holds serve with their own game probability
+        return stt_win_prob(split.win1, split.loss2)
     return stt_win_prob(pa, pb)
 
 
@@ -134,12 +134,11 @@ def bog_match_win_prob(pa, pb, spec: BestOfGamesSpec):
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    wa, wb = _game_win_pair(pa, pb)
     l = spec.l
-    split = _game_split(wa, wb, l)
+    split = _game_split(pa, pb, l)
     head = split.tail(l, l, l + 1)
     tie = split.mass(l, l, l)
-    out = np.asarray(head + tie * _tie_win_prob(pa, pb, wa, wb, spec))
+    out = np.asarray(head + tie * _tie_win_prob(pa, pb, split, spec))
     return float(out) if out.ndim == 0 else out
 
 
@@ -183,9 +182,8 @@ def bog_match_points_moments(pa, pb, spec: BestOfGamesSpec, tie_unit: str = "poi
     _check_prob("pb", pb)
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
-    wa, wb = _game_win_pair(pa, pb)
     l = spec.l
-    a_wins, b_wins, tie = _bog_score_masses(wa, wb, l)
+    a_wins, b_wins, tie = _bog_score_masses(_game_split(pa, pb, l), l)
 
     def category(n_games):
         ta = games_served_by_first_server(n_games)

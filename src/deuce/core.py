@@ -159,7 +159,19 @@ class _SplitPowers:
         for rows, x in zip(tables, (win1, loss1, win2, loss2)):
             for i in range(1, n + 1):
                 np.multiply(rows[i - 1 : i], x, out=rows[i : i + 1])
-        self._tables = tables
+        self._tables = tuple(tables)
+
+    def swapped(self) -> _SplitPowers:
+        """The same tables with success and failure exchanged on both kinds.
+
+        This is the opponent's view of the same trials; nothing is rebuilt.
+        """
+        other = object.__new__(_SplitPowers)
+        other.n, other.shape = self.n, self.shape
+        other.win1, other.loss1, other.win2, other.loss2 = self.loss1, self.win1, self.loss2, self.win2
+        pw1, qw1, pw2, qw2 = self._tables
+        other._tables = (qw1, pw1, qw2, pw2)
+        return other
 
     def _fits(self, n1: int, n2: int) -> None:
         if max(n1, n2) > self.n:

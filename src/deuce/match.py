@@ -19,7 +19,7 @@ import numpy as np
 from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
                    _check_count, _check_prob, _compose_length_law,
                    _mixture_moments, _pmf_array, _ScoreRow)
-from .sets import (_set_game_probs, _set_game_units, _set_head, _set_length_law,
+from .sets import (_game_split, _set_game_units, _set_head, _set_length_law,
                    _set_win, set_points_moments, set_win_prob,
                    st_win_prob)
 
@@ -224,10 +224,10 @@ def match_points_distribution(pa: float, pb: float, spec: MatchSpec,
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
-    wa, wb = _set_game_probs(pa, pb)
+    split = _game_split(pa, pb)
     games = _set_game_units(pa, pb)
     set0, set1 = _per_k(
-        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, wa, wb, games), pa, pb, spec
+        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, split, games), pa, pb, spec
     )
     theta0 = set_win_prob(pa, pb, spec.k0)
     rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance), (set1.mean, set1.variance))

@@ -136,31 +136,22 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     )
 
 
-def _point_split(win_on_a_serve, win_on_b_serve, k: int) -> _SplitPowers:
-    """One player's per-point tables for a K-point set tie-breaker.
+def _st_split(pa, pb, k: int) -> _SplitPowers:
+    """A's per-point tables for a K-point set tie-breaker; B's are ``.swapped()``.
 
-    ``win_on_a_serve`` / ``win_on_b_serve`` are that player's per-point win
-    probabilities when A (the tie-breaker's first server) serves and when B
-    serves.  No score before the tie reads more than K-1 points of either
-    serve, so the tables stop there.
+    A wins a point on A's serve with pA and on B's serve with 1 - pB, and
+    loses it with 1 - pA and pB.  No score before the tie reads more than
+    K-1 points of either serve, so the tables stop there.
     """
-    win_on_a_serve = np.asarray(win_on_a_serve, dtype=float)
-    win_on_b_serve = np.asarray(win_on_b_serve, dtype=float)
-    return _SplitPowers(k - 1, win_on_a_serve, 1.0 - win_on_a_serve,
-                        win_on_b_serve, 1.0 - win_on_b_serve)
-
-
-def _st_splits(pa, pb, k: int) -> tuple[_SplitPowers, _SplitPowers]:
-    """(A's, B's) per-point tables of a K-point set tie-breaker."""
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    return _point_split(pa, 1.0 - pb, k), _point_split(1.0 - pa, pb, k)
+    return _SplitPowers(k - 1, pa, 1.0 - pa, 1.0 - pb, pb)
 
 
 def _st_score_prob(split: _SplitPowers, k: int, h: int):
     """Probability one player takes the set tie-breaker K points to h.
 
-    ``split`` holds that player's per-point tables (see :func:`_point_split`).
+    ``split`` holds that player's per-point tables (see :func:`_st_split`).
     Of the first K+h-1 points the player must win K-1, split across the
     serve counts of the ABBA rotation, then take point K+h.
     """
@@ -198,7 +189,7 @@ def st_win_prob(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    split = _point_split(pa, 1.0 - pb, k)
+    split = _st_split(pa, pb, k)
     head = sum(_st_score_prob(split, k, h) for h in range(k - 1))
     tie = _st_tie_prob(split, k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (tie > 0.0)):
@@ -220,7 +211,8 @@ def _st_points_moments(pa, pb, k: int):
     variance inside every non-tie category is zero, so only the tie's
     geometric variance and the spread of the category means contribute.
     """
-    a, b = _st_splits(pa, pb, k)
+    a = _st_split(pa, pb, k)
+    b = a.swapped()
     tie = _st_tie_prob(a, k)
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
@@ -241,7 +233,7 @@ def st_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    tie = _st_tie_prob(_point_split(pa, np.subtract(1.0, pb), k), k)
+    tie = _st_tie_prob(_st_split(pa, pb, k), k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (np.asarray(tie) > 0.0)):
         _require_terminating(pa, pb)
     mean, var = _st_points_moments(pa, pb, k)
@@ -257,7 +249,8 @@ def _st_support(pa: float, pb: float, k: int, tie, n_max: int) -> list:
     mass at even n >= 2K is the tie probability times the geometric STT
     landing on pair (n - 2K + 2)/2.
     """
-    a, b = _st_splits(pa, pb, k)
+    a = _st_split(pa, pb, k)
+    b = a.swapped()
     support = [
         (n, _st_score_prob(a, k, n - k) + _st_score_prob(b, k, n - k))
         for n in range(k, 2 * k - 1)
@@ -279,7 +272,7 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    tie = _st_tie_prob(_point_split(pa, 1.0 - pb, k), k)
+    tie = _st_tie_prob(_st_split(pa, pb, k), k)
     if tie > 0.0:
         _require_terminating(pa, pb)
     rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
@@ -299,7 +292,8 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     qa, qb = 1.0 - pa, 1.0 - pb
-    a, b = _st_splits(pa, pb, k)
+    a = _st_split(pa, pb, k)
+    b = a.swapped()
     tie = _st_tie_prob(a, k)
     if tie > 0.0:
         _require_terminating(pa, pb)
@@ -339,14 +333,21 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     )
 
 
-def _game_split(win_odd_game, win_even_game, n: int = _SET_TARGET - 1) -> _SplitPowers:
-    """One player's per-game tables: game wins and losses in A-served (odd)
-    and B-served (even) games.
+def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
+    """A's per-game tables: game wins and losses in A-served (odd) and
+    B-served (even) games; B's are ``.swapped()``.
+
+    Each of the four is a game won by its own server.  A loses an A-served
+    game as B receiving, i.e. as a server with 1 - pA would win it, and wins
+    a B-served game as a server with 1 - pB would.  Scoring is the same for
+    either player, so this direct route keeps full relative accuracy where
+    1 - game_win_prob(.) would cancel (a serve probability near 1).
 
     No set score reads more than five games of either serve, so the set's
     tables stop there; best-of-games races pass their own ``n``.
     """
-    return _SplitPowers(n, win_odd_game, 1.0 - win_odd_game, win_even_game, 1.0 - win_even_game)
+    return _SplitPowers(n, game_win_prob(pa), game_win_prob(np.subtract(1.0, pa)),
+                        game_win_prob(np.subtract(1.0, pb)), game_win_prob(pb))
 
 
 def _set_score_prob(split: _SplitPowers, h: int):
@@ -362,29 +363,17 @@ def _set_score_prob(split: _SplitPowers, h: int):
     return split.mass(ta, g - ta, 5) * last
 
 
-def _set_game_probs(pa, pb):
-    """A's win probability in A-served and B-served games.
-
-    A wins a B-served game when B, serving with pB, loses it.  Scoring is the
-    same for either player, so that is a server with 1 - pB winning: the
-    direct route keeps full relative accuracy where 1 - game_win_prob(pB)
-    would cancel (pB near 1).
-    """
-    return game_win_prob(pa), game_win_prob(np.subtract(1.0, pb))
-
-
 def _set_head(pa, pb):
     """(A's mass on the scores 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
 
     This is the part of a set win probability that the tie-breaker target
     does not change, so a match evaluates it once for both of its targets.
     """
-    wa, wb = _set_game_probs(pa, pb)
-    split = _game_split(wa, wb)
+    split = _game_split(pa, pb)
     head = sum(_set_score_prob(split, h) for h in range(5))
     reach_55 = split.mass(5, 5, 5)
-    p75 = reach_55 * wa * wb
-    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
+    p75 = reach_55 * split.win1 * split.win2
+    p66 = reach_55 * _set_tie_share(split)
     if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
         _require_terminating(pa, pb)
     return head + p75, p66
@@ -413,19 +402,19 @@ def set_win_prob(pa, pb, k: int):
     return _set_win(*_set_head(pa, pb), st_win_prob(pa, pb, k))
 
 
-def _set_splits(wa, wb) -> tuple[_SplitPowers, _SplitPowers]:
-    """(A's, B's) per-game tables of a set."""
-    return _game_split(wa, wb), _game_split(1.0 - wa, 1.0 - wb)
+def _set_tie_share(split: _SplitPowers):
+    """Probability that games 11 and 12 split one each, so 5-5 goes on to 6-6."""
+    return split.win1 * split.loss2 + split.loss1 * split.win2
 
 
-def _set_rows(pa, pb, k: int, a: _SplitPowers, b: _SplitPowers) -> list:
+def _set_rows(pa, pb, k: int, a: _SplitPowers) -> list:
     """Final-score rows 6-0 .. 6-4, 7-5, 7-6 of a set, both winners merged.
 
-    ``a`` / ``b`` are the two players' per-game tables.  A score with g games
-    plays g alternating-server games; the 7-6 row stacks the ST on its
-    twelve.  Row moments add per-game moments.
+    ``a`` holds A's per-game tables.  A score with g games plays g
+    alternating-server games; the 7-6 row stacks the ST on its twelve.  Row
+    moments add per-game moments.
     """
-    wa, wb = a.win1, a.win2
+    b = a.swapped()
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
 
@@ -435,14 +424,14 @@ def _set_rows(pa, pb, k: int, a: _SplitPowers, b: _SplitPowers) -> list:
         return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
 
     reach_55 = a.mass(5, 5, 5)
-    p66 = reach_55 * (wa * (1.0 - wb) + (1.0 - wa) * wb)
+    p66 = reach_55 * _set_tie_share(a)
     if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
         _require_terminating(pa, pb)
     rows = []
     for h in range(5):
         prob = _set_score_prob(a, h) + _set_score_prob(b, h)
         rows.append(_ScoreRow(prob, 6 + h, False, *games_moments(6 + h)))
-    p75 = reach_55 * (wa * wb + (1.0 - wa) * (1.0 - wb))
+    p75 = reach_55 * (a.win1 * a.win2 + b.win1 * b.win2)
     m12, v12 = games_moments(12)
     rows.append(_ScoreRow(p75, 12, False, m12, v12))
     st_mean, st_var = _st_points_moments(pa, pb, k)
@@ -463,7 +452,7 @@ def set_points_moments(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    mean, var = _mixture_moments(_set_rows(pa, pb, k, *_set_splits(*_set_game_probs(pa, pb))))
+    mean, var = _mixture_moments(_set_rows(pa, pb, k, _game_split(pa, pb)))
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -479,13 +468,13 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    wa, wb = _set_game_probs(pa, pb)
-    a, b = _set_splits(wa, wb)
-    score_rows = _set_rows(pa, pb, k, a, b)
+    a = _game_split(pa, pb)
+    b = a.swapped()
+    score_rows = _set_rows(pa, pb, k, a)
     reach_55 = a.mass(5, 5, 5)
     # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
     splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
-    splits.append(("7-5", 5, reach_55 * wa * wb, reach_55 * (1.0 - wa) * (1.0 - wb)))
+    splits.append(("7-5", 5, reach_55 * a.win1 * a.win2, reach_55 * b.win1 * b.win2))
     p66 = score_rows[-1].mass
     theta_st = st_win_prob(pa, pb, k)
     if p66 > 0.0:
@@ -518,11 +507,11 @@ def _set_game_units(pa: float, pb: float) -> list:
     return [game_a, game_b] * _SET_TARGET
 
 
-def _set_length_law(pa: float, pb: float, k: int, n_max: int, wa, wb,
+def _set_length_law(pa: float, pb: float, k: int, n_max: int, split: _SplitPowers,
                     games) -> PointCountDistribution:
-    """Set length law from the game probabilities and game-length units already in hand."""
-    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(_point_split(pa, 1.0 - pb, k), k), n_max))
-    return _compose_length_law(games, st, _set_rows(pa, pb, k, *_set_splits(wa, wb)), n_max)
+    """Set length law from the per-game tables and game-length units already in hand."""
+    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(_st_split(pa, pb, k), k), n_max))
+    return _compose_length_law(games, st, _set_rows(pa, pb, k, split), n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -544,4 +533,4 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    return _set_length_law(pa, pb, k, n_max, *_set_game_probs(pa, pb), _set_game_units(pa, pb))
+    return _set_length_law(pa, pb, k, n_max, _game_split(pa, pb), _set_game_units(pa, pb))

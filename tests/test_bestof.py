@@ -12,7 +12,6 @@ import oracles
 from deuce.bestof import (
     BestOfGamesSpec,
     _bog_score_masses,
-    _game_win_pair,
     bofk_points_distribution,
     bofk_win_prob,
     bog_match_points_moments,
@@ -25,7 +24,7 @@ from deuce.core import (
     geometric_moments,
 )
 from deuce.game import game_points_moments, game_win_prob, gt_win_prob
-from deuce.sets import stt_win_prob
+from deuce.sets import _game_split, stt_win_prob
 
 P_GRID = np.linspace(0.05, 0.95, 19)
 
@@ -130,8 +129,9 @@ def test_bog_score_partition_and_head_identity():
     for l in (1, 2, 3, 5, 15):
         for _ in range(6):
             pa, pb = rng.uniform(0.05, 0.95, size=2)
-            wa, wb = _game_win_pair(pa, pb)
-            a_wins, b_wins, tie = _bog_score_masses(wa, wb, l)
+            split = _game_split(pa, pb, l)
+            wa, wb = split.win1, split.win2
+            a_wins, b_wins, tie = _bog_score_masses(split, l)
             assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-12)
             assert sum(a_wins) == pytest.approx(
                 binomial_convolution_tail(l, wa, l, wb, l + 1), abs=1e-12
@@ -155,8 +155,9 @@ def test_bog_win_prob_tie_rules_differ():
     }
     assert probs["sttg"] != pytest.approx(probs["sg"], abs=1e-4)
     assert probs["sttg"] != pytest.approx(probs["sttp"], abs=1e-4)
-    wa, wb = _game_win_pair(0.8, 0.7)
-    _, _, tie = _bog_score_masses(wa, wb, 4)
+    split = _game_split(0.8, 0.7, 4)
+    wa, wb = split.win1, split.win2
+    _, _, tie = _bog_score_masses(split, 4)
     head = binomial_convolution_tail(4, wa, 4, wb, 5)
     assert probs["sg"] == pytest.approx(head + tie * 0.5 * (wa + wb), abs=1e-12)
     assert probs["sttg"] == pytest.approx(
