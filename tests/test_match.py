@@ -283,7 +283,7 @@ def test_match_points_distribution_floor_is_three_minimal_sets():
     sweep = jpmf[(3, 0)] + jpmf[(0, 3)]
     n0, m0 = dist.support[0]
     assert n0 == 72
-    assert m0 == pytest.approx(sweep * set_floor**3, rel=1e-10)
+    assert m0 == pytest.approx(sweep * set_floor**3, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("pa,pb", [(0.05, 0.05), (0.95, 0.95), (0.5, 0.5)])

@@ -408,7 +408,19 @@ def test_set_points_distribution_floor_is_six_quick_games():
     quick_b = dict(game_points_pmf(pb).support)[4]
     n0, m0 = dist.support[0]
     assert n0 == 24
-    assert m0 == pytest.approx(sweep * quick_a**3 * quick_b**3, rel=1e-12)
+    assert m0 == pytest.approx(sweep * quick_a**3 * quick_b**3, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pa,pb", [(0.97, 0.6), (0.99, 0.55)])
+def test_underdog_set_masses_keep_relative_accuracy(pa, pb):
+    # B sweeps 6-0 by winning three A-served and three B-served games.  The
+    # masses sit far below 1e-12, so the check must not fall back on
+    # pytest's default absolute tolerance.
+    _, a_loses = oracles.game_outcome_exact(pa)
+    b_holds, _ = oracles.game_outcome_exact(pb)
+    exact = float(a_loses**3 * b_holds**3)
+    got = set_breakdown(pa, pb, 7).row("6-0").p_second_wins
+    assert got == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("pa,pb", [(0.05, 0.05), (0.95, 0.95), (0.05, 0.95), (0.5, 0.5)])
