@@ -16,6 +16,11 @@ Jacobian x) in 2-D.  The error estimate is the change under panel doubling,
 and the reported value is the doubled-panel one.  Node evaluation order is
 fixed and summation uses numpy's pairwise reduction, so results are
 reproducible bit for bit.
+
+The 2-D surface is evaluated in fixed blocks of nodes written into one
+array, which keeps every temporary small.  Surfaces are elementwise, so each
+node's value, and with it every weight, product and sum, and so every
+result, is the same as from one call on the whole triangle.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .core import (
     _pmf_array,
     _ScoreRow,
     _SplitPowers,
+    binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
     first_server_on_point,
     first_server_serves_game,
     games_served_by_first_server,

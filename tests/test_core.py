@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from deuce.core import (
     NonTerminatingError,
+    _SplitPowers,
     binomial_convolution_mass,
     binomial_convolution_tail,
     first_server_on_point,
@@ -99,10 +100,44 @@ def test_binomial_convolution_against_double_loop():
         (9, 0.13, 4, 0.97, 7),
         (5, 0.5, 7, 0.5, 6),
         (3, 0.0, 3, 1.0, 3),
+        # edge cases: k beyond n1 + n2, empty trial sets, certain trials
+        (3, 0.4, 2, 0.7, 6),
+        (0, 0.4, 0, 0.7, 0),
+        (0, 0.4, 0, 0.7, 1),
+        (0, 0.3, 5, 0.8, 2),
+        (4, 0.3, 0, 0.8, 4),
+        (4, 1.0, 3, 0.0, 4),
+        (4, 1.0, 3, 1.0, 7),
+        (4, 0.0, 3, 0.0, 0),
+        (4, 0.0, 3, 0.0, 1),
     ]
     for n1, p1, n2, p2, k in cases:
         oracle = oracles.binomial_convolution_double_loop(n1, p1, n2, p2, k)
         assert binomial_convolution_mass(n1, p1, n2, p2, k) == pytest.approx(oracle, abs=1e-14)
+        tail = sum(
+            oracles.binomial_convolution_double_loop(n1, p1, n2, p2, m)
+            for m in range(max(k, 0), n1 + n2 + 1)
+        )
+        assert binomial_convolution_tail(n1, p1, n2, p2, k) == pytest.approx(tail, abs=1e-14)
+
+
+def test_split_tables_serve_every_term_and_the_opponent():
+    # One set of tables answers every (n1, n2, k) up to its size, and the
+    # swapped view is the opponent's: success and failure exchanged.
+    p1, p2 = 0.62, 0.27
+    split = _SplitPowers(6, p1, 1.0 - p1, p2, 1.0 - p2)
+    other = split.swapped()
+    for n1 in range(7):
+        for n2 in range(7):
+            for k in range(n1 + n2 + 2):
+                oracle = oracles.binomial_convolution_double_loop(n1, p1, n2, p2, k)
+                assert split.mass(n1, n2, k) == pytest.approx(oracle, rel=1e-13, abs=0)
+                flipped = oracles.binomial_convolution_double_loop(n1, 1.0 - p1, n2, 1.0 - p2, k)
+                assert other.mass(n1, n2, k) == pytest.approx(flipped, rel=1e-13, abs=0)
+    with pytest.raises(ValueError):
+        split.mass(7, 0, 1)
+    with pytest.raises(ValueError):
+        _SplitPowers(3, 0.5, 0.5, 0.5, float("nan"))
 
 
 def test_binomial_convolution_normalizes():

@@ -17,7 +17,9 @@ from deuce.core import (
     serves_by_first_server,
 )
 from deuce.efficiency import (
+    _BLOCK_NODES,
     BetaPrior,
+    _axis_nodes,
     _eff_two_parts,
     efficiency_one_param,
     efficiency_two_param,
@@ -330,6 +332,47 @@ def test_swapped_tie_st_equals_true_st_for_odd_k():
 def test_triangle_contributions_match_for_symmetric_surface():
     lower, upper = _eff_two_parts(stt_win_prob, BetaPrior(2, 1), BetaPrior(2, 1), 8, 20)
     assert lower == pytest.approx(upper, abs=1e-12)
+
+
+def _full_grid_two_param(surface, prior_a, prior_b, panels, order):
+    """(value, error estimate) with the surface called once on each whole triangle."""
+
+    def parts(n_panels):
+        soften = prior_a.endpoint_singular or prior_b.endpoint_singular
+        nodes, weights = _axis_nodes(n_panels, order, soften)
+        x, t = nodes[:, None], nodes[None, :]
+        w2 = weights[:, None] * weights[None, :]
+        theta = np.asarray(surface(np.broadcast_to(x, w2.shape), t * x), dtype=float)
+        upper = float(np.sum(w2 * (2.0 * theta - 1.0) * (prior_a.pdf(x) * prior_b.pdf(t * x)) * x))
+        theta = np.asarray(surface(t * x, np.broadcast_to(x, w2.shape)), dtype=float)
+        lower = float(np.sum(w2 * (1.0 - 2.0 * theta) * (prior_a.pdf(t * x) * prior_b.pdf(x)) * x))
+        return lower + upper
+
+    coarse, fine = parts(panels), parts(2 * panels)
+    return fine, abs(fine - coarse)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [lambda a, b: st_win_prob(a, b, 7), lambda a, b: match_win_prob(a, b, MatchSpec(7, 10, 2))],
+    ids=["st7", "m7102"],
+)
+def test_blocked_surface_evaluation_is_exact(surface):
+    # 4 panels of order 12 give 48^2 nodes per coarse triangle (one block)
+    # and 96^2 = 9216 per fine one: two full blocks and a partial one.
+    seen = []
+
+    def spy(a, b):
+        seen.append(np.size(a))
+        return surface(a, b)
+
+    prior_a, prior_b = PRIOR_COLS[2]
+    report = efficiency_two_param(spy, (prior_a, prior_b), panels=4, order=12)
+    assert max(seen) <= _BLOCK_NODES
+    assert 96 * 96 > _BLOCK_NODES and len(seen) > 4
+    value, error = _full_grid_two_param(surface, prior_a, prior_b, 4, 12)
+    assert report.value == value
+    assert report.quadrature_error_estimate == error
 
 
 def test_refinement_stays_within_reported_error():
