@@ -150,7 +150,6 @@ class _SplitPowers:
     def __init__(self, n: int, win1, loss1, win2, loss2):
         for name, x in (("p1", win1), ("q1", loss1), ("p2", win2), ("q2", loss2)):
             _check_prob(name, x)
-        self.n = n
         self.win1, self.loss1, self.win2, self.loss2 = win1, loss1, win2, loss2
         self.shape = np.broadcast_shapes(*(np.shape(x) for x in (win1, loss1, win2, loss2)))
         # one allocation for all four tables: row [t, i] is x_t ** i
@@ -167,15 +166,11 @@ class _SplitPowers:
         This is the opponent's view of the same trials; nothing is rebuilt.
         """
         other = object.__new__(_SplitPowers)
-        other.n, other.shape = self.n, self.shape
+        other.shape = self.shape
         other.win1, other.loss1, other.win2, other.loss2 = self.loss1, self.win1, self.loss2, self.win2
         pw1, qw1, pw2, qw2 = self._tables
         other._tables = (qw1, pw1, qw2, pw2)
         return other
-
-    def _fits(self, n1: int, n2: int) -> None:
-        if max(n1, n2) > self.n:
-            raise ValueError(f"trial counts ({n1}, {n2}) exceed the tables' {self.n}")
 
     def mass(self, n1: int, n2: int, k: int):
         """Pr{X + Y = k} for X ~ Binomial(n1, win1), Y ~ Binomial(n2, win2).
@@ -184,7 +179,6 @@ class _SplitPowers:
         terms with j > n1 or k-j > n2 are zero-probability configurations and
         are skipped (C(n, k) = 0 for k > n).
         """
-        self._fits(n1, n2)
         if k > n1 + n2:
             return _scalar_or_array(np.zeros(self.shape))
         pw1, qw1, pw2, qw2 = self._tables
@@ -201,7 +195,6 @@ class _SplitPowers:
         accumulated from the top as j rises, so only its current value is
         kept, and the sum avoids the O(k^2) term-by-term double loop.
         """
-        self._fits(n1, n2)
         if k <= 0:
             return _scalar_or_array(np.ones(self.shape))
         if k > n1 + n2:

@@ -135,8 +135,6 @@ def test_split_tables_serve_every_term_and_the_opponent():
                 flipped = oracles.binomial_convolution_double_loop(n1, 1.0 - p1, n2, 1.0 - p2, k)
                 assert other.mass(n1, n2, k) == pytest.approx(flipped, rel=1e-13, abs=0)
     with pytest.raises(ValueError):
-        split.mass(7, 0, 1)
-    with pytest.raises(ValueError):
         _SplitPowers(3, 0.5, 0.5, 0.5, float("nan"))
 
 
