@@ -75,6 +75,18 @@ _GRID_ALIASES = {"win": "win_prob", "mean": "mean_points", "std": "std_points"}
 # shared option plumbing
 
 
+def _echo(text: str, err: bool = False) -> None:
+    """Write one line to the current ``sys.stdout`` (or ``sys.stderr``).
+
+    Plain ``click.echo`` looks the stream up through a cache keyed weakly by
+    stream but holding the stream itself as the value, so every stream that
+    ``main`` runs against in-process (a redirected stdout, a test runner's
+    capture) would stay alive, with all it was sent, for the life of the
+    process.
+    """
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _structure_options(fn):
     """Attach the scoring-structure flags shared by every subcommand."""
     for option in (
@@ -127,10 +139,10 @@ def _domain_errors(fn):
         try:
             return fn(*args, **kwargs)
         except NonTerminatingError as exc:
-            click.echo(f"non-terminating: {exc}", err=True)
+            _echo(f"non-terminating: {exc}", err=True)
             sys.exit(3)
         except QuadratureError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
+            _echo(f"numerical failure: {exc}", err=True)
             sys.exit(4)
 
     return wrapper
@@ -267,10 +279,10 @@ def _flatten(record: dict, prefix: str = ""):
 def _emit(record: dict, fmt: str, precision: int) -> None:
     record = _round_sig(record, precision)
     if fmt == "json":
-        click.echo(json.dumps(record, indent=2, sort_keys=True))
+        _echo(json.dumps(record, indent=2, sort_keys=True))
     else:
         for key, value in sorted(_flatten(record)):
-            click.echo(f"{key},{value}")
+            _echo(f"{key},{value}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +356,12 @@ def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
         record = _round_sig(
             {"rows": rows, "win": table.win_prob, "mean": table.mean,
              "var": table.variance}, precision)
-        click.echo("score,p_first_wins,p_second_wins,cond_mean,cond_var")
+        _echo("score,p_first_wins,p_second_wins,cond_mean,cond_var")
         for row in record["rows"]:
-            click.echo(",".join(str(row[col]) for col in
+            _echo(",".join(str(row[col]) for col in
                                 ("score", "p_first_wins", "p_second_wins",
                                  "cond_mean", "cond_var")))
-        click.echo(f"overall,{record['win']},,{record['mean']},{record['var']}")
+        _echo(f"overall,{record['win']},,{record['mean']},{record['var']}")
         return
     record = {
         "command": "breakdown",
@@ -489,9 +501,9 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
 
     if fmt == "csv":
         fmt_cell = lambda x: f"{x:.{precision}g}"
-        click.echo("pa\\pb," + ",".join(fmt_cell(c) for c in coords))
+        _echo("pa\\pb," + ",".join(fmt_cell(c) for c in coords))
         for i in range(res):
-            click.echo(fmt_cell(coords[i]) + "," +
+            _echo(fmt_cell(coords[i]) + "," +
                        ",".join(fmt_cell(v) for v in values[i]))
         return
     record = {
@@ -579,12 +591,12 @@ def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
     record = {"command": "efficiency", "version": __version__, "reports": reports}
     if fmt == "csv":
         record = _round_sig(record, precision)
-        click.echo("system,efficiency,quadrature_error_estimate")
+        _echo("system,efficiency,quadrature_error_estimate")
         for entry in record["reports"]:
             spec_text = ";".join(f"{key}={value}" for key, value
                                  in entry["system"].items())
             value = next(v for key, v in entry.items() if key.startswith("Eff_"))
-            click.echo(f"{spec_text},{value},{entry['quadrature_error_estimate']}")
+            _echo(f"{spec_text},{value},{entry['quadrature_error_estimate']}")
         return
     _emit(record, fmt, precision)
 

@@ -8,8 +8,12 @@ the right numbers arrive on stdout with the right tags.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -388,3 +392,16 @@ def test_precision_flag_controls_significant_digits():
     assert coarse["mu_GT"] == round(coarse["mu_GT"], 3)
     assert coarse["mu_GT"] == pytest.approx(fine["mu_GT"], rel=2e-3)
     assert fine["mu_GT"] != coarse["mu_GT"]
+
+
+def test_in_process_runs_release_their_output_streams():
+    # Calling main in-process with stdout redirected must not keep the
+    # stream (and everything written to it) alive afterwards.
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["compute", "set", "--pa", "0.6", "--pb", "0.55"], standalone_mode=False)
+    assert buf.getvalue()
+    released = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert released() is None
