@@ -359,8 +359,8 @@ def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
         _echo("score,p_first_wins,p_second_wins,cond_mean,cond_var")
         for row in record["rows"]:
             _echo(",".join(str(row[col]) for col in
-                                ("score", "p_first_wins", "p_second_wins",
-                                 "cond_mean", "cond_var")))
+                           ("score", "p_first_wins", "p_second_wins",
+                            "cond_mean", "cond_var")))
         _echo(f"overall,{record['win']},,{record['mean']},{record['var']}")
         return
     record = {
@@ -504,7 +504,7 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
         _echo("pa\\pb," + ",".join(fmt_cell(c) for c in coords))
         for i in range(res):
             _echo(fmt_cell(coords[i]) + "," +
-                       ",".join(fmt_cell(v) for v in values[i]))
+                  ",".join(fmt_cell(v) for v in values[i]))
         return
     record = {
         "command": "grid",

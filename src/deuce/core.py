@@ -152,7 +152,9 @@ class _SplitPowers:
             _check_prob(name, x)
         self.win1, self.loss1, self.win2, self.loss2 = win1, loss1, win2, loss2
         self.shape = np.broadcast_shapes(*(np.shape(x) for x in (win1, loss1, win2, loss2)))
-        # one allocation for all four tables: row [t, i] is x_t ** i
+        # One allocation for all four tables (row [t, i] is x_t ** i): a few
+        # large buffers are reused from the heap, where 4(n+1) separate
+        # arrays per evaluation kept being returned and faulted in again.
         tables = np.empty((4, n + 1) + self.shape)
         tables[:, 0] = 1.0
         for rows, x in zip(tables, (win1, loss1, win2, loss2)):
