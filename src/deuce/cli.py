@@ -249,13 +249,23 @@ def _points_moments(spec: SystemSpec, params):
 
 
 def _round_sig(obj, digits: int):
-    """Round every float in a nested structure to ``digits`` significant digits."""
+    """Round every float in a nested structure to ``digits`` significant digits.
+
+    A float array is rounded in one pass over its elements and comes back as
+    nested lists of Python floats.  Each element goes through the same
+    ``.{digits}g`` text as a lone float would (NaN, infinities and -0.0
+    survive the round trip), so the output text is unchanged.
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, dict):
         return {key: _round_sig(value, digits) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_sig(value, digits) for value in obj]
+    if isinstance(obj, np.ndarray):
+        spec = f".{digits}g"
+        flat = [float(format(x, spec)) for x in obj.ravel().tolist()]
+        return np.reshape(flat, obj.shape).tolist()
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float):
@@ -511,9 +521,9 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
         "version": __version__,
         "system": _spec_dict(spec),
         "quantity": quantity,
-        "pa": list(coords),
-        "pb": list(coords),
-        "values": [list(row) for row in values],
+        "pa": coords,
+        "pb": coords,
+        "values": values,
     }
     if other is not None:
         record["other"] = _spec_dict(grid_spec(other))

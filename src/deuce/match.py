@@ -20,8 +20,7 @@ from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
                    _check_count, _check_prob, _compose_length_law,
                    _mixture_moments, _pmf_array, _ScoreRow)
 from .sets import (_game_split, _set_game_units, _set_head, _set_length_law,
-                   _set_win, set_points_moments, set_win_prob,
-                   st_win_prob)
+                   _set_rows, _set_win, _stack_st, st_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -76,16 +75,24 @@ def _per_k(fn, pa, pb, spec: MatchSpec):
     return first, first if spec.k1 == spec.k0 else fn(pa, pb, spec.k1)
 
 
-def _theta_pair(pa, pb, spec: MatchSpec):
+def _theta_pair(pa, pb, spec: MatchSpec, split):
     """(theta for a non-deciding set, theta for the deciding set).
 
-    Only the tie-breaker depends on the target, so the rest of the set is
-    evaluated once for both.
+    ``split`` holds A's per-game tables.  Only the tie-breaker depends on the
+    target, so the rest of the set is evaluated once for both.
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
-    head, p66 = _set_head(pa, pb)
+    head, p66 = _set_head(pa, pb, split)
     return _per_k(lambda pa, pb, k: _set_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
+
+
+def _set_moments_pair(pa, pb, spec: MatchSpec, split):
+    """(set moments at k0, set moments at k1) from one evaluation of the set rows.
+
+    Only the 7-6 row's tie-breaker depends on the target, so the other rows
+    and the game tables in ``split`` serve both.
+    """
+    rows = _set_rows(pa, pb, split)
+    return _per_k(lambda pa, pb, k: _mixture_moments(_stack_st(rows, pa, pb, k)), pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
@@ -112,7 +119,7 @@ def match_set_jpmf(pa: float, pb: float, spec: MatchSpec) -> SetScoreJPMF:
     """
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    return _set_score_jpmf(*_theta_pair(pa, pb, spec), spec.q)
+    return _set_score_jpmf(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
 
 
 def _match_win(theta0, theta1, q: int):
@@ -135,7 +142,9 @@ def match_win_prob(pa, pb, spec: MatchSpec):
     clipped at 1 like ``set_win_prob``, since rounding can carry it an ulp
     past.
     """
-    return _match_win(*_theta_pair(pa, pb, spec), spec.q)
+    _check_prob("pa", pa)
+    _check_prob("pb", pb)
+    return _match_win(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
 
 
 def _match_rows(theta0, q: int, set0, set1) -> list:
@@ -166,9 +175,17 @@ def match_points_moments(pa, pb, spec: MatchSpec):
     tie-breaker; the full-length score plays 2q at k0 plus the k1 decider.
     Per-set moments add (sets are independent), and the mixture over the
     final score combines by the iterated expectation/variance rules.
+
+    The set layer is evaluated once per call: one set of game tables, one
+    set of rows that the tie-breaker target does not change, and only the
+    tie-breaker itself per target.  Only the non-deciding set's win
+    probability is needed.
     """
-    theta0, _ = _theta_pair(pa, pb, spec)
-    rows = _match_rows(theta0, spec.q, *_per_k(set_points_moments, pa, pb, spec))
+    _check_prob("pa", pa)
+    _check_prob("pb", pb)
+    split = _game_split(pa, pb)
+    theta0 = _set_win(*_set_head(pa, pb, split), st_win_prob(pa, pb, spec.k0))
+    rows = _match_rows(theta0, spec.q, *_set_moments_pair(pa, pb, spec, split))
     mean, var = _mixture_moments(rows)
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
@@ -179,10 +196,11 @@ def match_breakdown(pa: float, pb: float, spec: MatchSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    theta0, theta1 = _theta_pair(pa, pb, spec)
+    split = _game_split(pa, pb)
+    theta0, theta1 = _theta_pair(pa, pb, spec, split)
     q = spec.q
     jpmf = _set_score_jpmf(theta0, theta1, q)
-    score_rows = _match_rows(theta0, q, *_per_k(set_points_moments, pa, pb, spec))
+    score_rows = _match_rows(theta0, q, *_set_moments_pair(pa, pb, spec, split))
     rows = tuple(
         BreakdownRow(
             score=f"{q + 1}-{b}",
@@ -225,11 +243,12 @@ def match_points_distribution(pa: float, pb: float, spec: MatchSpec,
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
     split = _game_split(pa, pb)
+    set_rows = _set_rows(pa, pb, split)
     games = _set_game_units(pa, pb)
     set0, set1 = _per_k(
-        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, split, games), pa, pb, spec
+        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, set_rows, games), pa, pb, spec
     )
-    theta0 = set_win_prob(pa, pb, spec.k0)
+    theta0 = _set_win(*_set_head(pa, pb, split), st_win_prob(pa, pb, spec.k0))
     rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance), (set1.mean, set1.variance))
     return _compose_length_law(
         [_pmf_array(set0.support)] * (2 * spec.q), _pmf_array(set1.support), rows, n_max

@@ -203,16 +203,16 @@ def st_win_prob(pa, pb, k: int):
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
-def _st_points_moments(pa, pb, k: int):
+def _st_points_moments(pa, pb, k: int, a: _SplitPowers):
     """(mean, variance) of the ST point count, by conditioning on the final score.
 
-    Scores (K,h) and (h,K) pin the count at K+h exactly; the tie branch costs
-    2(K-1) points plus twice a geometric pair count.  Mean and variance then
-    follow from the laws of total expectation and total variance — the
-    variance inside every non-tie category is zero, so only the tie's
-    geometric variance and the spread of the category means contribute.
+    ``a`` holds A's per-point tables (see :func:`_st_split`).  Scores (K,h)
+    and (h,K) pin the count at K+h exactly; the tie branch costs 2(K-1)
+    points plus twice a geometric pair count.  Mean and variance then follow
+    from the laws of total expectation and total variance — the variance
+    inside every non-tie category is zero, so only the tie's geometric
+    variance and the spread of the category means contribute.
     """
-    a = _st_split(pa, pb, k)
     b = a.swapped()
     tie = _st_tie_prob(a, k)
     eta = _decisive_pair_prob(pa, pb)
@@ -234,24 +234,25 @@ def st_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    tie = _st_tie_prob(_st_split(pa, pb, k), k)
+    split = _st_split(pa, pb, k)
+    tie = _st_tie_prob(split, k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (np.asarray(tie) > 0.0)):
         _require_terminating(pa, pb)
-    mean, var = _st_points_moments(pa, pb, k)
+    mean, var = _st_points_moments(pa, pb, k, split)
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
 
 
-def _st_support(pa: float, pb: float, k: int, tie, n_max: int) -> list:
-    """(n, mass) pairs of the ST point count up to ``n_max``.
+def _st_support(pa: float, pb: float, k: int, a: _SplitPowers, n_max: int) -> list:
+    """(n, mass) pairs of the ST point count up to ``n_max``, from A's tables ``a``.
 
     Mass at n in [K, 2K-2] comes from the direct scores (K, n-K) and (n-K, K);
     mass at even n >= 2K is the tie probability times the geometric STT
     landing on pair (n - 2K + 2)/2.
     """
-    a = _st_split(pa, pb, k)
     b = a.swapped()
+    tie = _st_tie_prob(a, k)
     support = [
         (n, _st_score_prob(a, k, n - k) + _st_score_prob(b, k, n - k))
         for n in range(k, 2 * k - 1)
@@ -273,14 +274,15 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    tie = _st_tie_prob(_st_split(pa, pb, k), k)
+    split = _st_split(pa, pb, k)
+    tie = _st_tie_prob(split, k)
     if tie > 0.0:
         _require_terminating(pa, pb)
     rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
     residual = tie * rho ** ((n_max - (2 * k - 2)) // 2) if tie > 0.0 else 0.0
-    mean, var = _st_points_moments(pa, pb, k)
+    mean, var = _st_points_moments(pa, pb, k, split)
     return PointCountDistribution(
-        support=tuple(_st_support(pa, pb, k, tie, n_max)),
+        support=tuple(_st_support(pa, pb, k, split, n_max)),
         truncation_mass=float(residual),
         mean=float(mean),
         variance=float(var),
@@ -324,7 +326,7 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
                 cond_var=float(4.0 * g_var),
             )
         )
-    mean, var = _st_points_moments(pa, pb, k)
+    mean, var = _st_points_moments(pa, pb, k, a)
     return ScoreBreakdown(
         rows=tuple(rows),
         win_prob=st_win_prob(pa, pb, k),
@@ -364,13 +366,13 @@ def _set_score_prob(split: _SplitPowers, h: int):
     return split.mass(ta, g - ta, 5) * last
 
 
-def _set_head(pa, pb):
+def _set_head(pa, pb, split: _SplitPowers):
     """(A's mass on the scores 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
 
-    This is the part of a set win probability that the tie-breaker target
-    does not change, so a match evaluates it once for both of its targets.
+    ``split`` holds A's per-game tables (see :func:`_game_split`).  This is
+    the part of a set win probability that the tie-breaker target does not
+    change, so a match evaluates it once for both of its targets.
     """
-    split = _game_split(pa, pb)
     head = sum(_set_score_prob(split, h) for h in range(5))
     reach_55 = split.mass(5, 5, 5)
     p75 = reach_55 * split.win1 * split.win2
@@ -400,7 +402,7 @@ def set_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    return _set_win(*_set_head(pa, pb), st_win_prob(pa, pb, k))
+    return _set_win(*_set_head(pa, pb, _game_split(pa, pb)), st_win_prob(pa, pb, k))
 
 
 def _set_tie_share(split: _SplitPowers):
@@ -408,12 +410,13 @@ def _set_tie_share(split: _SplitPowers):
     return split.win1 * split.loss2 + split.loss1 * split.win2
 
 
-def _set_rows(pa, pb, k: int, a: _SplitPowers) -> list:
+def _set_rows(pa, pb, a: _SplitPowers) -> list:
     """Final-score rows 6-0 .. 6-4, 7-5, 7-6 of a set, both winners merged.
 
     ``a`` holds A's per-game tables.  A score with g games plays g
-    alternating-server games; the 7-6 row stacks the ST on its twelve.  Row
-    moments add per-game moments.
+    alternating-server games, and row moments add per-game moments.  None of
+    this depends on the tie-breaker target, so the 7-6 row holds only its
+    twelve games; :func:`_stack_st` puts the ST of a given target on top.
     """
     b = a.swapped()
     mu_a, var_a = game_points_moments(pa)
@@ -435,9 +438,15 @@ def _set_rows(pa, pb, k: int, a: _SplitPowers) -> list:
     p75 = reach_55 * (a.win1 * a.win2 + b.win1 * b.win2)
     m12, v12 = games_moments(12)
     rows.append(_ScoreRow(p75, 12, False, m12, v12))
-    st_mean, st_var = _st_points_moments(pa, pb, k)
-    rows.append(_ScoreRow(p66, 12, True, m12 + st_mean, v12 + st_var))
+    rows.append(_ScoreRow(p66, 12, True, m12, v12))
     return rows
+
+
+def _stack_st(rows: list, pa, pb, k: int) -> list:
+    """:func:`_set_rows` with a K-point ST stacked on the 7-6 row's twelve games."""
+    *head, tie = rows
+    st_mean, st_var = _st_points_moments(pa, pb, k, _st_split(pa, pb, k))
+    return head + [tie._replace(mean=tie.mean + st_mean, var=tie.var + st_var)]
 
 
 def set_points_moments(pa, pb, k: int):
@@ -453,7 +462,7 @@ def set_points_moments(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    mean, var = _mixture_moments(_set_rows(pa, pb, k, _game_split(pa, pb)))
+    mean, var = _mixture_moments(_stack_st(_set_rows(pa, pb, _game_split(pa, pb)), pa, pb, k))
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -471,7 +480,7 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     k = _check_count("k", k, minimum=2)
     a = _game_split(pa, pb)
     b = a.swapped()
-    score_rows = _set_rows(pa, pb, k, a)
+    score_rows = _stack_st(_set_rows(pa, pb, a), pa, pb, k)
     reach_55 = a.mass(5, 5, 5)
     # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
     splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
@@ -508,11 +517,11 @@ def _set_game_units(pa: float, pb: float) -> list:
     return [game_a, game_b] * _SET_TARGET
 
 
-def _set_length_law(pa: float, pb: float, k: int, n_max: int, split: _SplitPowers,
+def _set_length_law(pa: float, pb: float, k: int, n_max: int, rows: list,
                     games) -> PointCountDistribution:
-    """Set length law from the per-game tables and game-length units already in hand."""
-    st = _pmf_array(_st_support(pa, pb, k, _st_tie_prob(_st_split(pa, pb, k), k), n_max))
-    return _compose_length_law(games, st, _set_rows(pa, pb, k, split), n_max)
+    """Set length law from :func:`_set_rows` and game-length units already in hand."""
+    st = _pmf_array(_st_support(pa, pb, k, _st_split(pa, pb, k), n_max))
+    return _compose_length_law(games, st, _stack_st(rows, pa, pb, k), n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -534,4 +543,5 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    return _set_length_law(pa, pb, k, n_max, _game_split(pa, pb), _set_game_units(pa, pb))
+    return _set_length_law(pa, pb, k, n_max, _set_rows(pa, pb, _game_split(pa, pb)),
+                           _set_game_units(pa, pb))

@@ -15,12 +15,13 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import deuce
-from deuce.cli import main
-from deuce.match import MatchSpec, match_win_prob
+from deuce.cli import _round_sig, main
+from deuce.match import MatchSpec, match_points_moments, match_win_prob
 from deuce.sets import set_win_prob, st_win_prob
 
 
@@ -366,6 +367,7 @@ def test_simulate_respects_max_points_flag():
         ("compute", "set", "--pa", "0.6", "--pb", "0.55"),
         ("breakdown", "match", "--pa", "0.6", "--pb", "0.55"),
         ("grid", "stt", "--res", "4", "--format", "json"),
+        ("grid", "match-std", "--res", "5", "--format", "json", "--precision", "15"),
         ("efficiency", "game", "--alpha", "2", "--beta", "1"),
         ("simulate", "st", "--pa", "0.6", "--pb", "0.55", "--reps", "500",
          "--seed", "3"),
@@ -376,6 +378,49 @@ def test_json_output_reserializes_byte_identically(args):
     assert result.exit_code == 0
     text = result.stdout.strip()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+
+def _round_each(obj, digits):
+    """Per-element rounding of nested lists, as the CLI formatted grids before."""
+    if isinstance(obj, dict):
+        return {key: _round_each(value, digits) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_round_each(value, digits) for value in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(f"{obj:.{digits}g}")
+    return obj
+
+
+@pytest.mark.parametrize("digits", [3, 6, 15])
+def test_round_sig_rounds_arrays_as_lone_floats(digits):
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e15,
+                1 - 2**-53, 0.5, 1.0 / 3.0, 123456.789e300]
+    values = np.concatenate([specials, np.random.default_rng(5).random(24) * 1e-5])
+    grid = values.reshape(6, 6)
+    got = _round_sig(grid, digits)
+    assert isinstance(got, list) and all(isinstance(row, list) for row in got)
+    for x, y in zip(grid.ravel(), [y for row in got for y in row]):
+        want = _round_sig(x, digits)
+        assert type(y) is float
+        if math.isnan(want):
+            assert math.isnan(y)
+        else:
+            assert y == want and math.copysign(1.0, y) == math.copysign(1.0, want)
+    assert json.dumps(_round_sig(grid[0], digits)) == json.dumps(got[0])
+
+
+def test_grid_json_text_matches_per_element_rounding():
+    result = run_cli("grid", "match-mean", "--res", "99", "--format", "json",
+                     "--precision", "15")
+    assert result.exit_code == 0
+    coords = np.linspace(0.01, 0.99, 99)
+    mean, _ = match_points_moments(coords[:, None], coords[None, :], MatchSpec())
+    record = json.loads(result.stdout)
+    record.update(pa=list(coords), pb=list(coords), values=[list(row) for row in mean])
+    expected = json.dumps(_round_each(record, 15), indent=2, sort_keys=True)
+    assert result.stdout == expected + "\n"
 
 
 def test_commands_are_deterministic_given_flags():

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from deuce.core import binomial_convolution_mass
+from deuce.core import _mixture_moments, binomial_convolution_mass
 from deuce.match import (
     MatchSpec,
+    _match_rows,
+    _set_score_jpmf,
     match_breakdown,
     match_points_distribution,
     match_points_moments,
@@ -212,6 +214,32 @@ def test_breakdown_internal_consistency():
         )
         weighted = sum(r.p_total * r.cond_mean for r in b.rows)
         assert weighted == pytest.approx(b.mean, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", [BO5, MatchSpec(6, 9, 3), MatchSpec(7, 7, 1)],
+                         ids=["7-10-2", "6-9-3", "7-7-1"])
+def test_moments_and_breakdown_compose_the_public_set_layer(spec):
+    # One shared set-layer evaluation must give exactly what composing the
+    # public set functions at each target gives, value for value.
+    c = np.linspace(0.05, 0.95, 7)
+    for pa, pb in ((c[:, None], c[None, :]), (0.64, 0.58), (0.3, 0.71)):
+        theta0 = set_win_prob(pa, pb, spec.k0)
+        rows = _match_rows(theta0, spec.q, set_points_moments(pa, pb, spec.k0),
+                           set_points_moments(pa, pb, spec.k1))
+        mean, var = _mixture_moments(rows)
+        got_mean, got_var = match_points_moments(pa, pb, spec)
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
+        if np.ndim(pa):
+            continue
+        b = match_breakdown(pa, pb, spec)
+        assert [(r.cond_mean, r.cond_var) for r in b.rows] == [
+            (float(r.mean), float(r.var)) for r in rows]
+        assert (b.mean, b.variance) == (float(mean), float(var))
+        q = spec.q
+        absorbing = _set_score_jpmf(theta0, set_win_prob(pa, pb, spec.k1), q).absorbing
+        assert [(r.p_first_wins, r.p_second_wins) for r in b.rows] == [
+            (absorbing[(q + 1, i)], absorbing[(i, q + 1)]) for i in range(q + 1)]
+        assert b.win_prob == match_win_prob(pa, pb, spec)
 
 
 def test_match_moments_vs_exact_process():
