@@ -20,7 +20,7 @@ from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
                    _check_count, _check_prob, _compose_length_law,
                    _mixture_moments, _pmf_array, _ScoreRow)
 from .sets import (_game_split, _set_game_units, _set_head, _set_length_law,
-                   _set_rows, _set_win, _stack_st, st_win_prob)
+                   _set_rows, _set_win, _st_split, _stack_st, st_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -92,7 +92,8 @@ def _set_moments_pair(pa, pb, spec: MatchSpec, split):
     and the game tables in ``split`` serve both.
     """
     rows = _set_rows(pa, pb, split)
-    return _per_k(lambda pa, pb, k: _mixture_moments(_stack_st(rows, pa, pb, k)), pa, pb, spec)
+    return _per_k(lambda pa, pb, k: _mixture_moments(_stack_st(rows, pa, pb, k, _st_split(pa, pb, k))),
+                  pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:

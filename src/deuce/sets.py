@@ -172,6 +172,16 @@ def _st_tie_prob(split: _SplitPowers, k: int):
     return split.mass(k - 1, k - 1, k - 1)
 
 
+def _st_win(split: _SplitPowers, k: int, tie, stt):
+    """One player's K-point ST win probability from that player's tables.
+
+    ``split`` holds the player's per-point tables (A's from :func:`_st_split`,
+    B's its ``.swapped()``), ``tie`` the mass reaching K-1 points all and
+    ``stt`` the player's STT win probability.
+    """
+    return sum(_st_score_prob(split, k, h) for h in range(k - 1)) + tie * stt
+
+
 def st_win_prob(pa, pb, k: int):
     """First player's probability of winning a K-point set tie-breaker.
 
@@ -191,7 +201,6 @@ def st_win_prob(pa, pb, k: int):
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     split = _st_split(pa, pb, k)
-    head = sum(_st_score_prob(split, k, h) for h in range(k - 1))
     tie = _st_tie_prob(split, k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (tie > 0.0)):
         _require_terminating(pa, pb)
@@ -199,7 +208,7 @@ def st_win_prob(pa, pb, k: int):
         continuation = stt_win_prob(pa, pb)
     else:
         continuation = 1.0 - stt_win_prob(pb, pa)
-    out = head + tie * continuation
+    out = _st_win(split, k, tie, continuation)
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
@@ -442,10 +451,13 @@ def _set_rows(pa, pb, a: _SplitPowers) -> list:
     return rows
 
 
-def _stack_st(rows: list, pa, pb, k: int) -> list:
-    """:func:`_set_rows` with a K-point ST stacked on the 7-6 row's twelve games."""
+def _stack_st(rows: list, pa, pb, k: int, st: _SplitPowers) -> list:
+    """:func:`_set_rows` with a K-point ST stacked on the 7-6 row's twelve games.
+
+    ``st`` holds A's per-point tables of that ST (see :func:`_st_split`).
+    """
     *head, tie = rows
-    st_mean, st_var = _st_points_moments(pa, pb, k, _st_split(pa, pb, k))
+    st_mean, st_var = _st_points_moments(pa, pb, k, st)
     return head + [tie._replace(mean=tie.mean + st_mean, var=tie.var + st_var)]
 
 
@@ -462,7 +474,8 @@ def set_points_moments(pa, pb, k: int):
     k = _check_count("k", k, minimum=2)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    mean, var = _mixture_moments(_stack_st(_set_rows(pa, pb, _game_split(pa, pb)), pa, pb, k))
+    rows = _stack_st(_set_rows(pa, pb, _game_split(pa, pb)), pa, pb, k, _st_split(pa, pb, k))
+    mean, var = _mixture_moments(rows)
     if np.asarray(mean).ndim == 0:
         return float(mean), float(var)
     return mean, var
@@ -480,7 +493,8 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     k = _check_count("k", k, minimum=2)
     a = _game_split(pa, pb)
     b = a.swapped()
-    score_rows = _stack_st(_set_rows(pa, pb, a), pa, pb, k)
+    st = _st_split(pa, pb, k)
+    score_rows = _stack_st(_set_rows(pa, pb, a), pa, pb, k, st)
     reach_55 = a.mass(5, 5, 5)
     # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
     splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
@@ -520,8 +534,9 @@ def _set_game_units(pa: float, pb: float) -> list:
 def _set_length_law(pa: float, pb: float, k: int, n_max: int, rows: list,
                     games) -> PointCountDistribution:
     """Set length law from :func:`_set_rows` and game-length units already in hand."""
-    st = _pmf_array(_st_support(pa, pb, k, _st_split(pa, pb, k), n_max))
-    return _compose_length_law(games, st, _stack_st(rows, pa, pb, k), n_max)
+    st = _st_split(pa, pb, k)
+    return _compose_length_law(games, _pmf_array(_st_support(pa, pb, k, st, n_max)),
+                               _stack_st(rows, pa, pb, k, st), n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
