@@ -186,8 +186,8 @@ def st_win_prob(pa, pb, k: int):
     """First player's probability of winning a K-point set tie-breaker.
 
     Sums the direct final scores (K, h) for h = 0..K-2 and the (K-1, K-1) tie
-    weighted by the STT, whose first server is whoever the rotation puts on
-    point 2K-1:
+    weighted by the STT, whose outcome does not depend on who serves first
+    in its pairs:
 
         sum_h theta(K,h) + theta(K-1,K-1) * theta_STT
 
@@ -204,11 +204,7 @@ def st_win_prob(pa, pb, k: int):
     tie = _st_tie_prob(split, k)
     if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (tie > 0.0)):
         _require_terminating(pa, pb)
-    if first_server_on_point(2 * k - 1):
-        continuation = stt_win_prob(pa, pb)
-    else:
-        continuation = 1.0 - stt_win_prob(pb, pa)
-    out = _st_win(split, k, tie, continuation)
+    out = _st_win(split, k, tie, stt_win_prob(pa, pb))
     return float(out) if np.asarray(out).ndim == 0 else out
 
 
@@ -321,8 +317,8 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
                 cond_var=0.0,
             )
         )
+    theta_stt = stt_win_prob(pa, pb)
     if tie > 0.0:
-        theta_stt = stt_win_prob(pa, pb)
         eta = pa * qb + qa * pb
         g_mean, g_var = geometric_moments(eta)
         rows.append(
@@ -330,7 +326,7 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
                 score="TB",
                 loser_score=None,
                 p_first_wins=float(tie * theta_stt),
-                p_second_wins=float(tie * (1.0 - theta_stt)),
+                p_second_wins=float(tie * stt_win_prob(pb, pa)),
                 cond_mean=float(2 * (k - 1) + 2.0 * g_mean),
                 cond_var=float(4.0 * g_var),
             )
@@ -338,7 +334,7 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     mean, var = _st_points_moments(pa, pb, k, a)
     return ScoreBreakdown(
         rows=tuple(rows),
-        win_prob=st_win_prob(pa, pb, k),
+        win_prob=float(_st_win(a, k, tie, theta_stt)),
         mean=float(mean),
         variance=float(var),
         label="st",
@@ -485,8 +481,8 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     """Per-final-score summary of a set: 6-0 .. 6-4, 7-5, and the 7-6 tie.
 
     The 7-6 row's conditional moments stack the ST on the twelve games that
-    precede it; its probability splits between the players by the ST win
-    probability.
+    precede it; its probability splits between the players by each one's
+    own ST win probability, so the underdog's share is never a complement.
     """
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
@@ -500,9 +496,11 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
     splits.append(("7-5", 5, reach_55 * a.win1 * a.win2, reach_55 * b.win1 * b.win2))
     p66 = score_rows[-1].mass
-    theta_st = st_win_prob(pa, pb, k)
+    tie = _st_tie_prob(st, k)
+    theta_st = _st_win(st, k, tie, stt_win_prob(pa, pb))
     if p66 > 0.0:
-        splits.append(("7-6", 6, p66 * theta_st, p66 * (1.0 - theta_st)))
+        theta_st_b = _st_win(st.swapped(), k, tie, stt_win_prob(pb, pa))
+        splits.append(("7-6", 6, p66 * theta_st, p66 * theta_st_b))
     rows = tuple(
         BreakdownRow(
             score=score,

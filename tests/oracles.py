@@ -586,6 +586,40 @@ def game_outcome_exact(p: float) -> tuple[Fraction, Fraction]:
     return won, lost
 
 
+def st_outcome_exact(pa: float, pb: float, k: int) -> tuple[Fraction, Fraction, Fraction]:
+    """(A wins, B wins, K-1 all reached) for a K-point set tie-breaker.
+
+    Exact for the floats ``pa``, ``pb``: walks the ABBA score in rational
+    arithmetic to K points or to K-1 all; from there each player takes the
+    STT by sweeping the first decisive pair.
+    """
+    pa, pb = Fraction(pa), Fraction(pb)
+    qa, qb = 1 - pa, 1 - pb
+    a_stt = pa * qb / (pa * qb + qa * pb)
+    b_stt = qa * pb / (pa * qb + qa * pb)
+    a_wins = b_wins = tie = Fraction(0)
+    states = {(0, 0): Fraction(1)}
+    n = 0
+    while states:
+        n += 1
+        a_point = pa if abba_server_is_first(n) else qb
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a, b), prob in states.items():
+            for na, nb, w in ((a + 1, b, a_point), (a, b + 1, 1 - a_point)):
+                if (na, nb) == (k - 1, k - 1):
+                    tie += prob * w
+                    a_wins += prob * w * a_stt
+                    b_wins += prob * w * b_stt
+                elif na == k:
+                    a_wins += prob * w
+                elif nb == k:
+                    b_wins += prob * w
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + prob * w
+        states = nxt
+    return a_wins, b_wins, tie
+
+
 def set_score_probs_dp(pa: float, pb: float) -> dict[tuple[int, int], float]:
     """Final set-score probabilities by an exact game-score walk, 6-6 kept as one state.
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -421,6 +422,23 @@ def test_underdog_set_masses_keep_relative_accuracy(pa, pb):
     exact = float(a_loses**3 * b_holds**3)
     got = set_breakdown(pa, pb, 7).row("6-0").p_second_wins
     assert got == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("pa,pb,k", [(0.9999, 0.0001, 7), (0.0001, 0.9999, 8), (0.999, 0.3, 8)])
+def test_tie_shares_keep_relative_accuracy(pa, pb, k):
+    # Each player's share of a tie is that player's own tie-break win, not
+    # one minus the other's: where the other is a near-certain winner the
+    # complement keeps none of the small share's digits.  At an even K, B
+    # opens the STT, which must not change A's route either.
+    a_wins, b_wins, tie = oracles.st_outcome_exact(pa, pb, k)
+    fa, fb = Fraction(pa), Fraction(pb)
+    b_stt = (1 - fa) * fb / (fa * (1 - fb) + (1 - fa) * fb)
+    assert st_win_prob(pa, pb, k) == pytest.approx(float(a_wins), rel=1e-13, abs=0)
+    tb = st_breakdown(pa, pb, k).row("TB")
+    assert tb.p_second_wins == pytest.approx(float(tie * b_stt), rel=1e-13, abs=0)
+    p66 = Fraction(oracles.set_score_probs_dp(pa, pb)[(6, 6)])
+    row = set_breakdown(pa, pb, k).row("7-6")
+    assert row.p_second_wins == pytest.approx(float(p66 * b_wins), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("pa,pb", [(0.05, 0.05), (0.95, 0.95), (0.05, 0.95), (0.5, 0.5)])
