@@ -92,8 +92,11 @@ def _set_moments_pair(pa, pb, spec: MatchSpec, split):
     and the game tables in ``split`` serve both.
     """
     rows = _set_rows(pa, pb, split)
-    return _per_k(lambda pa, pb, k: _mixture_moments(_stack_st(rows, pa, pb, k, _st_split(pa, pb, k))),
-                  pa, pb, spec)
+
+    def moments(pa, pb, k):
+        return _mixture_moments(_stack_st(rows, pa, pb, k, _st_split(pa, pb, k)))
+
+    return _per_k(moments, pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
