@@ -129,8 +129,9 @@ def bog_match_win_prob(pa, pb, spec: BestOfGamesSpec):
 
     The no-tie head collapses to the binomial-majority tail over the first
     2l games (l served by each player); the l-l mass is settled by the
-    spec's tie rule.  Degenerate pairs that make a reachable tie race run
-    forever raise the non-terminating error.
+    spec's tie rule.  Rounding can carry the sum one ulp past 1, so it is
+    clipped there, like ``set_win_prob``.  Degenerate pairs that make a
+    reachable tie race run forever raise the non-terminating error.
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
@@ -138,7 +139,7 @@ def bog_match_win_prob(pa, pb, spec: BestOfGamesSpec):
     split = _game_split(pa, pb, l)
     head = split.tail(l, l, l + 1)
     tie = split.mass(l, l, l)
-    out = np.asarray(head + tie * _tie_win_prob(pa, pb, split, spec))
+    out = np.minimum(head + tie * _tie_win_prob(pa, pb, split, spec), 1.0)
     return float(out) if out.ndim == 0 else out
 
 
