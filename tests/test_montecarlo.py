@@ -1,5 +1,6 @@
 """Simulation oracle: determinism, cap accounting, and closed-form agreement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -330,3 +331,162 @@ def test_match_scores_partition_and_decider_uses_long_target():
     assert _z(s.mean_points, mean, s.mean_points_se) < 4.0
     wrong_mean, _ = match_points_moments(0.5, 0.5, MatchSpec(7, 7, 1))
     assert _z(s.mean_points, wrong_mean, s.mean_points_se) > 4.0
+
+
+# ------------------------------------------------------------- golden runs
+
+# Per-replication outcomes of fixed seeded runs, pinned bit for bit: the
+# SHA-256 of points, winner_a, capped and the completed replications'
+# score_a/score_b; the exact SimSummary repr; and the SHA-256 of the sorted
+# _score_table items (None for kinds without score categories).  Any change
+# to the draw contract, the serve schedule or the scoring rules shows here.
+GOLDEN_RUNS = [
+    (
+        "gt", SystemSpec("gt"), 0.6, 3000, 11, 100_000,
+        "b24ed33621d8a2fc55dc4864673ed9f2b629212819e6546b7460fd6f538d2150",
+        "SimSummary(win_rate_A=0.7056666666666667, win_rate_se=0.008320681506988519, mean_points=3.832, mean_points_se=0.0486466025715914, std_points=2.6644841574449436, std_points_se=0.06919016011280373, capped_replications=0)",
+        None,
+    ),
+    (
+        "game", SystemSpec("game"), 0.6, 3000, 12, 100_000,
+        "e9ce9054bfdb7684950fa93268756ff6e54797db03669c2888cd4389fa15099b",
+        "SimSummary(win_rate_A=0.7206666666666667, win_rate_se=0.008191585565327024, mean_points=6.421333333333333, mean_points_se=0.045494375575807613, std_points=2.4918295742481913, std_points_se=0.06618936347527823, capped_replications=0)",
+        None,
+    ),
+    (
+        "bofk-l3", SystemSpec("bofk", l=3), 0.6, 3000, 13, 100_000,
+        "4abead7b374144fea68a24f8a8ba7ea6bc5174e9cd5225e195970defe1c2ece0",
+        "SimSummary(win_rate_A=0.7183333333333334, win_rate_se=0.008212400289715456, mean_points=5.681666666666667, mean_points_se=0.018654864359849716, std_points=1.021769001708886, std_points_se=0.008775145381514428, capped_replications=0)",
+        None,
+    ),
+    (
+        "stt", SystemSpec("stt"), (0.6, 0.55), 3000, 14, 100_000,
+        "ac05e49ea0b0bd07ba1e87fad7c9c87860698ed78c4e5567551c7a74f2e730ab",
+        "SimSummary(win_rate_A=0.5533333333333333, win_rate_se=0.009076628514221852, mean_points=4.014666666666667, mean_points_se=0.05270429868190737, std_points=2.886733326557046, std_points_se=0.06868413138433431, capped_replications=0)",
+        None,
+    ),
+    (
+        "st-k7", SystemSpec("st", k=7), (0.6, 0.55), 3000, 15, 100_000,
+        "9f5f8990a0ff4dda24b0677ff0bacab4466c7e158b4d071d4d879f328c5b7913",
+        "SimSummary(win_rate_A=0.581, win_rate_se=0.009008125961227081, mean_points=11.778666666666666, mean_points_se=0.054780407432039185, std_points=3.0004464859851514, std_points_se=0.07110133283570826, capped_replications=0)",
+        "bbad398b38a445f902b65859f497fad2e999e15fd82a678a1fbd3bd5559233bf",
+    ),
+    (
+        "st-k8", SystemSpec("st", k=8), (0.5, 0.5), 3000, 16, 100_000,
+        "62c503e56ff0048d32d3bc30d7b12db8763aeab9e0dd481e512bc5157b4673c0",
+        "SimSummary(win_rate_A=0.5063333333333333, win_rate_se=0.009127976937030624, mean_points=13.435333333333332, mean_points_se=0.053845615438515536, std_points=2.949245819842339, std_points_se=0.06830151231954036, capped_replications=0)",
+        "70f7a0175cee99d81939155507fd7c39a75cc86a4cbe174996f99b8e321e15c1",
+    ),
+    (
+        "set-k7", SystemSpec("set", k=7), (0.6, 0.55), 3000, 17, 100_000,
+        "8ce68e23f0029f091920b910472d9f113e7b8709fd890b304d1fb00a95c8d7a2",
+        "SimSummary(win_rate_A=0.665, win_rate_se=0.008617327505284532, mean_points=64.48333333333333, mean_points_se=0.2980610839512907, std_points=16.325477919456297, std_points_se=0.19891120181124614, capped_replications=0)",
+        "e217af9c4be54f4cc4c937e7fbe181255bf763b9f1733fb134520dacb41e3138",
+    ),
+    (
+        "match-7-10-2", SystemSpec("match", k0=7, k1=10, q=2), (0.6, 0.55), 2000, 18, 100_000,
+        "7b157325cdda187cdabf3b3b694b0211583980961337fa3e074b7f63717130e6",
+        "SimSummary(win_rate_A=0.7855, win_rate_se=0.009178500694557909, mean_points=256.0595, mean_points_se=1.4150062194830055, std_points=63.28100190697976, std_points_se=0.8091052043538481, capped_replications=0)",
+        "dcf8efd037d63adf8041ef29c6f421e53a7a657a4645d5404ef7922b8989cefc",
+    ),
+    (
+        "match-7-26-1", SystemSpec("match", k0=7, k1=26, q=1), (0.5, 0.5), 2000, 19, 100_000,
+        "c362e6222fc543f385ef9406ce446d5b8a58d34b5c06c1de22de625eb7e833c6",
+        "SimSummary(win_rate_A=0.4965, win_rate_se=0.011180065965816124, mean_points=166.875, mean_points_se=1.0179235097176103, std_points=45.52292327247489, std_points_se=0.6843936491206744, capped_replications=0)",
+        "ef0cac872360adffb5a0cf373a30e23288baf28079f75e76a9da4f5ead92cea8",
+    ),
+    (
+        "bog-l3-sg", SystemSpec("bog", l=3, tiebreak="sg"), (0.6, 0.75), 3000, 20, 100_000,
+        "6c280da1eb21436d9be205e9e1eeecba139f17aa317b4d3181bbe09d157e352c",
+        "SimSummary(win_rate_A=0.214, win_rate_se=0.007487856836238257, mean_points=36.62866666666667, mean_points_se=0.13579218322198539, std_points=7.437644188355594, std_points_se=0.11100056232158251, capped_replications=0)",
+        "16aeedf32b58513cd87e119911ec1ed1701f0888d9fc6c0b6ae4dd7c8a598155",
+    ),
+    (
+        "bog-l3-sttg", SystemSpec("bog", l=3, tiebreak="sttg"), (0.8, 0.8), 3000, 21, 100_000,
+        "479ef61a98aa7a59be6b685584eb626eb3dd596332a115bd5341976d02fbc18c",
+        "SimSummary(win_rate_A=0.494, win_rate_se=0.009128052001020443, mean_points=240.38266666666667, mean_points_se=4.238525582164925, std_points=232.15360719144462, std_points_se=5.615003718722109, capped_replications=0)",
+        "ea7e63d23160231baabdbec66cc798a25c4a2a6f6bc9f5b2e4faaa2b910710f2",
+    ),
+    (
+        "bog-l3-sttp", SystemSpec("bog", l=3, tiebreak="sttp"), (0.6, 0.75), 3000, 22, 100_000,
+        "a12d093b086ef725d6e3d2a0c49fdfbab3fedcb7aa29892d57772191ed47bacc",
+        "SimSummary(win_rate_A=0.192, win_rate_se=0.007191105617358155, mean_points=36.218, mean_points_se=0.1321866726974128, std_points=7.2401622437925255, std_points_se=0.11162381922046125, capped_replications=0)",
+        "a61291909fa13131905831e1cb8fa5bc468bdfb9714d6f0313f948e1a550fc2b",
+    ),
+    (
+        "bog-l4-sg-degenerate", SystemSpec("bog", l=4, tiebreak="sg"), (1.0, 1.0), 500, 23, 100_000,
+        "6728edec7e4ee2f0e15d206da00e86d64eb5a5ed2d419519c5b2f157d0541042",
+        "SimSummary(win_rate_A=0.488, win_rate_se=0.022354238971613417, mean_points=36.0, mean_points_se=0.0, std_points=0.0, std_points_se=0.0, capped_replications=0)",
+        "7553de79688e142cd840cab4dafc9ba3b197f9e12dfd1a4a9b9c69bca0175ff3",
+    ),
+    (
+        "stt-partly-capped", SystemSpec("stt"), (0.999, 0.999), 300, 26, 100,
+        "4b3b5a56bbb030059396b7f52d18f4dfebc9bf15893282ea5138744dc5e2b55d",
+        "SimSummary(win_rate_A=0.375, win_rate_se=0.09882117688026186, mean_points=48.416666666666664, mean_points_se=6.852460857733029, std_points=33.570065167680546, std_points_se=2.279806053876992, capped_replications=276)",
+        None,
+    ),
+    (
+        "bog-l25-sg-capped-at-coin", SystemSpec("bog", l=25, tiebreak="sg"), (1.0, 1.0), 20, 27, 200,
+        "1f11d9e370f64b8c875273aed00575243737e41a69fa67d0234bd6315f618a9f",
+        "SimSummary(win_rate_A=nan, win_rate_se=nan, mean_points=nan, mean_points_se=nan, std_points=nan, std_points_se=nan, capped_replications=20)",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "bog-l3-sttg-capped", SystemSpec("bog", l=3, tiebreak="sttg"), (1.0, 1.0), 20, 28, 128,
+        "10ecf46385fe0ce69bd37abfaf6027e7394a4e935ea87b55a2c392bb4d1ffe39",
+        "SimSummary(win_rate_A=nan, win_rate_se=nan, mean_points=nan, mean_points_se=nan, std_points=nan, std_points_se=nan, capped_replications=20)",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "bog-l3-sttp-capped", SystemSpec("bog", l=3, tiebreak="sttp"), (1.0, 1.0), 20, 29, 128,
+        "10ecf46385fe0ce69bd37abfaf6027e7394a4e935ea87b55a2c392bb4d1ffe39",
+        "SimSummary(win_rate_A=nan, win_rate_se=nan, mean_points=nan, mean_points_se=nan, std_points=nan, std_points_se=nan, capped_replications=20)",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+    (
+        "stt-capped", SystemSpec("stt"), (1.0, 1.0), 50, 24, 128,
+        "5ffff738ab0a75d63b0a06ba677c7c71a015503eaa812a4d317dba86cef82e78",
+        "SimSummary(win_rate_A=nan, win_rate_se=nan, mean_points=nan, mean_points_se=nan, std_points=nan, std_points_se=nan, capped_replications=50)",
+        None,
+    ),
+    (
+        "st-k7-capped", SystemSpec("st", k=7), (1.0, 1.0), 50, 25, 128,
+        "5ffff738ab0a75d63b0a06ba677c7c71a015503eaa812a4d317dba86cef82e78",
+        "SimSummary(win_rate_A=nan, win_rate_se=nan, mean_points=nan, mean_points_se=nan, std_points=nan, std_points_se=nan, capped_replications=50)",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ),
+]
+
+
+def _outcome_digest(out):
+    ok = ~out.capped
+    parts = [
+        out.points.astype(np.int64),
+        out.winner_a.astype(np.uint8),
+        out.capped.astype(np.uint8),
+    ]
+    if out.score_a is not None:
+        parts += [out.score_a[ok].astype(np.int64), out.score_b[ok].astype(np.int64)]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, params, reps, seed, cap, digest, summary, table",
+    [case[1:] for case in GOLDEN_RUNS],
+    ids=[case[0] for case in GOLDEN_RUNS],
+)
+def test_seeded_outcomes_match_golden_digests(
+    spec, params, reps, seed, cap, digest, summary, table
+):
+    cfg = SimConfig(spec, params, reps, seed, max_points_per_replication=cap)
+    out = _simulate_outcomes(cfg)
+    assert _outcome_digest(out) == digest
+    assert repr(simulate(cfg)) == summary
+    if table is None:
+        assert out.score_a is None
+    else:
+        items = repr(sorted(_score_table(out).items())).encode()
+        assert hashlib.sha256(items).hexdigest() == table
