@@ -1,15 +1,37 @@
 """Simulation oracle: replays every scoring system point by point.
 
+Each system's rules are compiled, on first use, into integer tables over its
+score states: who serves the next point (A, B, or the serve coin of the
+sudden game), the next state after a loss and after a win, and, for terminal
+states, the winner and the final score.  The tables are built by walking the
+scoring rules themselves, never the exact algebra, so the simulator stays an
+independent judge of it.  Win-by-two tails are folded to keep them finite:
+deuce returns to 3-3, a tie-break at k+1 all drops two points a side (which
+keeps the ABBA phase), and an sttg tie drops a game a side whenever the lead
+returns to level.  A per-replication tally counts the folds of the scored
+unit, so a final score is the terminal label plus the tally.
+
+A replication is then one state index ``s``.  At every step each active
+replication takes exactly one uniform ``u`` and moves by one gather::
+
+    s = nxt[2*s + (u < p_win[s])]
+
+where ``p_win`` is pA on A's serve, 1 - pB on B's, and one half on the serve
+coin.  The coin is a step of its own that plays no point: it takes the draw
+after the point that levelled the score, as it always has, and a
+replication's point count is its step count minus its coin steps.
+
 The generator is a counter-based SplitMix64.  Draw ``j`` of replication ``r``
 under master seed ``s`` is::
 
     mix64(mix64(s + (r+1)*GOLDEN) + (j+1)*GOLDEN)
 
-so every uniform is a pure function of (seed, replication, draw index).
-Batching, vectorization width, or splitting replications across workers
-cannot reorder or change a single draw, which is what makes runs bit-identical
-across platforms and run shapes.  Replications that hit the safety cap are
-counted and excluded from the point-count moments — never silently folded in.
+so every uniform is a pure function of (seed, replication, draw index), and
+replication ``r`` takes draw ``j`` at step ``j``.  Batching, vectorization
+width, or splitting replications across workers cannot reorder or change a
+single draw, which is what makes runs bit-identical across platforms and run
+shapes.  Replications that hit the safety cap are counted and excluded from
+the point-count moments — never silently folded in.
 
 Accumulation uses numpy's pairwise summation over the fixed replication
 order, so summaries are deterministic as well.
@@ -17,8 +39,10 @@ order, so summaries are deterministic as well.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +50,8 @@ from .core import SystemSpec, _check_count, _check_prob
 
 __all__ = ["SimConfig", "SimSummary", "simulate"]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / float(1 << 53)
@@ -47,10 +72,9 @@ def _rep_streams(seed: int, replications: int) -> np.ndarray:
     return _mix64(np.uint64(seed & _SEED_MASK) + rep * _GOLDEN)
 
 
-def _draw(streams: np.ndarray, counters: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Next uniform in [0,1) for each replication in ``idx``; advances counters."""
-    counters[idx] += np.uint64(1)
-    out = _mix64(streams[idx] + counters[idx] * _GOLDEN)
+def _draw(streams: np.ndarray, j: int) -> np.ndarray:
+    """Draw ``j`` (0-based) of each stream key, as a uniform in [0, 1)."""
+    out = _mix64(streams + np.uint64((j + 1) * _GOLDEN_INT & _SEED_MASK))
     return (out >> np.uint64(11)).astype(np.float64) * _U53
 
 
@@ -145,443 +169,231 @@ class _RepOutcomes:
     score_b: np.ndarray | None = None
 
 
-def _new_outcomes(n: int, scores: bool = False) -> _RepOutcomes:
+# ------------------------------------------------------------- scoring rules
+#
+# A rule set is (start, server, point): ``server(state)`` names who serves
+# the next step, and ``point(state, a_won)`` returns (state, winner, fold).
+# Once ``winner`` is decided (True for A) the returned state is the final
+# score label; ``fold`` is what the step folded off each side of the score.
+
+_A, _B, _COIN = 0, 1, 2
+
+
+def _race(score, a_won, first_to, lead=1, fold_at=None, fold_by=1):
+    """Add one won unit to a race to ``first_to`` that must be won by ``lead``.
+
+    A tail where both sides reach ``fold_at`` is folded back by ``fold_by``.
+    """
+    a, b = score[0] + a_won, score[1] + (not a_won)
+    if max(a, b) >= first_to and abs(a - b) >= lead:
+        return (a, b), a > b, 0
+    if fold_at is not None and min(a, b) >= fold_at:
+        return (a - fold_by, b - fold_by), None, fold_by
+    return (a, b), None, 0
+
+
+_GAME = dict(first_to=4, lead=2, fold_at=4)  # deuce tails fold back to 3-3
+
+
+def _tiebreak(k):
+    """ST(k) race; folding two points a side keeps the ABBA phase."""
+    return dict(first_to=k, lead=2, fold_at=k + 1, fold_by=2)
+
+
+def _abba(score):
+    """Server of the next tie-break point after ``score``; A opens."""
+    return _A if _serves_first_abba(score[0] + score[1] + 1) else _B
+
+
+def _by_parity(games):
+    """Server of the next service game; A serves the first."""
+    return _A if (games[0] + games[1]) % 2 == 0 else _B
+
+
+_NEW_SET = ((0, 0), (0, 0))  # (games, points in the current game or ST)
+
+
+def _set_server(state):
+    games, pts = state
+    return _abba(pts) if games == (6, 6) else _by_parity(games)
+
+
+def _set_point(state, a_won, k):
+    """Six-game set from A's serve with an ST(k) at 6-6."""
+    games, pts = state
+    tied = games == (6, 6)
+    pts, won, _ = _race(pts, a_won, **(_tiebreak(k) if tied else _GAME))
+    if won is None:
+        return (games, pts), None, 0
+    games, set_won, _ = _race(games, won, 6, 2)
+    if tied:
+        return games, won, 0
+    return ((games, (0, 0)) if set_won is None else games), set_won, 0
+
+
+def _match_point(state, a_won, spec):
+    """Best of 2q+1 sets, each opened by A; the decider's ST plays to k1."""
+    sets, inner = state
+    k = spec.k1 if sets == (spec.q, spec.q) else spec.k0
+    inner, won, _ = _set_point(inner, a_won, k)
+    if won is None:
+        return (sets, inner), None, 0
+    sets, won, _ = _race(sets, won, spec.q + 1)
+    return ((sets, _NEW_SET) if won is None else sets), won, 0
+
+
+def _bog_server(state, spec):
+    games, coin, pts = state
+    if coin is not None:
+        return coin
+    tied = games == (spec.l, spec.l)
+    return _abba(pts) if tied and spec.tiebreak == "sttp" else _by_parity(games)
+
+
+def _bog_point(state, a_won, spec):
+    """Best of 2l+1 service games; the l-l tie follows ``spec.tiebreak``.
+
+    The state is (games, coin, points).  sg flips a coin for the serve
+    (``coin`` is _COIN until that step, then the server) and plays one game;
+    sttg keeps alternating service games until one player leads by two;
+    sttp abandons games for a fresh ABBA win-by-two points race.
+    """
+    games, coin, pts = state
+    l, rule = spec.l, spec.tiebreak
+    if coin == _COIN:
+        return (games, _A if a_won else _B, (0, 0)), None, 0
+    if rule == "sttp" and games == (l, l):
+        pts, won, _ = _race(pts, a_won, **_tiebreak(1))
+        return ((games, coin, pts) if won is None else games), won, 0
+    pts, won, _ = _race(pts, a_won, **_GAME)
+    if won is None:
+        return (games, coin, pts), None, 0
+    if coin is not None:
+        return _race(games, won, l + 1)[0], won, 0
+    lead = 2 if rule == "sttg" else 1
+    games, match_won, fold = _race(games, won, l + 1, lead, fold_at=l + 1)
+    if match_won is not None:
+        return games, match_won, fold
+    coin = _COIN if rule == "sg" and games == (l, l) else None
+    return (games, coin, (0, 0)), None, fold
+
+
+def _rules(spec: SystemSpec):
+    """(start, server, point) for ``spec``, written from the scoring rules."""
+    kind = spec.kind
+    if kind in ("gt", "game", "bofk"):
+        race = _GAME if kind != "bofk" else dict(first_to=spec.l + 1)
+        start = (3, 3) if kind == "gt" else (0, 0)  # gt is a game from deuce
+        return start, lambda s: _A, functools.partial(_race, **race)
+    if kind in ("stt", "st"):
+        race = _tiebreak(spec.k if kind == "st" else 1)  # stt: win by two from 0-0
+        return (0, 0), _abba, functools.partial(_race, **race)
+    if kind == "set":
+        return _NEW_SET, _set_server, functools.partial(_set_point, k=spec.k)
+    if kind == "match":
+        point = functools.partial(_match_point, spec=spec)
+        return ((0, 0), _NEW_SET), lambda s: _set_server(s[1]), point
+    server = functools.partial(_bog_server, spec=spec)
+    return ((0, 0), None, (0, 0)), server, functools.partial(_bog_point, spec=spec)
+
+
+class _Tables(NamedTuple):
+    """A system's rules as arrays; states ``live`` and above are terminal."""
+
+    live: int
+    server: np.ndarray  # per live state: _A, _B or _COIN
+    nxt: np.ndarray  # next state; entry 2*s on a loss, 2*s + 1 on a win
+    fold: np.ndarray | None  # per entry: folds of the scored unit, if any
+    coins: np.ndarray  # per state: coin steps taken to reach it
+    a_won: np.ndarray  # per state: terminal and won by A
+    score: np.ndarray | None  # per state: terminal score label (a, b)
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(spec: SystemSpec) -> _Tables:
+    """Compile ``spec``'s rules by a breadth-first walk from the start state."""
+    start, server, point = _rules(spec)
+    index = {start: 0}
+    queue = [start]
+    coins = [0]
+    servers, targets, folds, ends = [], [], [], {}
+    for s in queue:  # the walk appends newly reached states as it goes
+        servers.append(server(s))
+        after = coins[index[s]] + (servers[-1] == _COIN)
+        for a_won in (False, True):
+            t, won, fold = point(s, a_won)
+            if won is not None:
+                t = ends.setdefault((won, t, after), ("end", won, t, after))
+            elif t not in index:
+                index[t] = len(queue)
+                queue.append(t)
+                coins.append(after)
+            targets.append(t)
+            folds.append(fold)
+    live = len(queue)
+    for end in ends.values():
+        index[end] = len(coins)
+        coins.append(end[3])
+    n = len(coins)
+    a_won = np.zeros(n, dtype=bool)
+    a_won[live:] = [won for won, _, _ in ends]
+    scored = spec.kind in ("st", "set", "match", "bog")
+    score = None
+    if scored:
+        score = np.zeros((n, 2), dtype=np.int32)
+        score[live:] = [label for _, label, _ in ends]
+    fold = np.array(folds, dtype=np.int32)
+    return _Tables(
+        live=live,
+        server=np.array(servers, dtype=np.intp),
+        nxt=np.array([index[t] for t in targets], dtype=np.intp),
+        fold=fold if scored and fold.any() else None,
+        coins=np.array(coins, dtype=np.int64),
+        a_won=a_won,
+        score=score,
+    )
+
+
+def _simulate_outcomes(config: SimConfig) -> _RepOutcomes:
+    """Run the replications and return raw per-replication arrays."""
+    tables = _tables(config.system)
+    pa, pb = config.params if config.system.takes_pair else (config.params, 0.0)
+    p_win = np.array([pa, 1.0 - pb, 0.5])[tables.server]
+    n, cap = config.replications, config.max_points_per_replication
     out = _RepOutcomes(
         points=np.zeros(n, dtype=np.int64),
         winner_a=np.zeros(n, dtype=bool),
         capped=np.zeros(n, dtype=bool),
     )
-    if scores:
+    if tables.score is not None:
         out.score_a = np.zeros(n, dtype=np.int32)
         out.score_b = np.zeros(n, dtype=np.int32)
+    rep = np.arange(n)
+    keys = _rep_streams(config.seed, n)
+    s = np.zeros(n, dtype=np.intp)
+    tally = np.zeros(n, dtype=np.int32)
+    step = 0
+    while rep.size:
+        edge = 2 * s + (_draw(keys, step) < p_win[s])
+        s = tables.nxt[edge]
+        if tables.fold is not None:
+            tally += tables.fold[edge]
+        step += 1
+        fin = s >= tables.live
+        if step >= cap:
+            fin |= step - tables.coins[s] >= cap
+        if not fin.any():
+            continue
+        done, end = rep[fin], s[fin]
+        out.points[done] = step - tables.coins[end]
+        out.winner_a[done] = tables.a_won[end]
+        out.capped[done] = end < tables.live
+        if out.score_a is not None:
+            out.score_a[done] = tables.score[end, 0] + tally[fin]
+            out.score_b[done] = tables.score[end, 1] + tally[fin]
+        keep = ~fin
+        rep, s, keys, tally = rep[keep], s[keep], keys[keep], tally[keep]
     return out
-
-
-def _run_gt(p, streams, counters, cap):
-    n = streams.size
-    out = _new_outcomes(n)
-    diff = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    while idx.size:
-        u = _draw(streams, counters, idx)
-        diff[idx] += np.where(u < p, 1, -1).astype(np.int32)
-        out.points[idx] += 1
-        d = diff[idx]
-        won = np.abs(d) >= 2
-        full = (out.points[idx] >= cap) & ~won
-        fin = won | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = d[fin] >= 2
-            out.capped[f] = full[fin]
-            idx = idx[~fin]
-    return out
-
-
-def _run_game(p, streams, counters, cap):
-    n = streams.size
-    out = _new_outcomes(n)
-    a = np.zeros(n, dtype=np.int32)
-    b = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    while idx.size:
-        u = _draw(streams, counters, idx)
-        w = u < p
-        a[idx] += w
-        b[idx] += ~w
-        out.points[idx] += 1
-        ai, bi = a[idx], b[idx]
-        won = ((ai >= 4) | (bi >= 4)) & (np.abs(ai - bi) >= 2)
-        full = (out.points[idx] >= cap) & ~won
-        fin = won | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = ai[fin] > bi[fin]
-            out.capped[f] = full[fin]
-            idx = idx[~fin]
-    return out
-
-
-def _run_bofk(p, l, streams, counters, cap):
-    n = streams.size
-    out = _new_outcomes(n)
-    target = l + 1
-    a = np.zeros(n, dtype=np.int32)
-    b = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    while idx.size:
-        u = _draw(streams, counters, idx)
-        w = u < p
-        a[idx] += w
-        b[idx] += ~w
-        out.points[idx] += 1
-        ai, bi = a[idx], b[idx]
-        won = (ai >= target) | (bi >= target)
-        full = (out.points[idx] >= cap) & ~won
-        fin = won | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = ai[fin] >= target
-            out.capped[f] = full[fin]
-            idx = idx[~fin]
-    return out
-
-
-def _run_stt(pa, pb, streams, counters, cap):
-    n = streams.size
-    out = _new_outcomes(n)
-    diff = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    while idx.size:
-        server_a = _serves_first_abba(out.points[idx] + 1)
-        pwin = np.where(server_a, pa, 1.0 - pb)
-        u = _draw(streams, counters, idx)
-        diff[idx] += np.where(u < pwin, 1, -1).astype(np.int32)
-        out.points[idx] += 1
-        d = diff[idx]
-        won = np.abs(d) >= 2
-        full = (out.points[idx] >= cap) & ~won
-        fin = won | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = d[fin] >= 2
-            out.capped[f] = full[fin]
-            idx = idx[~fin]
-    return out
-
-
-def _run_st(pa, pb, k, streams, counters, cap):
-    n = streams.size
-    out = _new_outcomes(n, scores=True)
-    a = np.zeros(n, dtype=np.int32)
-    b = np.zeros(n, dtype=np.int32)
-    idx = np.arange(n)
-    while idx.size:
-        server_a = _serves_first_abba(out.points[idx] + 1)
-        pwin = np.where(server_a, pa, 1.0 - pb)
-        u = _draw(streams, counters, idx)
-        w = u < pwin
-        a[idx] += w
-        b[idx] += ~w
-        out.points[idx] += 1
-        ai, bi = a[idx], b[idx]
-        won = ((ai >= k) | (bi >= k)) & (np.abs(ai - bi) >= 2)
-        full = (out.points[idx] >= cap) & ~won
-        fin = won | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = ai[fin] > bi[fin]
-            out.capped[f] = full[fin]
-            out.score_a[f] = ai[fin]
-            out.score_b[f] = bi[fin]
-            idx = idx[~fin]
-    return out
-
-
-def _run_set(pa, pb, k, streams, counters, cap):
-    """One set: alternating service games from A, ST(k) at six games all."""
-    n = streams.size
-    out = _new_outcomes(n, scores=True)
-    ga = np.zeros(n, dtype=np.int32)
-    gb = np.zeros(n, dtype=np.int32)
-    x = np.zeros(n, dtype=np.int32)  # points in the current game
-    y = np.zeros(n, dtype=np.int32)
-    ta = np.zeros(n, dtype=np.int32)  # points in the tie-breaker
-    tb = np.zeros(n, dtype=np.int32)
-    in_tb = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-    while idx.size:
-        itb = in_tb[idx]
-        server_a = np.where(
-            itb,
-            _serves_first_abba(ta[idx] + tb[idx] + 1),
-            ((ga[idx] + gb[idx]) % 2) == 0,
-        )
-        u = _draw(streams, counters, idx)
-        w = u < np.where(server_a, pa, 1.0 - pb)
-        out.points[idx] += 1
-
-        pos = np.arange(idx.size)
-        finished = np.zeros(idx.size, dtype=bool)
-        winner = np.zeros(idx.size, dtype=bool)
-
-        gpos = pos[~itb]
-        if gpos.size:
-            gidx = idx[~itb]
-            wg = w[~itb]
-            x[gidx] += wg
-            y[gidx] += ~wg
-            xa, yb = x[gidx], y[gidx]
-            gdone = ((xa >= 4) | (yb >= 4)) & (np.abs(xa - yb) >= 2)
-            if gdone.any():
-                gd = gidx[gdone]
-                gp = gpos[gdone]
-                aw = xa[gdone] > yb[gdone]
-                ga[gd] += aw
-                gb[gd] += ~aw
-                x[gd] = 0
-                y[gd] = 0
-                gaa, gbb = ga[gd], gb[gd]
-                sdone = ((gaa >= 6) | (gbb >= 6)) & (np.abs(gaa - gbb) >= 2)
-                in_tb[gd[(gaa == 6) & (gbb == 6)]] = True
-                fp = gp[sdone]
-                finished[fp] = True
-                winner[fp] = (gaa > gbb)[sdone]
-
-        tpos = pos[itb]
-        if tpos.size:
-            tidx = idx[itb]
-            wt = w[itb]
-            ta[tidx] += wt
-            tb[tidx] += ~wt
-            taa, tbb = ta[tidx], tb[tidx]
-            tdone = ((taa >= k) | (tbb >= k)) & (np.abs(taa - tbb) >= 2)
-            if tdone.any():
-                a_won = (taa > tbb)[tdone]
-                ga[tidx[tdone]] += a_won
-                gb[tidx[tdone]] += ~a_won
-                fp = tpos[tdone]
-                finished[fp] = True
-                winner[fp] = a_won
-
-        full = (out.points[idx] >= cap) & ~finished
-        fin = finished | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = winner[fin]
-            out.capped[f] = full[fin]
-            out.score_a[f] = ga[f]
-            out.score_b[f] = gb[f]
-            idx = idx[~fin]
-    return out
-
-
-def _run_match(pa, pb, k0, k1, q, streams, counters, cap):
-    """Best of 2q+1 sets; every set opens with A serving; decider uses k1."""
-    n = streams.size
-    out = _new_outcomes(n, scores=True)
-    sa = np.zeros(n, dtype=np.int32)
-    sb = np.zeros(n, dtype=np.int32)
-    ga = np.zeros(n, dtype=np.int32)
-    gb = np.zeros(n, dtype=np.int32)
-    x = np.zeros(n, dtype=np.int32)
-    y = np.zeros(n, dtype=np.int32)
-    ta = np.zeros(n, dtype=np.int32)
-    tb = np.zeros(n, dtype=np.int32)
-    in_tb = np.zeros(n, dtype=bool)
-    idx = np.arange(n)
-
-    def absorb_set(rep, p_at, a_won, finished, winner):
-        sa[rep] += a_won
-        sb[rep] += ~a_won
-        ga[rep] = 0
-        gb[rep] = 0
-        x[rep] = 0
-        y[rep] = 0
-        ta[rep] = 0
-        tb[rep] = 0
-        in_tb[rep] = False
-        over = (sa[rep] > q) | (sb[rep] > q)
-        fp = p_at[over]
-        finished[fp] = True
-        winner[fp] = a_won[over]
-
-    while idx.size:
-        itb = in_tb[idx]
-        server_a = np.where(
-            itb,
-            _serves_first_abba(ta[idx] + tb[idx] + 1),
-            ((ga[idx] + gb[idx]) % 2) == 0,
-        )
-        u = _draw(streams, counters, idx)
-        w = u < np.where(server_a, pa, 1.0 - pb)
-        out.points[idx] += 1
-
-        pos = np.arange(idx.size)
-        finished = np.zeros(idx.size, dtype=bool)
-        winner = np.zeros(idx.size, dtype=bool)
-
-        gpos = pos[~itb]
-        if gpos.size:
-            gidx = idx[~itb]
-            wg = w[~itb]
-            x[gidx] += wg
-            y[gidx] += ~wg
-            xa, yb = x[gidx], y[gidx]
-            gdone = ((xa >= 4) | (yb >= 4)) & (np.abs(xa - yb) >= 2)
-            if gdone.any():
-                gd = gidx[gdone]
-                gp = gpos[gdone]
-                aw = xa[gdone] > yb[gdone]
-                ga[gd] += aw
-                gb[gd] += ~aw
-                x[gd] = 0
-                y[gd] = 0
-                gaa, gbb = ga[gd], gb[gd]
-                sdone = ((gaa >= 6) | (gbb >= 6)) & (np.abs(gaa - gbb) >= 2)
-                in_tb[gd[(gaa == 6) & (gbb == 6)]] = True
-                if sdone.any():
-                    absorb_set(
-                        gd[sdone], gp[sdone], (gaa > gbb)[sdone], finished, winner
-                    )
-
-        tpos = pos[itb]
-        if tpos.size:
-            tidx = idx[itb]
-            wt = w[itb]
-            ta[tidx] += wt
-            tb[tidx] += ~wt
-            taa, tbb = ta[tidx], tb[tidx]
-            kv = np.where((sa[tidx] == q) & (sb[tidx] == q), k1, k0)
-            tdone = ((taa >= kv) | (tbb >= kv)) & (np.abs(taa - tbb) >= 2)
-            if tdone.any():
-                absorb_set(
-                    tidx[tdone], tpos[tdone], (taa > tbb)[tdone], finished, winner
-                )
-
-        full = (out.points[idx] >= cap) & ~finished
-        fin = finished | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = winner[fin]
-            out.capped[f] = full[fin]
-            out.score_a[f] = sa[f]
-            out.score_b[f] = sb[f]
-            idx = idx[~fin]
-    return out
-
-
-def _run_bog(pa, pb, l, tiebreak, streams, counters, cap):
-    """Best of 2l+1 service games; the l-l tie follows ``tiebreak``.
-
-    sg plays one game on a coin-flipped serve (the coin consumes a draw but
-    is not a point); sttg keeps alternating service games until one player
-    takes two in a row; sttp abandons games for a fresh ABBA win-by-two
-    points race.
-    """
-    n = streams.size
-    out = _new_outcomes(n, scores=True)
-    target = l + 1
-    ga = np.zeros(n, dtype=np.int32)
-    gb = np.zeros(n, dtype=np.int32)
-    x = np.zeros(n, dtype=np.int32)
-    y = np.zeros(n, dtype=np.int32)
-    in_tie = np.zeros(n, dtype=bool)
-    tdiff = np.zeros(n, dtype=np.int32)  # game (sttg) or point (sttp) lead
-    tpts = np.zeros(n, dtype=np.int32)  # points inside an sttp tie
-    tie_server_a = np.zeros(n, dtype=bool)  # sg's coin result
-    idx = np.arange(n)
-    while idx.size:
-        itie = in_tie[idx]
-        base_server = ((ga[idx] + gb[idx]) % 2) == 0
-        if tiebreak == "sg":
-            server_a = np.where(itie, tie_server_a[idx], base_server)
-        elif tiebreak == "sttg":
-            server_a = base_server
-        else:
-            server_a = np.where(itie, _serves_first_abba(tpts[idx] + 1), base_server)
-        u = _draw(streams, counters, idx)
-        w = u < np.where(server_a, pa, 1.0 - pb)
-        out.points[idx] += 1
-
-        pos = np.arange(idx.size)
-        finished = np.zeros(idx.size, dtype=bool)
-        winner = np.zeros(idx.size, dtype=bool)
-
-        pmode = itie if tiebreak == "sttp" else np.zeros(idx.size, dtype=bool)
-        ppos = pos[pmode]
-        if ppos.size:
-            pidx = idx[pmode]
-            wp = w[pmode]
-            tpts[pidx] += 1
-            tdiff[pidx] += np.where(wp, 1, -1).astype(np.int32)
-            dd = tdiff[pidx]
-            pdone = np.abs(dd) >= 2
-            finished[ppos[pdone]] = True
-            winner[ppos[pdone]] = dd[pdone] >= 2
-
-        gpos = pos[~pmode]
-        if gpos.size:
-            gidx = idx[~pmode]
-            wg = w[~pmode]
-            x[gidx] += wg
-            y[gidx] += ~wg
-            xa, yb = x[gidx], y[gidx]
-            gdone = ((xa >= 4) | (yb >= 4)) & (np.abs(xa - yb) >= 2)
-            if gdone.any():
-                gd = gidx[gdone]
-                gp = gpos[gdone]
-                aw = xa[gdone] > yb[gdone]
-                ga[gd] += aw
-                gb[gd] += ~aw
-                x[gd] = 0
-                y[gd] = 0
-                tie_now = in_tie[gd]
-                if tiebreak == "sg" and tie_now.any():
-                    fp = gp[tie_now]
-                    finished[fp] = True
-                    winner[fp] = aw[tie_now]
-                elif tiebreak == "sttg" and tie_now.any():
-                    tg = gd[tie_now]
-                    tdiff[tg] += np.where(aw[tie_now], 1, -1).astype(np.int32)
-                    dd = tdiff[tg]
-                    gover = np.abs(dd) >= 2
-                    fp = gp[tie_now][gover]
-                    finished[fp] = True
-                    winner[fp] = dd[gover] >= 2
-                reg = ~tie_now
-                if reg.any():
-                    rd = gd[reg]
-                    gaa, gbb = ga[rd], gb[rd]
-                    mdone = (gaa >= target) | (gbb >= target)
-                    fp = gp[reg][mdone]
-                    finished[fp] = True
-                    winner[fp] = (gaa >= target)[mdone]
-                    entry = (gaa == l) & (gbb == l)
-                    if entry.any():
-                        ent = rd[entry]
-                        in_tie[ent] = True
-                        if tiebreak == "sg":
-                            coin = _draw(streams, counters, ent)
-                            tie_server_a[ent] = coin < 0.5
-
-        full = (out.points[idx] >= cap) & ~finished
-        fin = finished | full
-        if fin.any():
-            f = idx[fin]
-            out.winner_a[f] = winner[fin]
-            out.capped[f] = full[fin]
-            out.score_a[f] = ga[f]
-            out.score_b[f] = gb[f]
-            idx = idx[~fin]
-    return out
-
-
-def _simulate_outcomes(config: SimConfig) -> _RepOutcomes:
-    """Run the replications and return raw per-replication arrays."""
-    sysspec = config.system
-    streams = _rep_streams(config.seed, config.replications)
-    counters = np.zeros(config.replications, dtype=np.uint64)
-    cap = config.max_points_per_replication
-    kind = sysspec.kind
-    if kind == "gt":
-        return _run_gt(config.params, streams, counters, cap)
-    if kind == "game":
-        return _run_game(config.params, streams, counters, cap)
-    if kind == "bofk":
-        return _run_bofk(config.params, sysspec.l, streams, counters, cap)
-    pa, pb = config.params
-    if kind == "stt":
-        return _run_stt(pa, pb, streams, counters, cap)
-    if kind == "st":
-        return _run_st(pa, pb, sysspec.k, streams, counters, cap)
-    if kind == "set":
-        return _run_set(pa, pb, sysspec.k, streams, counters, cap)
-    if kind == "match":
-        return _run_match(
-            pa, pb, sysspec.k0, sysspec.k1, sysspec.q, streams, counters, cap
-        )
-    return _run_bog(pa, pb, sysspec.l, sysspec.tiebreak, streams, counters, cap)
 
 
 def _summarize(out: _RepOutcomes) -> SimSummary:

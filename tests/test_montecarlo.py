@@ -57,21 +57,44 @@ def test_mixer_matches_published_splitmix_sequence():
 
 def test_draws_are_pure_functions_of_seed_rep_counter():
     streams = _rep_streams(12345, 8)
-    c1 = np.zeros(8, dtype=np.uint64)
-    idx = np.arange(8)
-    first = _draw(streams, c1, idx)
-    second = _draw(streams, c1, idx)
+    first = _draw(streams, 0)
+    second = _draw(streams, 1)
     assert np.all((first >= 0.0) & (first < 1.0))
     assert not np.array_equal(first, second)
 
-    # replaying from fresh counters reproduces the draws bit for bit,
-    # and drawing a subset advances only that subset
-    c2 = np.zeros(8, dtype=np.uint64)
-    assert np.array_equal(_draw(streams, c2, idx), first)
+    # replaying from fresh stream keys reproduces the draws bit for bit,
+    # and a subset of replications draws the same subset of the full draw
+    assert np.array_equal(_draw(_rep_streams(12345, 8), 0), first)
     sub = np.array([1, 4])
-    got = _draw(streams, c2, sub)
-    assert np.array_equal(got, second[sub])
-    assert c2[0] == 1 and c2[1] == 2
+    assert np.array_equal(_draw(streams[sub], 1), second[sub])
+    assert np.array_equal(_draw(streams[sub], 0), first[sub])
+
+
+@pytest.mark.parametrize(
+    "seed, rep, j",
+    [
+        (0, 0, 0),
+        (12345, 7, 3),
+        (2**64 - 1, 0, 0),
+        (2**64 - 1, 5, 999),
+        (2**63, 2, 2**20),
+    ],
+)
+def test_draw_follows_the_documented_formula(seed, rep, j):
+    # draw j of replication r is mix64(mix64(seed + (r+1)*GOLDEN) + (j+1)*GOLDEN),
+    # taken to [0, 1) from its top 53 bits; here in Python integers mod 2**64
+    mask = 2**64 - 1
+    golden = 0x9E3779B97F4A7C15
+
+    def mix64(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    word = mix64((mix64((seed + (rep + 1) * golden) & mask) + (j + 1) * golden) & mask)
+    expected = (word >> 11) / 2.0**53
+    got = _draw(_rep_streams(seed, rep + 1), j)[rep]
+    assert got == expected
 
 
 def test_rep_streams_differ_between_seeds_and_reps():
