@@ -619,7 +619,7 @@ def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
               help="number of replications.")
 @click.option("--seed", type=int, default=None,
               help="PRNG seed; drawn from entropy and echoed when omitted.")
-@click.option("--max-points", type=click.IntRange(min=1), default=100_000,
+@click.option("--max-points", type=click.IntRange(min=100), default=100_000,
               show_default=True, help="cap on points per replication.")
 @_output_options()
 @_domain_errors

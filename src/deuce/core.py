@@ -185,9 +185,14 @@ class _SplitPowers:
             return _scalar_or_array(np.zeros(self.shape))
         pw1, qw1, pw2, qw2 = self._tables
         total = np.zeros(self.shape)
+        term = np.empty(self.shape)
         for j in range(max(0, k - n2), min(n1, k) + 1):
-            coeff = math.comb(n1, j) * math.comb(n2, k - j)
-            total = total + coeff * pw1[j] * qw1[n1 - j] * pw2[k - j] * qw2[n2 - (k - j)]
+            # one buffer, multiplied in the order of the plain product
+            np.multiply(math.comb(n1, j) * math.comb(n2, k - j), pw1[j], out=term)
+            term *= qw1[n1 - j]
+            term *= pw2[k - j]
+            term *= qw2[n2 - (k - j)]
+            total += term
         return _scalar_or_array(total)
 
     def tail(self, n1: int, n2: int, k: int):

@@ -356,6 +356,36 @@ def test_match_scores_partition_and_decider_uses_long_target():
     assert _z(s.mean_points, wrong_mean, s.mean_points_se) > 4.0
 
 
+def test_folded_tiebreak_tails_keep_their_scores():
+    # the compiled tables fold ST(7) tails at 8-8; the tally must restore
+    # the real score, whose sum is the point count
+    out = _simulate_outcomes(SimConfig(SystemSpec("st", k=7), (0.5, 0.5), 20_000, 204))
+    ok = ~out.capped
+    assert ok.all()
+    a, b = out.score_a.astype(np.int64), out.score_b.astype(np.int64)
+    assert np.array_equal(a + b, out.points)
+    assert np.array_equal(a > b, out.winner_a)
+    long_ = np.maximum(a, b) > 7
+    assert long_.sum() > 100 and np.maximum(a, b).max() > 10
+    assert np.all(np.abs(a - b)[long_] == 2)
+    assert np.all(np.abs(a - b)[~long_] >= 2)
+
+
+def test_folded_sttg_ties_keep_their_scores():
+    # strong servers drag best-of-7-games ties far past 4-4, where the
+    # tables fold a game a side; final scores must still be a two-game lead
+    cfg = SimConfig(SystemSpec("bog", l=3, tiebreak="sttg"), (0.8, 0.8), 5_000, 205)
+    out = _simulate_outcomes(cfg)
+    assert not out.capped.any()
+    a, b = out.score_a.astype(np.int64), out.score_b.astype(np.int64)
+    assert np.array_equal(a > b, out.winner_a)
+    tie = np.minimum(a, b) >= 3
+    assert np.all(np.abs(a - b)[tie] == 2)
+    assert np.all((np.maximum(a, b) == 4)[~tie])
+    assert np.any(np.maximum(a, b) >= 6)
+    assert np.maximum(a, b).max() >= 8
+
+
 # ------------------------------------------------------------- golden runs
 
 # Per-replication outcomes of fixed seeded runs, pinned bit for bit: the
