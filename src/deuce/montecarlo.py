@@ -317,9 +317,9 @@ def _tables(spec: SystemSpec) -> _Tables:
     queue = [start]
     coins = [0]
     servers, targets, folds, ends = [], [], [], {}
-    for s in queue:  # the walk appends newly reached states as it goes
+    for i, s in enumerate(queue):  # the walk appends newly reached states
         servers.append(server(s))
-        after = coins[index[s]] + (servers[-1] == _COIN)
+        after = coins[i] + (servers[-1] == _COIN)
         for a_won in (False, True):
             t, won, fold = point(s, a_won)
             if won is not None:
