@@ -184,11 +184,11 @@ class _SplitPowers:
         if k > n1 + n2:
             return _scalar_or_array(np.zeros(self.shape))
         pw1, qw1, pw2, qw2 = self._tables
-        total = np.zeros(self.shape)
-        term = np.empty(self.shape)
+        total = 0.0
         for j in range(max(0, k - n2), min(n1, k) + 1):
-            # one buffer, multiplied in the order of the plain product
-            np.multiply(math.comb(n1, j) * math.comb(n2, k - j), pw1[j], out=term)
+            # One new array per term, multiplied in place in the order of the
+            # plain product; on scalars these are cheap numpy scalar ops.
+            term = math.comb(n1, j) * math.comb(n2, k - j) * pw1[j]
             term *= qw1[n1 - j]
             term *= pw2[k - j]
             term *= qw2[n2 - (k - j)]
