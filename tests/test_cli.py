@@ -128,12 +128,12 @@ def test_compute_csv_is_flat_key_value():
         (("grid", "st-median",), "-median"),
         (("grid", "st", "--quantity", "diff"), "--other"),
         (("simulate", "game", "--p", "0.6"), "--reps"),
-        (("simulate", "game", "--p", "0.6", "--reps", "10", "--max-points", "50"),
-         "--max-points"),
         (("efficiency", "match", "--prior", "2,1", "--alpha", "2"), "--prior"),
         (("efficiency", "game", "--prior", "2,1,3,1"), "--prior"),
         (("efficiency", "game", "--prior", "2,one"), "--prior"),
         (("efficiency", "wibble"), "wibble"),
+        (("simulate", "game", "--p", "0.6", "--reps", "10", "--max-points", "50"),
+         "--max-points"),
     ],
 )
 def test_usage_errors_exit_2_and_name_the_flag(args, needle):
