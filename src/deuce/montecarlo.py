@@ -16,17 +16,17 @@ replication takes exactly one uniform ``u`` and moves by one gather::
 
     s = nxt[2*s + (u < p_win[s])]
 
-where ``p_win`` is pA on A's serve, 1 - pB on B's, and one half on the serve
-coin.  The coin is a step of its own that plays no point: it takes the draw
-after the point that levelled the score, as it always has, and a
-replication's point count is its step count minus its coin steps.
+where ``p_win`` is pA on A's serve (p in the one-server systems), 1 - pB on
+B's, and one half on the serve coin.  The coin is a step of its own that plays no point: it takes the draw
+right after the point that levelled the score at l-l, and a replication's
+point count is its step count minus its coin steps.
 
 The generator is a counter-based SplitMix64.  Draw ``j`` of replication ``r``
 under master seed ``s`` is::
 
     mix64(mix64(s + (r+1)*GOLDEN) + (j+1)*GOLDEN)
 
-so every uniform is a pure function of (seed, replication, draw index), and
+taken to [0, 1) as its top 53 bits times 2**-53, so every uniform is a pure function of (seed, replication, draw index), and
 replication ``r`` takes draw ``j`` at step ``j``.  Batching, vectorization
 width, or splitting replications across workers cannot reorder or change a
 single draw, which is what makes runs bit-identical across platforms and run
