@@ -360,8 +360,7 @@ def test_folded_tiebreak_tails_keep_their_scores():
     # the compiled tables fold ST(7) tails at 8-8; the tally must restore
     # the real score, whose sum is the point count
     out = _simulate_outcomes(SimConfig(SystemSpec("st", k=7), (0.5, 0.5), 20_000, 204))
-    ok = ~out.capped
-    assert ok.all()
+    assert not out.capped.any()
     a, b = out.score_a.astype(np.int64), out.score_b.astype(np.int64)
     assert np.array_equal(a + b, out.points)
     assert np.array_equal(a > b, out.winner_a)
