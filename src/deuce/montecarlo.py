@@ -11,27 +11,39 @@ keeps the ABBA phase), and an sttg tie drops a game a side whenever the lead
 returns to level.  A per-replication tally counts the folds of the scored
 unit, so a final score is the terminal label plus the tally.
 
-A replication is then one state index ``s``.  At every step each active
+A race whose length is a target (an ST to k, k0 or k1, a match's sets race
+to q+1, the bofk and bog races to l+1) makes the tables grow with the
+square of that target.  When a system's tables would pass ``_MAX_STATES`` states, each
+such race is instead counted per replication: the state keeps only what the
+rules read of it (its serve phase, whether it stands level at l-l or q-q),
+and a unit it takes leads to an event state, where the runner adds the unit
+to the counts and moves on by the outcome (go on, go on level, or won).
+Tables then stay at a few thousand states whatever the targets.
+
+A replication is then one state index ``s``, plus the counts of any
+counted race.  At every step each active
 replication takes exactly one uniform ``u`` and moves by one gather::
 
     s = nxt[2*s + (u < p_win[s])]
 
 where ``p_win`` is pA on A's serve (p in the one-server systems), 1 - pB on
-B's, and one half on the serve coin.  The coin is a step of its own that plays no point: it takes the draw
-right after the point that levelled the score at l-l, and a replication's
-point count is its step count minus its coin steps.
+B's, and one half on the serve coin.  The coin is a step of its own that
+plays no point: it takes the draw right after the point that levelled the
+score at l-l, and a replication's point count is its step count minus its
+coin steps.  Events take no draw.
 
 The generator is a counter-based SplitMix64.  Draw ``j`` of replication ``r``
 under master seed ``s`` is::
 
     mix64(mix64(s + (r+1)*GOLDEN) + (j+1)*GOLDEN)
 
-taken to [0, 1) as its top 53 bits times 2**-53, so every uniform is a pure function of (seed, replication, draw index), and
-replication ``r`` takes draw ``j`` at step ``j``.  Batching, vectorization
-width, or splitting replications across workers cannot reorder or change a
-single draw, which is what makes runs bit-identical across platforms and run
-shapes.  Replications that hit the safety cap are counted and excluded from
-the point-count moments — never silently folded in.
+taken to [0, 1) as its top 53 bits times 2**-53, so every uniform is a pure
+function of (seed, replication, draw index), and replication ``r`` takes
+draw ``j`` at step ``j``.  Batching, vectorization width, or splitting
+replications across workers cannot reorder or change a single draw, which
+is what makes runs bit-identical across platforms and run shapes.
+Replications that hit the safety cap are counted and excluded from the
+point-count moments — never silently folded in.
 
 Accumulation uses numpy's pairwise summation over the fixed replication
 order, so summaries are deterministic as well.
@@ -39,8 +51,10 @@ order, so summaries are deterministic as well.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,7 +174,10 @@ class SimSummary:
 
 @dataclass
 class _RepOutcomes:
-    """Raw per-replication results (internal; feeds summaries and tests)."""
+    """Raw per-replication results (internal; feeds summaries and tests).
+
+    Scores are written for completed replications only; a capped one keeps 0-0.
+    """
 
     points: np.ndarray
     winner_a: np.ndarray
@@ -171,43 +188,98 @@ class _RepOutcomes:
 
 # ------------------------------------------------------------- scoring rules
 #
-# A rule set is (start, server, point): ``server(state)`` names who serves
-# the next step, and ``point(state, a_won)`` returns (state, winner, fold).
-# Once ``winner`` is decided (True for A) the returned state is the final
-# score label; ``fold`` is what the step folded off each side of the score.
+# A rule set is (start, server, point, scored): ``server(state)`` names who
+# serves the next step, and ``point(state, a_won)`` returns (state, winner,
+# fold).  Once ``winner`` is decided (True for A) the returned state is the
+# final score label; ``fold`` is what the step folded off each side of the
+# score.  ``scored`` is the counted race, if any, whose counts are the score.
 
 _A, _B, _COIN = 0, 1, 2
 
 
-def _race(score, a_won, first_to, lead=1, fold_at=None, fold_by=1):
-    """Add one won unit to a race to ``first_to`` that must be won by ``lead``.
+class _Race(NamedTuple):
+    """A race to ``first_to`` units that must be won by ``lead``.
 
     A tail where both sides reach ``fold_at`` is folded back by ``fold_by``.
+    A ``counted`` race keeps no score in the state: the runner counts it,
+    and the state holds a _Counted with what the rules read of it.
     """
+
+    first_to: int
+    lead: int = 1
+    fold_at: int | None = None
+    fold_by: int = 1
+    level: int | None = None  # the tied score the rules test for, if any
+    period: int = 1  # units played are seen mod this (server phase)
+    counted: bool = False
+
+
+class _Counted(NamedTuple):
+    """What the rules see of a counted race: its phase, and if it is level."""
+
+    race: _Race
+    phase: int = 0
+    level: bool = False
+
+
+class _Pending(Exception):
+    """A counted race took a unit; the walk branches on its outcome."""
+
+
+# Outcomes of a counted race's unit, as the runner classifies them: the race
+# goes on, goes on level at ``race.level``, or is won by the unit's winner.
+_GO_ON, _LEVEL, _WON = 0, 1, 2
+_SCRIPT: collections.deque = collections.deque()  # outcomes fed to the walk
+_WALK_LOCK = threading.Lock()
+
+
+def _start(race):
+    return _Counted(race) if race.counted else (0, 0)
+
+
+def _race(score, a_won, race):
+    """Add one won unit to ``race``; returns (score, winner or None, fold)."""
+    if isinstance(score, _Counted):
+        if not _SCRIPT:
+            raise _Pending(race, a_won)
+        outcome = _SCRIPT.popleft()
+        if outcome == _WON:
+            return score, a_won, 0
+        phase = (score.phase + 1) % race.period
+        return _Counted(race, phase, outcome == _LEVEL), None, 0
     a, b = score[0] + a_won, score[1] + (not a_won)
-    if max(a, b) >= first_to and abs(a - b) >= lead:
+    if max(a, b) >= race.first_to and abs(a - b) >= race.lead:
         return (a, b), a > b, 0
-    if fold_at is not None and min(a, b) >= fold_at:
-        return (a - fold_by, b - fold_by), None, fold_by
+    if race.fold_at is not None and min(a, b) >= race.fold_at:
+        return (a - race.fold_by, b - race.fold_by), None, race.fold_by
     return (a, b), None, 0
 
 
-_GAME = dict(first_to=4, lead=2, fold_at=4)  # deuce tails fold back to 3-3
+def _units(score):
+    return score.phase if isinstance(score, _Counted) else score[0] + score[1]
 
 
-def _tiebreak(k):
+def _level(score, n):
+    return score.level if isinstance(score, _Counted) else score == (n, n)
+
+
+_GAME = _Race(4, 2, fold_at=4)  # deuce tails fold back to 3-3
+_SET_GAMES = _Race(6, 2)
+
+
+def _tiebreak(k, counted=False):
     """ST(k) race; folding two points a side keeps the ABBA phase."""
-    return dict(first_to=k, lead=2, fold_at=k + 1, fold_by=2)
+    return _Race(k, 2, fold_at=k + 1, fold_by=2, period=4, counted=counted)
 
 
 def _abba(score):
     """Server of the next tie-break point after ``score``; A opens."""
-    return _A if _serves_first_abba(score[0] + score[1] + 1) else _B
+    return _A if _serves_first_abba(_units(score) + 1) else _B
 
 
 def _by_parity(games):
     """Server of the next service game; A serves the first."""
-    return _A if (games[0] + games[1]) % 2 == 0 else _B
+    return _A if _units(games) % 2 == 0 else _B
 
 
 _NEW_SET = ((0, 0), (0, 0))  # (games, points in the current game or ST)
@@ -218,40 +290,39 @@ def _set_server(state):
     return _abba(pts) if games == (6, 6) else _by_parity(games)
 
 
-def _set_point(state, a_won, k):
-    """Six-game set from A's serve with an ST(k) at 6-6."""
+def _set_point(state, a_won, tiebreak):
+    """Six-game set from A's serve with ``tiebreak`` at 6-6."""
     games, pts = state
     tied = games == (6, 6)
-    pts, won, _ = _race(pts, a_won, **(_tiebreak(k) if tied else _GAME))
+    pts, won, _ = _race(pts, a_won, tiebreak if tied else _GAME)
     if won is None:
         return (games, pts), None, 0
-    games, set_won, _ = _race(games, won, 6, 2)
-    if tied:
-        return games, won, 0
-    return ((games, (0, 0)) if set_won is None else games), set_won, 0
+    games, set_won, _ = _race(games, won, _SET_GAMES)
+    if tied or set_won is not None:
+        return games, won if tied else set_won, 0
+    return (games, _start(tiebreak) if games == (6, 6) else (0, 0)), None, 0
 
 
-def _match_point(state, a_won, spec):
+def _match_point(state, a_won, sets_race, tiebreaks):
     """Best of 2q+1 sets, each opened by A; the decider's ST plays to k1."""
     sets, inner = state
-    k = spec.k1 if sets == (spec.q, spec.q) else spec.k0
-    inner, won, _ = _set_point(inner, a_won, k)
+    inner, won, _ = _set_point(inner, a_won, tiebreaks[_level(sets, sets_race.level)])
     if won is None:
         return (sets, inner), None, 0
-    sets, won, _ = _race(sets, won, spec.q + 1)
+    sets, won, _ = _race(sets, won, sets_race)
     return ((sets, _NEW_SET) if won is None else sets), won, 0
 
 
-def _bog_server(state, spec):
+def _bog_server(state, games_race, rule):
     games, coin, pts = state
     if coin is not None:
         return coin
-    tied = games == (spec.l, spec.l)
-    return _abba(pts) if tied and spec.tiebreak == "sttp" else _by_parity(games)
+    tied = _level(games, games_race.level)
+    return _abba(pts) if tied and rule == "sttp" else _by_parity(games)
 
 
-def _bog_point(state, a_won, spec):
-    """Best of 2l+1 service games; the l-l tie follows ``spec.tiebreak``.
+def _bog_point(state, a_won, games_race, rule):
+    """Best of 2l+1 service games; the l-l tie follows ``rule``.
 
     The state is (games, coin, points).  sg flips a coin for the serve
     (``coin`` is _COIN until that step, then the server) and plays one game;
@@ -259,99 +330,193 @@ def _bog_point(state, a_won, spec):
     sttp abandons games for a fresh ABBA win-by-two points race.
     """
     games, coin, pts = state
-    l, rule = spec.l, spec.tiebreak
     if coin == _COIN:
         return (games, _A if a_won else _B, (0, 0)), None, 0
-    if rule == "sttp" and games == (l, l):
-        pts, won, _ = _race(pts, a_won, **_tiebreak(1))
+    if rule == "sttp" and _level(games, games_race.level):
+        pts, won, _ = _race(pts, a_won, _tiebreak(1))
         return ((games, coin, pts) if won is None else games), won, 0
-    pts, won, _ = _race(pts, a_won, **_GAME)
+    pts, won, _ = _race(pts, a_won, _GAME)
     if won is None:
         return (games, coin, pts), None, 0
     if coin is not None:
-        return _race(games, won, l + 1)[0], won, 0
-    lead = 2 if rule == "sttg" else 1
-    games, match_won, fold = _race(games, won, l + 1, lead, fold_at=l + 1)
+        return _race(games, won, games_race)[0], won, 0
+    games, match_won, fold = _race(games, won, games_race)
     if match_won is not None:
         return games, match_won, fold
-    coin = _COIN if rule == "sg" and games == (l, l) else None
+    coin = _COIN if rule == "sg" and _level(games, games_race.level) else None
     return (games, coin, (0, 0)), None, fold
 
 
-def _rules(spec: SystemSpec):
-    """(start, server, point) for ``spec``, written from the scoring rules."""
+def _rules(spec: SystemSpec, counted: bool):
+    """(start, server, point, scored) for ``spec``, from the scoring rules.
+
+    With ``counted``, every race whose length is one of ``spec``'s targets
+    (k, k0, k1, q, l) is counted by the runner instead of held in the state.
+    """
     kind = spec.kind
     if kind in ("gt", "game", "bofk"):
-        race = _GAME if kind != "bofk" else dict(first_to=spec.l + 1)
-        start = (3, 3) if kind == "gt" else (0, 0)  # gt is a game from deuce
-        return start, lambda s: _A, functools.partial(_race, **race)
+        race = _GAME if kind != "bofk" else _Race(spec.l + 1, counted=counted)
+        start = (3, 3) if kind == "gt" else _start(race)  # gt: a game from deuce
+        return start, lambda s: _A, functools.partial(_race, race=race), None
     if kind in ("stt", "st"):
-        race = _tiebreak(spec.k if kind == "st" else 1)  # stt: win by two from 0-0
-        return (0, 0), _abba, functools.partial(_race, **race)
+        race = _tiebreak(spec.k, counted) if kind == "st" else _tiebreak(1)
+        point = functools.partial(_race, race=race)  # stt: win by two from 0-0
+        return _start(race), _abba, point, race if race.counted else None
     if kind == "set":
-        return _NEW_SET, _set_server, functools.partial(_set_point, k=spec.k)
+        point = functools.partial(_set_point, tiebreak=_tiebreak(spec.k, counted))
+        return _NEW_SET, _set_server, point, None
     if kind == "match":
-        point = functools.partial(_match_point, spec=spec)
-        return ((0, 0), _NEW_SET), lambda s: _set_server(s[1]), point
-    server = functools.partial(_bog_server, spec=spec)
-    return ((0, 0), None, (0, 0)), server, functools.partial(_bog_point, spec=spec)
+        sets = _Race(spec.q + 1, level=spec.q, counted=counted)
+        tiebreaks = (_tiebreak(spec.k0, counted), _tiebreak(spec.k1, counted))
+        point = functools.partial(_match_point, sets_race=sets, tiebreaks=tiebreaks)
+        server = lambda s: _set_server(s[1])  # noqa: E731
+        return (_start(sets), _NEW_SET), server, point, sets if counted else None
+    lead = 2 if spec.tiebreak == "sttg" else 1
+    games = _Race(spec.l + 1, lead, fold_at=spec.l + 1, level=spec.l, period=2,
+                  counted=counted)
+    rule = dict(games_race=games, rule=spec.tiebreak)
+    server = functools.partial(_bog_server, **rule)
+    point = functools.partial(_bog_point, **rule)
+    return (_start(games), None, (0, 0)), server, point, games if counted else None
 
 
 class _Tables(NamedTuple):
-    """A system's rules as arrays; states ``live`` and above are terminal."""
+    """A system's rules as arrays.
+
+    States below ``live`` play a point; states from ``live`` to ``final``
+    are events, where a counted race takes a unit; states from ``final`` on
+    are terminal.
+    """
 
     live: int
+    final: int
     server: np.ndarray  # per live state: _A, _B or _COIN
     nxt: np.ndarray  # next state; entry 2*s on a loss, 2*s + 1 on a win
     fold: np.ndarray | None  # per entry: folds of the scored unit, if any
     coins: np.ndarray  # per state: coin steps taken to reach it
     a_won: np.ndarray  # per state: terminal and won by A
     score: np.ndarray | None  # per state: terminal score label (a, b)
+    scored: int | None  # counted race whose counts are the final score
+    event_race: np.ndarray  # per event: the counted race taking the unit
+    event_a_won: np.ndarray  # per event: the unit went to A
+    resolve: np.ndarray  # per event and outcome: the next state
+    races: np.ndarray  # per counted race: first_to, lead, level (-1: none)
+
+
+class _TooLarge(Exception):
+    """The walk passed its state limit."""
+
+
+# Largest fully tabled system.  Above it every target-sized race is counted,
+# which keeps any system's tables to a few thousand states.
+_MAX_STATES = 10_000
 
 
 @functools.lru_cache(maxsize=16)
 def _tables(spec: SystemSpec) -> _Tables:
+    """Compile ``spec``'s rules, counting its long races if they don't fit."""
+    with _WALK_LOCK:
+        try:
+            return _walk(spec, counted=False, max_states=_MAX_STATES)
+        except _TooLarge:
+            return _walk(spec, counted=True, max_states=None)
+
+
+def _walk(spec: SystemSpec, counted: bool, max_states: int | None) -> _Tables:
     """Compile ``spec``'s rules by a breadth-first walk from the start state."""
-    start, server, point = _rules(spec)
+    start, server, point, scored = _rules(spec, counted)
     index = {start: 0}
     queue = [start]
     coins = [0]
-    servers, targets, folds, ends = [], [], [], {}
+    servers, targets, folds, events, ends = [], [], [], [], {}
+
+    def target(s, a_won, after, script):
+        """Target of ``point(s, a_won)`` once counted races take ``script``."""
+        _SCRIPT.clear()
+        _SCRIPT.extend(script)
+        try:
+            t, won, fold = point(s, a_won)
+        except _Pending as pending:
+            event = ("event", len(events))
+            events.append(None)
+            outcomes = [
+                target(s, a_won, after, script + (o,))[0] for o in (_GO_ON, _LEVEL, _WON)
+            ]
+            events[event[1]] = (*pending.args, outcomes, after)
+            return event, 0
+        if won is not None:
+            return ends.setdefault((won, t, after), ("end", won, t, after)), fold
+        if t not in index:
+            index[t] = len(queue)
+            queue.append(t)
+            coins.append(after)
+            if max_states is not None and len(queue) > max_states:
+                raise _TooLarge
+        return t, fold
+
     for i, s in enumerate(queue):  # the walk appends newly reached states
         servers.append(server(s))
         after = coins[i] + (servers[-1] == _COIN)
         for a_won in (False, True):
-            t, won, fold = point(s, a_won)
-            if won is not None:
-                t = ends.setdefault((won, t, after), ("end", won, t, after))
-            elif t not in index:
-                index[t] = len(queue)
-                queue.append(t)
-                coins.append(after)
+            t, fold = target(s, a_won, after, ())
             targets.append(t)
             folds.append(fold)
-    live = len(queue)
+    live, final = len(queue), len(queue) + len(events)
+    for e, event in enumerate(events):
+        index[("event", e)] = live + e
+        coins.append(event[3])
     for end in ends.values():
         index[end] = len(coins)
         coins.append(end[3])
     n = len(coins)
     a_won = np.zeros(n, dtype=bool)
-    a_won[live:] = [won for won, _, _ in ends]
-    scored = spec.kind in ("st", "set", "match", "bog")
+    a_won[final:] = [won for won, _, _ in ends]
     score = None
-    if scored:
+    if spec.kind in ("st", "set", "match", "bog") and scored is None:
         score = np.zeros((n, 2), dtype=np.int32)
-        score[live:] = [label for _, label, _ in ends]
+        score[final:] = [label for _, label, _ in ends]
     fold = np.array(folds, dtype=np.int32)
+    races = list(dict.fromkeys(race for race, _, _, _ in events))
     return _Tables(
         live=live,
+        final=final,
         server=np.array(servers, dtype=np.intp),
         nxt=np.array([index[t] for t in targets], dtype=np.intp),
-        fold=fold if scored and fold.any() else None,
+        fold=fold if score is not None and fold.any() else None,
         coins=np.array(coins, dtype=np.int64),
         a_won=a_won,
         score=score,
+        scored=races.index(scored) if scored in races else None,
+        event_race=np.array([races.index(e[0]) for e in events], dtype=np.intp),
+        event_a_won=np.array([e[1] for e in events], dtype=bool),
+        resolve=np.array([[index[t] for t in e[2]] for e in events], dtype=np.intp),
+        races=np.array(
+            [(r.first_to, r.lead, -1 if r.level is None else r.level) for r in races],
+            dtype=np.int64,
+        ).reshape(-1, 3),
     )
+
+
+def _settle(tables: _Tables, s: np.ndarray, counts: np.ndarray) -> None:
+    """Give each counted race the unit it just took; move ``s`` on in place.
+
+    ``counts[r, race]`` holds replication r's (A, B) units in that race.  A
+    race that ends is reset unless its end is the end of the system.
+    """
+    i = np.flatnonzero((s >= tables.live) & (s < tables.final))
+    while i.size:
+        e = s[i] - tables.live
+        race, won = tables.event_race[e], tables.event_a_won[e]
+        a = counts[i, race, 0] + won
+        b = counts[i, race, 1] + ~won
+        first_to, lead, level = tables.races[race].T
+        over = (np.maximum(a, b) >= first_to) & (np.abs(a - b) >= lead)
+        outcome = np.where(over, _WON, (a == b) & (a == level))
+        s[i] = t = tables.resolve[e, outcome]
+        keep = ~over | (t >= tables.final)
+        counts[i, race, 0] = a * keep
+        counts[i, race, 1] = b * keep
+        i = i[(t >= tables.live) & (t < tables.final)]
 
 
 def _simulate_outcomes(config: SimConfig) -> _RepOutcomes:
@@ -365,13 +530,14 @@ def _simulate_outcomes(config: SimConfig) -> _RepOutcomes:
         winner_a=np.zeros(n, dtype=bool),
         capped=np.zeros(n, dtype=bool),
     )
-    if tables.score is not None:
+    if tables.score is not None or tables.scored is not None:
         out.score_a = np.zeros(n, dtype=np.int32)
         out.score_b = np.zeros(n, dtype=np.int32)
     rep = np.arange(n)
     keys = _rep_streams(config.seed, n)
     s = np.zeros(n, dtype=np.intp)
     tally = np.zeros(n, dtype=np.int32)
+    counts = np.zeros((n, len(tables.races), 2), dtype=np.int64)
     step = 0
     while rep.size:
         edge = 2 * s + (_draw(keys, step) < p_win[s])
@@ -380,19 +546,30 @@ def _simulate_outcomes(config: SimConfig) -> _RepOutcomes:
             tally += tables.fold[edge]
         step += 1
         fin = s >= tables.live
+        if tables.final > tables.live and fin.any():
+            _settle(tables, s, counts)
+            fin = s >= tables.final
         if step >= cap:
             fin |= step - tables.coins[s] >= cap
         if not fin.any():
             continue
-        done, end = rep[fin], s[fin]
+        f = np.flatnonzero(fin)
+        done, end = rep[f], s[f]
         out.points[done] = step - tables.coins[end]
         out.winner_a[done] = tables.a_won[end]
-        out.capped[done] = end < tables.live
-        if out.score_a is not None:
-            out.score_a[done] = tables.score[end, 0] + tally[fin]
-            out.score_b[done] = tables.score[end, 1] + tally[fin]
+        if step >= cap:  # scores are kept for completed replications only
+            ok = end >= tables.final
+            out.capped[done] = ~ok
+            f, done, end = f[ok], done[ok], end[ok]
+        if tables.scored is not None:
+            out.score_a[done], out.score_b[done] = counts[f, tables.scored].T
+        elif out.score_a is not None:
+            out.score_a[done] = tables.score[end, 0] + tally[f]
+            out.score_b[done] = tables.score[end, 1] + tally[f]
         keep = ~fin
         rep, s, keys, tally = rep[keep], s[keep], keys[keep], tally[keep]
+        if tables.final > tables.live:
+            counts = counts[keep]
     return out
 
 

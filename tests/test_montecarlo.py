@@ -16,6 +16,7 @@ from deuce.bestof import (
     bog_match_points_moments,
     bog_match_win_prob,
 )
+from deuce import montecarlo
 from deuce.core import SystemSpec, first_server_on_point
 from deuce.game import game_points_moments, game_win_prob, gt_points_moments, gt_win_prob
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
@@ -29,6 +30,7 @@ from deuce.montecarlo import (
     _score_table,
     _serves_first_abba,
     _simulate_outcomes,
+    _tables,
     simulate,
 )
 from deuce.sets import (
@@ -525,14 +527,7 @@ def _outcome_digest(out):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "spec, params, reps, seed, cap, digest, summary, table",
-    [case[1:] for case in GOLDEN_RUNS],
-    ids=[case[0] for case in GOLDEN_RUNS],
-)
-def test_seeded_outcomes_match_golden_digests(
-    spec, params, reps, seed, cap, digest, summary, table
-):
+def _check_golden(spec, params, reps, seed, cap, digest, summary, table):
     cfg = SimConfig(spec, params, reps, seed, max_points_per_replication=cap)
     out = _simulate_outcomes(cfg)
     assert _outcome_digest(out) == digest
@@ -542,3 +537,76 @@ def test_seeded_outcomes_match_golden_digests(
     else:
         items = repr(sorted(_score_table(out).items())).encode()
         assert hashlib.sha256(items).hexdigest() == table
+
+
+_GOLDEN_PARAMS = pytest.mark.parametrize(
+    "spec, params, reps, seed, cap, digest, summary, table",
+    [case[1:] for case in GOLDEN_RUNS],
+    ids=[case[0] for case in GOLDEN_RUNS],
+)
+
+
+@_GOLDEN_PARAMS
+def test_seeded_outcomes_match_golden_digests(
+    spec, params, reps, seed, cap, digest, summary, table
+):
+    _check_golden(spec, params, reps, seed, cap, digest, summary, table)
+
+
+@pytest.fixture
+def counted_races(monkeypatch):
+    """Compile every system with its target-sized races counted."""
+    _tables.cache_clear()
+    monkeypatch.setattr(montecarlo, "_MAX_STATES", 1)
+    yield
+    _tables.cache_clear()
+
+
+@_GOLDEN_PARAMS
+def test_counted_races_reproduce_golden_digests(
+    counted_races, spec, params, reps, seed, cap, digest, summary, table
+):
+    tables = _tables(spec)
+    assert (tables.final > tables.live) == (spec.kind in ("st", "set", "match", "bofk", "bog"))
+    _check_golden(spec, params, reps, seed, cap, digest, summary, table)
+
+
+# ------------------------------------------------------------- long targets
+
+@pytest.mark.parametrize(
+    "spec, params, target, min_points",
+    [
+        (SystemSpec("st", k=5000), (0.5, 0.5), 5000, 5000),
+        (SystemSpec("set", k=5000), (0.95, 0.95), 7, 5000),  # 6-6 all but sure
+        (SystemSpec("match", k0=7, k1=7, q=100), (0.6, 0.55), 101, 101 * 24),
+        (SystemSpec("bofk", l=3000), 0.5, None, 3001),
+        (SystemSpec("bog", l=1000, tiebreak="sg"), (0.7, 0.7), 1001, 1001 * 4),
+        (SystemSpec("bog", l=1000, tiebreak="sttg"), (0.6, 0.6), 1001, 1001 * 4),
+        (SystemSpec("bog", l=300, tiebreak="sttp"), (0.6, 0.6), 301, 301 * 4),
+    ],
+    ids=["st-k5000", "set-k5000", "match-q100", "bofk-l3000", "bog-l1000-sg",
+         "bog-l1000-sttg", "bog-l300-sttp"],
+)
+def test_long_targets_are_counted_in_small_tables(spec, params, target, min_points):
+    # table size must not grow with k, q or l: long races go to counters
+    tables = _tables(spec)
+    assert tables.final < 2_000
+    out = _simulate_outcomes(SimConfig(spec, params, 3, 31))
+    assert not out.capped.any()
+    assert np.all(out.points >= min_points)
+    if target is None:
+        return
+    a, b = out.score_a.astype(np.int64), out.score_b.astype(np.int64)
+    assert np.array_equal(a > b, out.winner_a)
+    assert np.all(np.maximum(a, b) >= target)
+    if spec.kind == "st":
+        assert np.array_equal(a + b, out.points)
+        assert np.all(np.abs(a - b) >= 2)
+
+
+def test_capped_replications_record_no_score():
+    out = _simulate_outcomes(
+        SimConfig(SystemSpec("st", k=7), (1.0, 1.0), 5, 3, max_points_per_replication=128)
+    )
+    assert out.capped.all()
+    assert not out.score_a.any() and not out.score_b.any()
