@@ -13,16 +13,17 @@ unit, so a final score is the terminal label plus the tally.
 
 A race whose length is a target (an ST to k, k0 or k1, a match's sets race
 to q+1, the bofk and bog races to l+1) makes the tables grow with the
-square of that target.  When a system's tables would pass ``_MAX_STATES`` states, each
-such race is instead counted per replication: the state keeps only what the
-rules read of it (its serve phase, whether it stands level at l-l or q-q),
-and a unit it takes leads to an event state, where the runner adds the unit
-to the counts and moves on by the outcome (go on, go on level, or won).
-Tables then stay at a few thousand states whatever the targets.
+square of that target.  When a system's tables would pass ``_MAX_STATES``
+states, each such race is instead counted per replication: the state keeps
+only what the rules read of it (its serve phase, whether it stands level at
+l-l or q-q), and a unit it takes leads to an event state, where the runner
+adds the unit to the counts and moves on by the outcome (go on, go on
+level, or won).  Tables then stay at a few thousand states whatever the
+targets.
 
 A replication is then one state index ``s``, plus the counts of any
-counted race.  At every step each active
-replication takes exactly one uniform ``u`` and moves by one gather::
+counted race.  At every step each active replication takes exactly one
+uniform ``u`` and moves by one gather::
 
     s = nxt[2*s + (u < p_win[s])]
 
@@ -369,8 +370,8 @@ def _rules(spec: SystemSpec, counted: bool):
         sets = _Race(spec.q + 1, level=spec.q, counted=counted)
         tiebreaks = (_tiebreak(spec.k0, counted), _tiebreak(spec.k1, counted))
         point = functools.partial(_match_point, sets_race=sets, tiebreaks=tiebreaks)
-        server = lambda s: _set_server(s[1])  # noqa: E731
-        return (_start(sets), _NEW_SET), server, point, sets if counted else None
+        start = (_start(sets), _NEW_SET)
+        return start, lambda s: _set_server(s[1]), point, sets if counted else None
     lead = 2 if spec.tiebreak == "sttg" else 1
     games = _Race(spec.l + 1, lead, fold_at=spec.l + 1, level=spec.l, period=2,
                   counted=counted)
@@ -439,11 +440,10 @@ def _walk(spec: SystemSpec, counted: bool, max_states: int | None) -> _Tables:
         except _Pending as pending:
             event = ("event", len(events))
             events.append(None)
-            outcomes = [
-                target(s, a_won, after, script + (o,))[0] for o in (_GO_ON, _LEVEL, _WON)
-            ]
+            outcomes = [target(s, a_won, after, script + (o,))[0]
+                        for o in (_GO_ON, _LEVEL, _WON)]
             events[event[1]] = (*pending.args, outcomes, after)
-            return event, 0
+            return event, 0  # folds count only in a tabled scored race
         if won is not None:
             return ends.setdefault((won, t, after), ("end", won, t, after)), fold
         if t not in index:
