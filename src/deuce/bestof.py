@@ -11,13 +11,13 @@ advantage race (STTP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    BestOfGamesSpec,
     PointCountDistribution,
-    _TIEBREAKS,
+    SystemSpec,
     _check_count,
     _check_prob,
     first_server_serves_game,
@@ -34,25 +34,6 @@ __all__ = [
     "bog_match_win_prob",
     "bog_match_points_moments",
 ]
-
-
-@dataclass(frozen=True)
-class BestOfGamesSpec:
-    """Best-of-(2l+1) games match; ``tiebreak`` names the l-l tie rule."""
-
-    l: int
-    tiebreak: str = "sttg"
-
-    def __post_init__(self):
-        _check_count("l", self.l, minimum=1)
-        if self.tiebreak not in _TIEBREAKS:
-            raise ValueError(
-                f"tiebreak must be one of {_TIEBREAKS}, got {self.tiebreak!r}"
-            )
-
-    @property
-    def games_to_win(self) -> int:
-        return self.l + 1
 
 
 def bofk_win_prob(p, l: int):
@@ -114,7 +95,7 @@ def _bog_score_masses(split, l: int):
     return a_wins, b_wins, tie
 
 
-def _tie_win_prob(pa, pb, split, spec: BestOfGamesSpec):
+def _tie_win_prob(pa, pb, split, spec: SystemSpec):
     if spec.tiebreak == "sg":
         # a fair coin picks the sudden game's server
         return 0.5 * (split.win1 + split.win2)
@@ -124,7 +105,7 @@ def _tie_win_prob(pa, pb, split, spec: BestOfGamesSpec):
     return stt_win_prob(pa, pb)
 
 
-def bog_match_win_prob(pa, pb, spec: BestOfGamesSpec):
+def bog_match_win_prob(pa, pb, spec: SystemSpec):
     """First player's probability of winning the best-of-(2l+1)-games match.
 
     The no-tie head collapses to the binomial-majority tail over the first
@@ -161,7 +142,7 @@ def _tie_extra_moments(pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b):
     return gm * mu_pair, gm * var_pair + gv * mu_pair**2
 
 
-def bog_match_points_moments(pa, pb, spec: BestOfGamesSpec, tie_unit: str = "points"):
+def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points"):
     """(mean, variance) of the total points, mixed over the final game score.
 
     Every score category plays a known number of games per serve slot, so its

@@ -20,19 +20,20 @@ import json
 import math
 import secrets
 import sys
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
 from . import __version__
 from .bestof import (
-    BestOfGamesSpec,
     bofk_points_distribution,
     bofk_win_prob,
     bog_match_points_moments,
     bog_match_win_prob,
 )
-from .core import NonTerminatingError, QuadratureError, SystemSpec
+from .core import _KINDS, NonTerminatingError, QuadratureError, SystemSpec
 from .efficiency import BetaPrior, efficiency_one_param, efficiency_two_param
 from .game import (
     game_breakdown,
@@ -41,7 +42,7 @@ from .game import (
     gt_points_moments,
     gt_win_prob,
 )
-from .match import MatchSpec, match_breakdown, match_points_moments, match_win_prob
+from .match import match_breakdown, match_points_moments, match_win_prob
 from .montecarlo import SimConfig, simulate
 from .sets import (
     set_breakdown,
@@ -53,19 +54,45 @@ from .sets import (
     stt_win_prob,
 )
 
-SYSTEM_KINDS = ("gt", "game", "stt", "st", "set", "match", "bofk", "bog")
+SYSTEM_KINDS = tuple(_KINDS)
 
-# Symbol suffix used to tag numeric outputs (theta_G, mu_ST, ...).
-_SYMBOL = {
-    "gt": "GT",
-    "game": "G",
-    "stt": "STT",
-    "st": "ST",
-    "set": "S",
-    "match": "M",
-    "bofk": "BofK",
-    "bog": "BoG",
+
+class _Ops(NamedTuple):
+    """What the commands compute for one kind, each as ``fn(spec, params)``.
+
+    ``params`` is ``p`` or ``(pA, pB)``.  ``win`` and the pair kinds'
+    ``moments`` broadcast, so one entry serves scalars, grids and quadrature
+    alike.  ``symbol`` tags the outputs (theta_G, mu_ST, ...).
+    """
+
+    symbol: str
+    win: Callable
+    moments: Callable
+    breakdown: Callable | None = None
+
+
+# Each entry looks its library function up by name when called, so a module
+# attribute replaced from outside (a tracer, a mock) is what runs.
+_OPS = {
+    "gt": _Ops("GT", lambda s, p: gt_win_prob(p), lambda s, p: gt_points_moments(p)),
+    "game": _Ops("G", lambda s, p: game_win_prob(p), lambda s, p: game_points_moments(p),
+                 lambda s, p: game_breakdown(p)),
+    # A race to 2 points, win by two, with the standard serve rotation is the
+    # decisive-pair race itself, so the k=2 tie-break moments apply.
+    "stt": _Ops("STT", lambda s, p: stt_win_prob(*p), lambda s, p: st_points_moments(*p, 2)),
+    "st": _Ops("ST", lambda s, p: st_win_prob(*p, s.k),
+               lambda s, p: st_points_moments(*p, s.k), lambda s, p: st_breakdown(*p, s.k)),
+    "set": _Ops("S", lambda s, p: set_win_prob(*p, s.k),
+                lambda s, p: set_points_moments(*p, s.k), lambda s, p: set_breakdown(*p, s.k)),
+    "match": _Ops("M", lambda s, p: match_win_prob(*p, s),
+                  lambda s, p: match_points_moments(*p, s),
+                  lambda s, p: match_breakdown(*p, s)),
+    "bofk": _Ops("BofK", lambda s, p: bofk_win_prob(p, s.l),
+                 lambda s, p: attrgetter("mean", "variance")(bofk_points_distribution(p, s.l))),
+    "bog": _Ops("BoG", lambda s, p: bog_match_win_prob(*p, s),
+                lambda s, p: bog_match_points_moments(*p, s)),
 }
+
 
 _GRID_QUANTITIES = ("win_prob", "mean_points", "std_points", "diff", "log_ratio")
 _GRID_ALIASES = {"win": "win_prob", "mean": "mean_points", "std": "std_points"}
@@ -148,18 +175,27 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _build_spec(kind, k, k0, k1, q, l, tiebreak) -> SystemSpec:
+def _build_specs(kinds, k, k0, k1, q, l, tiebreak) -> list[SystemSpec]:
+    """One spec per kind from one pool of structure flags.
+
+    Each kind takes only the flags that apply to it; a flag that applies to
+    none of ``kinds`` is a usage error, and so is a missing required flag.
+    """
     fields = {"k": k, "k0": k0, "k1": k1, "q": q, "l": l, "tiebreak": tiebreak}
     provided = {name: value for name, value in fields.items() if value is not None}
-    try:
-        return SystemSpec(kind=kind, **provided)
-    except ValueError as exc:
-        message = str(exc)
-        for name in fields:
-            if message.startswith(name + " "):
-                message = "--" + message
-                break
-        raise click.UsageError(message) from exc
+    for name in provided:
+        if not any(name in _KINDS[kind][1] for kind in kinds):
+            raise click.UsageError(
+                f"--{name} does not apply to system '{'/'.join(kinds)}'")
+    specs = []
+    for kind in kinds:
+        usable = {name: value for name, value in provided.items()
+                  if name in _KINDS[kind][1]}
+        try:
+            specs.append(SystemSpec(kind=kind, **usable))
+        except ValueError as exc:
+            raise click.UsageError("--" + str(exc)) from exc
+    return specs
 
 
 def _gather_params(spec: SystemSpec, p, pa, pb):
@@ -181,12 +217,7 @@ def _gather_params(spec: SystemSpec, p, pa, pb):
 
 
 def _spec_dict(spec: SystemSpec) -> dict:
-    out = {"kind": spec.kind}
-    for name in ("k", "k0", "k1", "q", "l", "tiebreak"):
-        value = getattr(spec, name)
-        if value is not None:
-            out[name] = value
-    return out
+    return {name: value for name, value in vars(spec).items() if value is not None}
 
 
 def _params_dict(spec: SystemSpec, params) -> dict:
@@ -195,53 +226,8 @@ def _params_dict(spec: SystemSpec, params) -> dict:
     return {"p": params}
 
 
-def _match_spec(spec: SystemSpec) -> MatchSpec:
-    return MatchSpec(k0=spec.k0, k1=spec.k1, q=spec.q)
-
-
-def _bog_spec(spec: SystemSpec) -> BestOfGamesSpec:
-    return BestOfGamesSpec(l=spec.l, tiebreak=spec.tiebreak)
-
-
 def _win_prob(spec: SystemSpec, params):
-    kind = spec.kind
-    if kind == "gt":
-        return gt_win_prob(params)
-    if kind == "game":
-        return game_win_prob(params)
-    if kind == "stt":
-        return stt_win_prob(*params)
-    if kind == "st":
-        return st_win_prob(params[0], params[1], spec.k)
-    if kind == "set":
-        return set_win_prob(params[0], params[1], spec.k)
-    if kind == "match":
-        return match_win_prob(params[0], params[1], _match_spec(spec))
-    if kind == "bofk":
-        return bofk_win_prob(params, spec.l)
-    return bog_match_win_prob(params[0], params[1], _bog_spec(spec))
-
-
-def _points_moments(spec: SystemSpec, params):
-    kind = spec.kind
-    if kind == "gt":
-        return gt_points_moments(params)
-    if kind == "game":
-        return game_points_moments(params)
-    if kind == "stt":
-        # A race to 2 points, win by two, with the standard serve rotation is
-        # the decisive-pair race itself, so the k=2 tie-break moments apply.
-        return st_points_moments(params[0], params[1], 2)
-    if kind == "st":
-        return st_points_moments(params[0], params[1], spec.k)
-    if kind == "set":
-        return set_points_moments(params[0], params[1], spec.k)
-    if kind == "match":
-        return match_points_moments(params[0], params[1], _match_spec(spec))
-    if kind == "bofk":
-        dist = bofk_points_distribution(params, spec.l)
-        return dist.mean, dist.variance
-    return bog_match_points_moments(params[0], params[1], _bog_spec(spec))
+    return _OPS[spec.kind].win(spec, params)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +300,12 @@ def main() -> None:
 @_domain_errors
 def cmd_compute(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
     """Print win probability, mean, variance, and std of the point count."""
-    spec = _build_spec(system, k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
     params = _gather_params(spec, p, pa, pb)
-    theta = float(_win_prob(spec, params))
-    mean, variance = (float(x) for x in _points_moments(spec, params))
-    sym = _SYMBOL[system]
+    ops = _OPS[system]
+    theta = float(ops.win(spec, params))
+    mean, variance = (float(x) for x in ops.moments(spec, params))
+    sym = ops.symbol
     record = {
         "command": "compute",
         "version": __version__,
@@ -332,26 +319,20 @@ def cmd_compute(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
     _emit(record, fmt, precision)
 
 
-_BREAKDOWN_FNS = {
-    "game": lambda spec, params: game_breakdown(params),
-    "st": lambda spec, params: st_breakdown(params[0], params[1], spec.k),
-    "set": lambda spec, params: set_breakdown(params[0], params[1], spec.k),
-    "match": lambda spec, params: match_breakdown(params[0], params[1], _match_spec(spec)),
-}
-
-
 @main.command("breakdown")
-@click.argument("system", type=click.Choice(sorted(_BREAKDOWN_FNS)))
+@click.argument("system", type=click.Choice(sorted(kind for kind, ops in _OPS.items()
+                                                   if ops.breakdown)))
 @_param_options
 @_structure_options
 @_output_options()
 @_domain_errors
 def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
     """Print the per-final-score probability and duration table."""
-    spec = _build_spec(system, k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
     params = _gather_params(spec, p, pa, pb)
-    table = _BREAKDOWN_FNS[system](spec, params)
-    sym = _SYMBOL[system]
+    ops = _OPS[system]
+    table = ops.breakdown(spec, params)
+    sym = ops.symbol
     rows = [
         {
             "score": row.score,
@@ -385,46 +366,6 @@ def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
         "rows": rows,
     }
     _emit(record, fmt, precision)
-
-
-# Structure fields each system kind consumes; grid comparisons build two
-# specs from one flag pool, so each side takes only what applies to it.
-_KIND_FIELDS = {
-    "gt": (),
-    "game": (),
-    "stt": (),
-    "st": ("k",),
-    "set": ("k",),
-    "match": ("k0", "k1", "q"),
-    "bofk": ("l",),
-    "bog": ("l", "tiebreak"),
-}
-
-
-def _win_grid(spec: SystemSpec, pa, pb):
-    kind = spec.kind
-    if kind == "stt":
-        return stt_win_prob(pa, pb)
-    if kind == "st":
-        return st_win_prob(pa, pb, spec.k)
-    if kind == "set":
-        return set_win_prob(pa, pb, spec.k)
-    if kind == "match":
-        return match_win_prob(pa, pb, _match_spec(spec))
-    return bog_match_win_prob(pa, pb, _bog_spec(spec))
-
-
-def _moments_grid(spec: SystemSpec, pa, pb):
-    kind = spec.kind
-    if kind == "stt":
-        return st_points_moments(pa, pb, 2)
-    if kind == "st":
-        return st_points_moments(pa, pb, spec.k)
-    if kind == "set":
-        return set_points_moments(pa, pb, spec.k)
-    if kind == "match":
-        return match_points_moments(pa, pb, _match_spec(spec))
-    return bog_match_points_moments(pa, pb, _bog_spec(spec))
 
 
 @main.command("grid")
@@ -466,24 +407,9 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
     if pmin >= pmax:
         raise click.UsageError("--pmin must be below --pmax")
 
-    provided = {name: value for name, value in
-                (("k", k), ("k0", k0), ("k1", k1), ("q", q), ("l", l),
-                 ("tiebreak", tiebreak)) if value is not None}
     kinds = [base] + ([other] if other is not None else [])
-    for name in provided:
-        if not any(name in _KIND_FIELDS[kind] for kind in kinds):
-            raise click.UsageError(
-                f"--{name} does not apply to system '{'/'.join(kinds)}'")
-
-    def grid_spec(kind: str) -> SystemSpec:
-        usable = {name: value for name, value in provided.items()
-                  if name in _KIND_FIELDS[kind]}
-        try:
-            return SystemSpec(kind=kind, **usable)
-        except ValueError as exc:
-            raise click.UsageError("--" + str(exc)) from exc
-
-    spec = grid_spec(base)
+    specs = _build_specs(kinds, k, k0, k1, q, l, tiebreak)
+    spec = specs[0]
     if not spec.takes_pair:
         raise click.UsageError(
             f"grid sweeps (--pa, --pb), but system '{base}' takes a single --p")
@@ -491,21 +417,21 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
     coords = np.linspace(pmin, pmax, res)
     pa = coords[:, None]
     pb = coords[None, :]
+    ops = _OPS[base]
     if quantity == "win_prob":
-        values = _win_grid(spec, pa, pb)
+        values = ops.win(spec, (pa, pb))
     elif quantity == "mean_points":
-        values = _moments_grid(spec, pa, pb)[0]
+        values = ops.moments(spec, (pa, pb))[0]
     elif quantity == "std_points":
-        values = np.sqrt(_moments_grid(spec, pa, pb)[1])
+        values = np.sqrt(ops.moments(spec, (pa, pb))[1])
     else:
         if other is None:
             raise click.UsageError(f"--other is required when --quantity is {quantity}")
-        other_spec = grid_spec(other)
-        if not other_spec.takes_pair:
+        if not specs[1].takes_pair:
             raise click.UsageError(
                 f"--other system '{other}' takes a single --p and cannot be gridded")
-        first = _win_grid(spec, pa, pb)
-        second = _win_grid(other_spec, pa, pb)
+        first = ops.win(spec, (pa, pb))
+        second = _win_prob(specs[1], (pa, pb))
         values = first - second if quantity == "diff" else np.log(first / second)
     values = np.broadcast_to(np.asarray(values, dtype=float), (res, res))
 
@@ -526,7 +452,7 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
         "values": values,
     }
     if other is not None:
-        record["other"] = _spec_dict(grid_spec(other))
+        record["other"] = _spec_dict(specs[1])
     _emit(record, "json", precision)
 
 
@@ -570,32 +496,28 @@ def _parse_prior(alpha, beta, prior_text, for_pair, kind):
 def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
                    tiebreak, fmt, precision):
     """Report prior-weighted efficiencies for one or more systems."""
-    reports = []
     for name in systems:
         if name not in SYSTEM_KINDS:
             raise click.UsageError(
                 f"unknown system '{name}': expected one of {', '.join(SYSTEM_KINDS)}")
-        spec = _build_spec(name, k, k0, k1, q, l, tiebreak)
+    reports = []
+    for spec in _build_specs(systems, k, k0, k1, q, l, tiebreak):
+        name = spec.kind
+        win = functools.partial(_OPS[name].win, spec)
         prior_a, prior_b = _parse_prior(alpha, beta, prior_text,
                                         spec.takes_pair, name)
         if spec.takes_pair:
-            surface = functools.partial(_win_grid, spec)
-            report = efficiency_two_param(surface, (prior_a, prior_b), system=spec)
+            report = efficiency_two_param(lambda pa, pb: win((pa, pb)), (prior_a, prior_b),
+                                          system=spec)
             prior_echo = {"alpha_a": prior_a.alpha, "beta_a": prior_a.beta,
                           "alpha_b": prior_b.alpha, "beta_b": prior_b.beta}
         else:
-            if name == "gt":
-                curve = gt_win_prob
-            elif name == "game":
-                curve = game_win_prob
-            else:
-                curve = functools.partial(bofk_win_prob, l=spec.l)
-            report = efficiency_one_param(curve, prior_a, system=spec)
+            report = efficiency_one_param(win, prior_a, system=spec)
             prior_echo = {"alpha": prior_a.alpha, "beta": prior_a.beta}
         reports.append({
             "system": _spec_dict(spec),
             "prior": prior_echo,
-            f"Eff_{_SYMBOL[name]}": report.value,
+            f"Eff_{_OPS[name].symbol}": report.value,
             "quadrature_error_estimate": report.quadrature_error_estimate,
         })
     record = {"command": "efficiency", "version": __version__, "reports": reports}
@@ -626,7 +548,7 @@ def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
 def cmd_simulate(system, p, pa, pb, k, k0, k1, q, l, tiebreak, reps, seed,
                  max_points, fmt, precision):
     """Estimate win rate and duration by Monte-Carlo replication."""
-    spec = _build_spec(system, k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
     params = _gather_params(spec, p, pa, pb)
     if seed is None:
         seed = secrets.randbits(63)

@@ -422,23 +422,28 @@ class ScoreBreakdown:
 
 _TIEBREAKS = ("sg", "sttg", "sttp")
 
-_SYSTEM_KINDS = ("gt", "game", "stt", "st", "set", "match", "bofk", "bog")
-_PAIR_KINDS = frozenset({"stt", "st", "set", "match", "bog"})
-_SYSTEM_FIELDS = {
-    "gt": frozenset(),
-    "game": frozenset(),
-    "stt": frozenset(),
-    "st": frozenset({"k"}),
-    "set": frozenset({"k"}),
-    "match": frozenset({"k0", "k1", "q"}),
-    "bofk": frozenset({"l"}),
-    "bog": frozenset({"l", "tiebreak"}),
+# kind -> (takes a (pA, pB) pair, {field: default}); a default of None
+# marks a required field.  Fields are listed in SystemSpec's order.
+_KINDS = {
+    "gt": (False, {}),
+    "game": (False, {}),
+    "stt": (True, {}),
+    "st": (True, {"k": 7}),
+    "set": (True, {"k": 7}),
+    "match": (True, {"k0": 7, "k1": 7, "q": 2}),
+    "bofk": (False, {"l": None}),
+    "bog": (True, {"l": None, "tiebreak": "sttg"}),
 }
+_MINIMUM = {"k": 2, "k0": 2, "k1": 2, "q": 1, "l": 1}
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Names one scoring system together with its structural knobs.
+
+    This is the one spec type: every layer, the simulator and the CLI read
+    it, and ``MatchSpec`` and ``BestOfGamesSpec`` are constructors that
+    return it.
 
     Kinds: ``gt`` (win-by-two from deuce), ``game``, ``stt`` (two-point-cycle
     tie-breaker), ``st`` (K-point set tie-breaker), ``set`` (six-game set with
@@ -460,43 +465,42 @@ class SystemSpec:
     tiebreak: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _SYSTEM_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(
-                f"unknown system kind {self.kind!r}; expected one of {_SYSTEM_KINDS}"
+                f"unknown system kind {self.kind!r}; expected one of {tuple(_KINDS)}"
             )
-        allowed = _SYSTEM_FIELDS[self.kind]
+        defaults = _KINDS[self.kind][1]
         for name in ("k", "k0", "k1", "q", "l", "tiebreak"):
-            if getattr(self, name) is not None and name not in allowed:
+            if getattr(self, name) is not None and name not in defaults:
                 raise ValueError(f"{name} does not apply to system {self.kind!r}")
-        if self.kind in ("st", "set") and self.k is None:
-            object.__setattr__(self, "k", 7)
-        if self.kind == "match":
-            if self.k0 is None:
-                object.__setattr__(self, "k0", 7)
-            if self.k1 is None:
-                object.__setattr__(self, "k1", 7)
-            if self.q is None:
-                object.__setattr__(self, "q", 2)
-        if self.kind == "bog" and self.tiebreak is None:
-            object.__setattr__(self, "tiebreak", "sttg")
-        if self.kind in ("bofk", "bog") and self.l is None:
-            raise ValueError(f"l is required for system {self.kind!r}")
-        if self.k is not None:
-            _check_count("k", self.k, minimum=2)
-        if self.k0 is not None:
-            _check_count("k0", self.k0, minimum=2)
-        if self.k1 is not None:
-            _check_count("k1", self.k1, minimum=2)
-        if self.q is not None:
-            _check_count("q", self.q, minimum=1)
-        if self.l is not None:
-            _check_count("l", self.l, minimum=1)
-        if self.tiebreak is not None and self.tiebreak not in _TIEBREAKS:
-            raise ValueError(
-                f"tiebreak must be one of {_TIEBREAKS}, got {self.tiebreak!r}"
-            )
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                if default is None:
+                    raise ValueError(f"{name} is required for system {self.kind!r}")
+                object.__setattr__(self, name, default)
+            if name in _MINIMUM:
+                _check_count(name, getattr(self, name), minimum=_MINIMUM[name])
+            elif self.tiebreak not in _TIEBREAKS:  # the one field that is not a count
+                raise ValueError(
+                    f"tiebreak must be one of {_TIEBREAKS}, got {self.tiebreak!r}"
+                )
 
     @property
     def takes_pair(self) -> bool:
         """Whether the system is parameterized by (pA, pB) rather than one p."""
-        return self.kind in _PAIR_KINDS
+        return _KINDS[self.kind][0]
+
+
+def MatchSpec(k0: int = 7, k1: int = 7, q: int = 2) -> SystemSpec:
+    """Match format: best of 2q+1 sets, set tie-breaker targets k0 / k1.
+
+    ``k0`` applies to sets that cannot be the decider, ``k1`` to the (2q+1)-th
+    set — the long-format decider (e.g. k1=10) is how several tours replaced
+    the old advantage set.
+    """
+    return SystemSpec("match", k0=k0, k1=k1, q=q)
+
+
+def BestOfGamesSpec(l: int, tiebreak: str = "sttg") -> SystemSpec:
+    """Best-of-(2l+1) games match; ``tiebreak`` names the l-l tie rule."""
+    return SystemSpec("bog", l=l, tiebreak=tiebreak)

@@ -16,37 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BreakdownRow, PointCountDistribution, ScoreBreakdown,
-                   _check_count, _check_prob, _compose_length_law,
+from .core import (BreakdownRow, MatchSpec, PointCountDistribution, ScoreBreakdown,
+                   SystemSpec, _check_count, _check_prob, _compose_length_law,
                    _mixture_moments, _pmf_array, _ScoreRow)
 from .sets import (_game_split, _set_game_units, _set_head, _set_length_law,
                    _set_rows, _set_win, _st_split, _stack_st, st_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
-
-
-@dataclass(frozen=True)
-class MatchSpec:
-    """Match format: best of 2q+1 sets, set tie-breaker targets k0 / k1.
-
-    ``k0`` applies to sets that cannot be the decider, ``k1`` to the (2q+1)-th
-    set — the long-format decider (e.g. k1=10) is how several tours replaced
-    the old advantage set.
-    """
-
-    k0: int = 7
-    k1: int = 7
-    q: int = 2
-
-    def __post_init__(self):
-        _check_count("k0", self.k0, minimum=2)
-        _check_count("k1", self.k1, minimum=2)
-        _check_count("q", self.q, minimum=1)
-
-    @property
-    def sets_to_win(self) -> int:
-        return self.q + 1
 
 
 @dataclass(frozen=True)
@@ -69,13 +46,13 @@ class SetScoreJPMF:
         return sum(self.absorbing.values())
 
 
-def _per_k(fn, pa, pb, spec: MatchSpec):
+def _per_k(fn, pa, pb, spec: SystemSpec):
     """(fn at k0, fn at k1), evaluating fn once when the two targets agree."""
     first = fn(pa, pb, spec.k0)
     return first, first if spec.k1 == spec.k0 else fn(pa, pb, spec.k1)
 
 
-def _theta_pair(pa, pb, spec: MatchSpec, split):
+def _theta_pair(pa, pb, spec: SystemSpec, split):
     """(theta for a non-deciding set, theta for the deciding set).
 
     ``split`` holds A's per-game tables.  Only the tie-breaker depends on the
@@ -85,7 +62,7 @@ def _theta_pair(pa, pb, spec: MatchSpec, split):
     return _per_k(lambda pa, pb, k: _set_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
 
 
-def _set_moments_pair(pa, pb, spec: MatchSpec, split):
+def _set_moments_pair(pa, pb, spec: SystemSpec, split):
     """(set moments at k0, set moments at k1) from one evaluation of the set rows.
 
     Only the 7-6 row's tie-breaker depends on the target, so the other rows
@@ -114,7 +91,7 @@ def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
 
 
-def match_set_jpmf(pa: float, pb: float, spec: MatchSpec) -> SetScoreJPMF:
+def match_set_jpmf(pa: float, pb: float, spec: SystemSpec) -> SetScoreJPMF:
     """Exact joint PMF of the final set score.
 
     Transient states follow the binomial path-count C(a+b, a) theta^a (1-theta)^b;
@@ -135,7 +112,7 @@ def _match_win(theta0, theta1, q: int):
     return float(out) if out.ndim == 0 else out
 
 
-def match_win_prob(pa, pb, spec: MatchSpec):
+def match_win_prob(pa, pb, spec: SystemSpec):
     """First player's probability of winning the match.
 
     Sum of the A-side absorbing masses:
@@ -172,7 +149,7 @@ def _match_rows(theta0, q: int, set0, set1) -> list:
     return rows
 
 
-def match_points_moments(pa, pb, spec: MatchSpec):
+def match_points_moments(pa, pb, spec: SystemSpec):
     """(mean, variance) of the total points in the match.
 
     A final score (q+1, b) with b < q plays q+1+b sets, all with the k0
@@ -196,7 +173,7 @@ def match_points_moments(pa, pb, spec: MatchSpec):
     return mean, var
 
 
-def match_breakdown(pa: float, pb: float, spec: MatchSpec) -> ScoreBreakdown:
+def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
@@ -226,7 +203,7 @@ def match_breakdown(pa: float, pb: float, spec: MatchSpec) -> ScoreBreakdown:
     )
 
 
-def match_points_distribution(pa: float, pb: float, spec: MatchSpec,
+def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
                               n_max: int = 10_000) -> PointCountDistribution:
     """PMF of the number of points played in a match, truncated at ``n_max``.
 

@@ -115,7 +115,7 @@ def test_bofk_degenerate_endpoints():
 
 def test_bog_spec_validation():
     assert BestOfGamesSpec(5).tiebreak == "sttg"
-    assert BestOfGamesSpec(5).games_to_win == 6
+    assert BestOfGamesSpec(5).l == 5
     with pytest.raises(ValueError):
         BestOfGamesSpec(0)
     with pytest.raises(ValueError):

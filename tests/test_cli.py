@@ -20,7 +20,8 @@ import pytest
 from click.testing import CliRunner
 
 import deuce
-from deuce.cli import _round_sig, main
+from deuce import core
+from deuce.cli import _OPS, SYSTEM_KINDS, _round_sig, main
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
 from deuce.sets import set_win_prob, st_win_prob
 
@@ -134,6 +135,7 @@ def test_compute_csv_is_flat_key_value():
         (("efficiency", "wibble"), "wibble"),
         (("simulate", "game", "--p", "0.6", "--reps", "10", "--max-points", "50"),
          "--max-points"),
+        (("efficiency", "game", "--k", "9"), "--k"),            # applies to no system
     ],
 )
 def test_usage_errors_exit_2_and_name_the_flag(args, needle):
@@ -145,6 +147,40 @@ def test_usage_errors_exit_2_and_name_the_flag(args, needle):
 def test_unknown_system_is_a_usage_error():
     result = run_cli("compute", "quidditch", "--p", "0.5")
     assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+def test_kind_tables_agree():
+    assert SYSTEM_KINDS == tuple(core._KINDS)
+    assert tuple(_OPS) == SYSTEM_KINDS
+    (system,) = [p for p in main.commands["breakdown"].params if p.name == "system"]
+    assert set(system.type.choices) == {"game", "st", "set", "match"}
+
+
+@pytest.mark.parametrize("spec", [
+    core.SystemSpec("stt"),
+    core.SystemSpec("st", k=10),
+    core.SystemSpec("set"),
+    core.SystemSpec("match", k0=7, k1=10, q=2),
+    core.SystemSpec("bog", l=3, tiebreak="sg"),
+    core.SystemSpec("bog", l=3, tiebreak="sttg"),
+    core.SystemSpec("bog", l=3, tiebreak="sttp"),
+], ids=lambda spec: "-".join(str(v) for v in vars(spec).values() if v is not None))
+def test_one_table_entry_serves_scalars_and_grids(spec):
+    ops = _OPS[spec.kind]
+    coords = np.linspace(0.1, 0.9, 9)
+    grid = (coords[:, None], coords[None, :])
+    win = ops.win(spec, grid)
+    mean, var = ops.moments(spec, grid)
+    for i, pa in enumerate(coords):
+        for j, pb in enumerate(coords):
+            assert win[i, j] == ops.win(spec, (float(pa), float(pb)))
+            cell_mean, cell_var = ops.moments(spec, (float(pa), float(pb)))
+            assert mean[i, j] == pytest.approx(cell_mean, rel=1e-12, abs=0)
+            assert var[i, j] == pytest.approx(cell_var, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +289,13 @@ def test_grid_diff_and_log_ratio_compare_two_systems():
             assert values[i][j] == pytest.approx(expect, abs=1e-9)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_other_system_is_checked_whatever_the_quantity(fmt):
+    result = run_cli("grid", "st", "--other", "bofk", "--res", "3", "--format", fmt)
+    assert result.exit_code == 2
+    assert "--l is required for system 'bofk'" in diagnostics(result)
+
+
 def test_grid_json_lists_coordinates_and_values():
     record = run_json("grid", "stt", "--res", "5", "--format", "json")
     assert record["quantity"] == "win_prob"
@@ -303,6 +346,15 @@ def test_efficiency_many_systems_in_one_call():
     effs = {r["system"]["kind"]: v for r in record["reports"]
             for key, v in r.items() if key.startswith("Eff_")}
     assert effs["gt"] < effs["game"]
+
+
+def test_efficiency_pools_structure_flags_like_grid():
+    # --k applies to st and set only; stt takes none of the pool
+    pooled = run_json("efficiency", "stt", "st", "set", "--k", "7")
+    single = [run_json("efficiency", "stt")["reports"][0],
+              run_json("efficiency", "st", "--k", "7")["reports"][0],
+              run_json("efficiency", "set", "--k", "7")["reports"][0]]
+    assert pooled["reports"] == single
 
 
 def test_efficiency_non_convergent_prior_exits_4():

@@ -23,8 +23,8 @@ BO5 = MatchSpec(k0=7, k1=10, q=2)
 
 
 def test_match_spec_validation():
-    assert MatchSpec().sets_to_win == 3
-    assert MatchSpec(q=1).sets_to_win == 2
+    assert MatchSpec().q == 2
+    assert MatchSpec(q=1).q == 1
     with pytest.raises(ValueError):
         MatchSpec(k0=1)
     with pytest.raises(ValueError):

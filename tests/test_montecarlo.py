@@ -307,6 +307,16 @@ def test_bog_simulation_agrees_with_exact_process(tiebreak, seed):
     assert _z(s.std_points, math.sqrt(true_var), s.std_points_se) < 4.0
 
 
+@pytest.mark.parametrize("spec, system", [
+    (MatchSpec(7, 10, 2), SystemSpec("match", k0=7, k1=10, q=2)),
+    (BestOfGamesSpec(3, "sg"), SystemSpec("bog", l=3, tiebreak="sg")),
+])
+def test_public_specs_simulate_as_the_equal_system_spec(spec, system):
+    assert spec == system
+    config = SimConfig(system=spec, params=(0.6, 0.55), replications=10, seed=1)
+    assert simulate(config) == simulate(SimConfig(system, (0.6, 0.55), 10, 1))
+
+
 def test_sudden_game_coin_at_degenerate_servers():
     # pa = pb = 1 forces 4-point service games to the l-l tie, where the
     # coin-flipped sudden game decides: every match lasts exactly 4(2l+1)
