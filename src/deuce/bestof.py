@@ -10,8 +10,6 @@ advantage race (STTP).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
@@ -20,7 +18,10 @@ from .core import (
     SystemSpec,
     _check_count,
     _check_prob,
-    first_server_serves_game,
+    _mixture_moments,
+    _plain_split,
+    _scalar_or_array,
+    _ScoreRow,
     games_served_by_first_server,
     geometric_moments,
 )
@@ -39,60 +40,34 @@ __all__ = [
 def bofk_win_prob(p, l: int):
     """First player's chance in a raw best-of-(2l+1) points race.
 
-    Negative-binomial head form Σ_{j≤l} C(l+j, l) p^(l+1) q^j — identical to
-    the binomial majority Pr{B(2l+1, p) ≥ l+1}.
+    The race to l+1 points, ``sum_h C(l+h, l) p^(l+1) q^h`` over the final
+    scores, plus the l-all mass times p for the last point — identical to
+    the binomial majority Pr{B(2l+1, p) >= l+1}.
     """
     _check_count("l", l, minimum=1)
     p = np.asarray(_check_prob("p", p), dtype=float)
-    q = 1.0 - p
-    tail = np.zeros_like(p)
-    for j in range(l + 1):
-        tail = tail + math.comb(l + j, l) * q**j
-    out = p ** (l + 1) * tail
-    return float(out) if out.ndim == 0 else out
+    wins, tie = _plain_split(l, p, 0, p).race(l + 1)
+    return _scalar_or_array(sum(wins) + tie * p)
 
 
 def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     """Exact PMF of the race length: the support is finite, n in [l+1, 2l+1]."""
     _check_count("l", l, minimum=1)
     p = float(_check_prob("p", p))
-    q = 1.0 - p
-    support = []
-    m1 = m2 = 0.0
-    for n in range(l + 1, 2 * l + 2):
-        mass = math.comb(n - 1, l) * (
-            p ** (l + 1) * q ** (n - 1 - l) + q ** (l + 1) * p ** (n - 1 - l)
-        )
-        support.append((n, mass))
-        m1 += n * mass
-        m2 += n * n * mass
+    split = _plain_split(l, p, 0, p)
+    a_wins, tie = split.race(l + 1)
+    b_wins, _ = split.swapped().race(l + 1)
+    # from l all the next point ends the race, whoever takes it
+    rows = [_ScoreRow(x + y, l + 1 + h, False, l + 1 + h, 0.0)
+            for h, (x, y) in enumerate(zip(a_wins, b_wins))]
+    rows.append(_ScoreRow(tie, 2 * l + 1, False, 2 * l + 1, 0.0))
+    mean, var = _mixture_moments(rows)
     return PointCountDistribution(
-        support=tuple(support),
+        support=tuple((row.units, float(row.mass)) for row in rows),
         truncation_mass=0.0,
-        mean=m1,
-        variance=m2 - m1 * m1,
+        mean=float(mean),
+        variance=float(var),
     )
-
-
-def _bog_score_masses(split, l: int):
-    """Final-game-score masses (a_wins, b_wins, tie) of the best-of-games race.
-
-    ``split`` holds A's per-game tables, ``_game_split(pa, pb, l)``.
-    ``a_wins[b]`` is the chance A clinches (l+1, b): among the first l+b
-    games A takes l under the alternating serve split, then wins game l+1+b
-    from whichever serve slot that game falls on.  ``tie`` is the l-l mass.
-    """
-    a_wins, b_wins = [], []
-    for b in range(l):
-        played = l + b
-        ta = games_served_by_first_server(played)
-        last_on_a_serve = first_server_serves_game(l + 1 + b)
-        head_a = split.mass(ta, played - ta, l)
-        a_wins.append(head_a * (split.win1 if last_on_a_serve else split.win2))
-        head_b = split.mass(ta, played - ta, b)
-        b_wins.append(head_b * (split.loss1 if last_on_a_serve else split.loss2))
-    tie = split.mass(l, l, l)
-    return a_wins, b_wins, tie
 
 
 def _tie_win_prob(pa, pb, split, spec: SystemSpec):
@@ -165,29 +140,21 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
     l = spec.l
-    a_wins, b_wins, tie = _bog_score_masses(_game_split(pa, pb, l), l)
+    split = _game_split(pa, pb, l)
+    a_wins, tie = split.race(l + 1, games_served_by_first_server)
+    b_wins, _ = split.swapped().race(l + 1, games_served_by_first_server)
 
     def category(n_games):
         ta = games_served_by_first_server(n_games)
         tb = n_games - ta
         return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
 
-    mean = 0.0
-    second = 0.0
-    for b in range(l):
-        m, v = category(l + 1 + b)
-        prob = a_wins[b] + b_wins[b]
-        mean = mean + prob * m
-        second = second + prob * (v + m * m)
+    rows = [_ScoreRow(x + y, l + 1 + b, False, *category(l + 1 + b))
+            for b, (x, y) in enumerate(zip(a_wins, b_wins))]
     m_base, v_base = category(2 * l)
     m_extra, v_extra = _tie_extra_moments(
         pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b
     )
-    m_tie = m_base + m_extra
-    v_tie = v_base + v_extra
-    mean = mean + tie * m_tie
-    second = second + tie * (v_tie + m_tie * m_tie)
-    var = second - mean**2
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    rows.append(_ScoreRow(tie, 2 * l, True, m_base + m_extra, v_base + v_extra))
+    mean, var = _mixture_moments(rows)
+    return _scalar_or_array(mean), _scalar_or_array(var)

@@ -171,6 +171,10 @@ def _domain_errors(fn):
         except QuadratureError as exc:
             _echo(f"numerical failure: {exc}", err=True)
             sys.exit(4)
+        except OverflowError as exc:
+            _echo(f"numerical failure: {exc}; exact sums overflow past about 515 trials, "
+                  "and 'deuce simulate' accepts any target", err=True)
+            sys.exit(4)
 
     return wrapper
 

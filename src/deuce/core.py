@@ -6,7 +6,11 @@ of ingredients collected here:
 * serve-sequence bookkeeping for the ABBAABBAA... point rotation and the
   simple A,B,A,B,... game alternation,
 * the probability mass / tail of a sum of two independent binomials with
-  different success probabilities (serve-split sums),
+  different success probabilities (serve-split sums), and from them the
+  final-score masses of a race to a target (``_SplitPowers.race``), which
+  every layer reads,
+* the mixture over final scores that gives a layer's moments and its
+  breakdown table (``_ScoreRow``, ``_mixture_moments``, ``_breakdown``),
 * moments of the geometric distribution (two-point and two-game tie-breaker
   cycles are geometric in the number of cycles).
 
@@ -142,9 +146,17 @@ class _SplitPowers:
     that any read will use; no table is built longer.
 
     All four probabilities are validated once, here, when the tables are
-    built (each must lie in [0, 1]; NaN is rejected).  ``mass`` and ``tail``
-    read the tables without further checks, so one evaluation builds and
-    validates one set of tables however many terms it sums.
+    built (each must lie in [0, 1]; NaN is rejected).  ``mass``, ``tail``
+    and ``race`` read the tables without further checks, so one evaluation
+    builds and validates one set of tables however many terms it sums.
+
+    ``race`` is the one place that forms final-score masses: every layer's
+    race to a target (points of a tie-breaker, games of a set or a
+    best-of-games match, sets of a match, points of a best-of-K race) reads
+    them from here.  Each term carries its binomial coefficients as exact
+    integers, converted to float with the term; past about 515 trials of
+    one kind C(n, n/2) exceeds the float range and the sums raise
+    ``OverflowError``.
     """
 
     def __init__(self, n: int, win1, loss1, win2, loss2):
@@ -155,11 +167,12 @@ class _SplitPowers:
         # One allocation for all four tables (row [t, i] is x_t ** i): a few
         # large buffers are reused from the heap, where 4(n+1) separate
         # arrays per evaluation kept being returned and faulted in again.
+        # Each power is the one before times x, all four tables at a time.
         tables = np.empty((4, n + 1) + self.shape)
         tables[:, 0] = 1.0
-        for rows, x in zip(tables, (win1, loss1, win2, loss2)):
-            for i in range(1, n + 1):
-                np.multiply(rows[i - 1 : i], x, out=rows[i : i + 1])
+        x = np.stack(np.broadcast_arrays(win1, loss1, win2, loss2))
+        for i in range(1, n + 1):
+            np.multiply(tables[:, i - 1], x, out=tables[:, i])
         self._tables = tuple(tables)
 
     def swapped(self) -> _SplitPowers:
@@ -195,6 +208,26 @@ class _SplitPowers:
             total += term
         return _scalar_or_array(total)
 
+    def race(self, n: int, opener_units=lambda m: m):
+        """One player's final-score masses in a race to ``n`` units.
+
+        The tables are that player's (B's are ``.swapped()``), with trials of
+        the first kind on the units the race's opener serves, and
+        ``opener_units(m)`` counts those among units 1..m; the default gives
+        every unit the first kind.  Returns ``(wins, tie)``: ``wins[h]`` is
+        the chance the player takes the race n to h, for h = 0..n-2 (n-1 of
+        the first n+h-1 units, then unit n+h), and ``tie`` the chance of
+        reaching n-1 all, which each layer settles by its own rule.
+        """
+        wins = []
+        for h in range(n - 1):
+            played = n + h - 1
+            first = opener_units(played)
+            last = self.win1 if opener_units(played + 1) > first else self.win2
+            wins.append(self.mass(first, played - first, n - 1) * last)
+        first = opener_units(2 * n - 2)
+        return wins, self.mass(first, 2 * n - 2 - first, n - 1)
+
     def tail(self, n1: int, n2: int, k: int):
         """Pr{X + Y >= k} for the same pair of binomials.
 
@@ -223,7 +256,11 @@ class _SplitPowers:
 
 
 def _plain_split(n1: int, p1, n2: int, p2) -> _SplitPowers:
-    """Tables for the public serve-split sums, failures formed as 1 - p."""
+    """Tables for trials won with p1 and p2, failures formed as 1 - p.
+
+    These serve the public serve-split sums, and, as ``_plain_split(n, p, 0,
+    p)``, the races in which every unit has the same odds.
+    """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
     return _SplitPowers(max(n1, n2), p1, 1.0 - p1, p2, 1.0 - p2)
@@ -418,6 +455,28 @@ class ScoreBreakdown:
 
     def probability_total(self) -> float:
         return sum(r.p_total for r in self.rows)
+
+
+def _breakdown(label: str, scores, rows, win_prob) -> ScoreBreakdown:
+    """Summary table of a layer from its final scores.
+
+    ``scores`` holds (score label, loser's count, A's mass, B's mass) for
+    each shown row, in the order of the :class:`_ScoreRow` ``rows`` whose
+    conditional moments they carry.  Every row counts towards the overall
+    moments; a trailing row left out of ``scores`` (a tie that cannot be
+    reached) is not shown.
+    """
+    mean, var = _mixture_moments(rows)
+    return ScoreBreakdown(
+        rows=tuple(
+            BreakdownRow(score, loser, float(first), float(second), float(row.mean), float(row.var))
+            for (score, loser, first, second), row in zip(scores, rows)
+        ),
+        win_prob=float(win_prob),
+        mean=float(mean),
+        variance=float(var),
+        label=label,
+    )
 
 
 _TIEBREAKS = ("sg", "sttg", "sttp")

@@ -1,9 +1,10 @@
 """Best-of-(2Q+1)-sets match built on the set layer.
 
 Since who serves first in a set does not affect who wins it, the sequence of
-set winners is an i.i.d. coin with success theta_S; the match is a
-negative-binomial race to Q+1 set wins, except that the deciding set may use
-a different tie-breaker target (K1 instead of K0).  Every conditional
+set winners is an i.i.d. coin with success theta_S; the match is a race to
+Q+1 set wins in which every set has the same odds (``_SplitPowers.race``),
+except that the deciding set may use a different tie-breaker target (K1
+instead of K0).  Every conditional
 point-count moment is a sum of per-set moments, all computed with A opening
 service (changing the opener flips which player serves more, but that level
 of detail is not carried here — win probabilities are unaffected).
@@ -11,16 +12,15 @@ of detail is not carried here — win probabilities are unaffected).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BreakdownRow, MatchSpec, PointCountDistribution, ScoreBreakdown,
-                   SystemSpec, _check_count, _check_prob, _compose_length_law,
-                   _mixture_moments, _pmf_array, _ScoreRow)
-from .sets import (_game_split, _set_game_units, _set_head, _set_length_law,
-                   _set_rows, _set_win, _st_split, _stack_st, st_win_prob)
+from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
+                   _check_count, _check_prob, _compose_length_law, _mixture_moments,
+                   _plain_split, _pmf_array, _scalar_or_array, _ScoreRow)
+from .sets import (_game_split, _set_game_units, _set_head, _set_length_law, _set_rows,
+                   _set_win, _st_rows, _stack_st, st_win_prob, stt_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -58,36 +58,42 @@ def _theta_pair(pa, pb, spec: SystemSpec, split):
     ``split`` holds A's per-game tables.  Only the tie-breaker depends on the
     target, so the rest of the set is evaluated once for both.
     """
-    head, p66 = _set_head(pa, pb, split)
+    head, _, p66 = _set_head(pa, pb, split)
+    head = sum(head)
     return _per_k(lambda pa, pb, k: _set_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
 
 
-def _set_moments_pair(pa, pb, spec: SystemSpec, split):
-    """(set moments at k0, set moments at k1) from one evaluation of the set rows.
+def _set_pair(pa, pb, spec: SystemSpec, split):
+    """((theta, rows, ST rows) at k0, the same at k1) from one evaluation of the set.
 
-    Only the 7-6 row's tie-breaker depends on the target, so the other rows
-    and the game tables in ``split`` serve both.
+    ``split`` holds A's per-game tables.  ``rows`` are the set's final-score
+    rows with that target's ST stacked (:func:`_stack_st`).  Only the 7-6
+    row's tie-breaker depends on the target, so A's set race, which gives
+    both the rows and the head of theta, serves both targets, and each
+    target's ST race gives both its theta and its rows.
     """
-    rows = _set_rows(pa, pb, split)
+    scores, rows = _set_rows(pa, pb, split)
+    head = sum(first for _, _, first, _ in scores)
 
-    def moments(pa, pb, k):
-        return _mixture_moments(_stack_st(rows, pa, pb, k, _st_split(pa, pb, k)))
+    def at(pa, pb, k):
+        st_wins, _, st_rows = _st_rows(pa, pb, k)
+        theta_st = sum(st_wins) + st_rows[-1].mass * stt_win_prob(pa, pb)
+        return _set_win(head, rows[-1].mass, theta_st), _stack_st(rows, st_rows), st_rows
 
-    return _per_k(moments, pa, pb, spec)
+    return _per_k(at, pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
-    transient = {
-        (a, b): math.comb(a + b, a) * theta0**a * (1.0 - theta0) ** b
-        for a in range(q + 1)
-        for b in range(q + 1)
-    }
+    sets = _plain_split(q, theta0, 0, theta0)
+    a_wins, tie = sets.race(q + 1)
+    b_wins, _ = sets.swapped().race(q + 1)
+    transient = {(a, b): sets.mass(a + b, 0, a) for a in range(q + 1) for b in range(q + 1)}
     absorbing = {}
     for b in range(q):
-        absorbing[(q + 1, b)] = transient[(q, b)] * theta0
-        absorbing[(b, q + 1)] = transient[(b, q)] * (1.0 - theta0)
-    absorbing[(q + 1, q)] = transient[(q, q)] * theta1
-    absorbing[(q, q + 1)] = transient[(q, q)] * (1.0 - theta1)
+        absorbing[(q + 1, b)] = a_wins[b]
+        absorbing[(b, q + 1)] = b_wins[b]
+    absorbing[(q + 1, q)] = tie * theta1
+    absorbing[(q, q + 1)] = tie * (1.0 - theta1)
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
 
 
@@ -103,13 +109,9 @@ def match_set_jpmf(pa: float, pb: float, spec: SystemSpec) -> SetScoreJPMF:
     return _set_score_jpmf(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
 
 
-def _match_win(theta0, theta1, q: int):
-    theta0 = np.asarray(theta0, dtype=float)
-    out = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q * theta1
-    for b in range(q):
-        out = out + math.comb(q + b, b) * theta0 ** (q + 1) * (1.0 - theta0) ** b
-    out = np.minimum(out, 1.0)
-    return float(out) if out.ndim == 0 else out
+def _match_win(wins, tie, theta1):
+    """Match win probability from A's race over sets and the decider's theta."""
+    return _scalar_or_array(np.minimum(sum(wins) + tie * theta1, 1.0))
 
 
 def match_win_prob(pa, pb, spec: SystemSpec):
@@ -125,7 +127,8 @@ def match_win_prob(pa, pb, spec: SystemSpec):
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    return _match_win(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
+    theta0, theta1 = _theta_pair(pa, pb, spec, _game_split(pa, pb))
+    return _match_win(*_plain_split(spec.q, theta0, 0, theta0).race(spec.q + 1), theta1)
 
 
 def _match_rows(theta0, q: int, set0, set1) -> list:
@@ -135,17 +138,13 @@ def _match_rows(theta0, q: int, set0, set1) -> list:
     (q+1, b) with b < q plays q+1+b sets at k0; the full-length score plays
     2q at k0 and stacks the k1 decider.  Per-set moments add.
     """
-    theta0 = np.asarray(theta0, dtype=float)
+    sets = _plain_split(q, theta0, 0, theta0)
+    a_wins, tie = sets.race(q + 1)
+    b_wins, _ = sets.swapped().race(q + 1)
     (mu0, var0), (mu1, var1) = set0, set1
-    rows = []
-    for b in range(q):
-        prob = math.comb(q + b, b) * (
-            theta0 ** (q + 1) * (1.0 - theta0) ** b
-            + (1.0 - theta0) ** (q + 1) * theta0**b
-        )
-        rows.append(_ScoreRow(prob, q + 1 + b, False, (q + 1 + b) * mu0, (q + 1 + b) * var0))
-    prob_full = math.comb(2 * q, q) * theta0**q * (1.0 - theta0) ** q
-    rows.append(_ScoreRow(prob_full, 2 * q, True, 2 * q * mu0 + mu1, 2 * q * var0 + var1))
+    rows = [_ScoreRow(x + y, q + 1 + b, False, (q + 1 + b) * mu0, (q + 1 + b) * var0)
+            for b, (x, y) in enumerate(zip(a_wins, b_wins))]
+    rows.append(_ScoreRow(tie, 2 * q, True, 2 * q * mu0 + mu1, 2 * q * var0 + var1))
     return rows
 
 
@@ -157,50 +156,31 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     Per-set moments add (sets are independent), and the mixture over the
     final score combines by the iterated expectation/variance rules.
 
-    The set layer is evaluated once per call: one set of game tables, one
-    set of rows that the tie-breaker target does not change, and only the
-    tie-breaker itself per target.  Only the non-deciding set's win
-    probability is needed.
+    The set layer is evaluated once per call (:func:`_set_pair`): one set of
+    game tables, one set race for both players, and one tie-breaker race per
+    player and target.
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    split = _game_split(pa, pb)
-    theta0 = _set_win(*_set_head(pa, pb, split), st_win_prob(pa, pb, spec.k0))
-    rows = _match_rows(theta0, spec.q, *_set_moments_pair(pa, pb, spec, split))
+    (theta0, set0, _), (_, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    rows = _match_rows(theta0, spec.q, _mixture_moments(set0), _mixture_moments(set1))
     mean, var = _mixture_moments(rows)
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    return _scalar_or_array(mean), _scalar_or_array(var)
 
 
 def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    split = _game_split(pa, pb)
-    theta0, theta1 = _theta_pair(pa, pb, spec, split)
+    (theta0, set0, _), (theta1, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
     q = spec.q
-    jpmf = _set_score_jpmf(theta0, theta1, q)
-    score_rows = _match_rows(theta0, q, *_set_moments_pair(pa, pb, spec, split))
-    rows = tuple(
-        BreakdownRow(
-            score=f"{q + 1}-{b}",
-            loser_score=b,
-            p_first_wins=jpmf.absorbing[(q + 1, b)],
-            p_second_wins=jpmf.absorbing[(b, q + 1)],
-            cond_mean=float(row.mean),
-            cond_var=float(row.var),
-        )
-        for b, row in enumerate(score_rows)
-    )
-    mean, var = _mixture_moments(score_rows)
-    return ScoreBreakdown(
-        rows=rows,
-        win_prob=_match_win(theta0, theta1, q),
-        mean=float(mean),
-        variance=float(var),
-        label="match",
-    )
+    sets = _plain_split(q, theta0, 0, theta0)
+    a_wins, tie = sets.race(q + 1)
+    b_wins, _ = sets.swapped().race(q + 1)
+    scores = [(f"{q + 1}-{b}", b, x, y) for b, (x, y) in enumerate(zip(a_wins, b_wins))]
+    scores.append((f"{q + 1}-{q}", q, tie * theta1, tie * (1.0 - theta1)))
+    rows = _match_rows(theta0, q, _mixture_moments(set0), _mixture_moments(set1))
+    return _breakdown("match", scores, rows, _match_win(a_wins, tie, theta1))
 
 
 def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
@@ -223,13 +203,10 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
-    split = _game_split(pa, pb)
-    set_rows = _set_rows(pa, pb, split)
     games = _set_game_units(pa, pb)
-    set0, set1 = _per_k(
-        lambda pa, pb, k: _set_length_law(pa, pb, k, n_max, set_rows, games), pa, pb, spec
-    )
-    theta0 = _set_win(*_set_head(pa, pb, split), st_win_prob(pa, pb, spec.k0))
+    (theta0, *rows0), (_, *rows1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    set0 = _set_length_law(pa, pb, n_max, games, *rows0)
+    set1 = set0 if spec.k1 == spec.k0 else _set_length_law(pa, pb, n_max, games, *rows1)
     rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance), (set1.mean, set1.variance))
     return _compose_length_law(
         [_pmf_array(set0.support)] * (2 * spec.q), _pmf_array(set1.support), rows, n_max

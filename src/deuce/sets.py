@@ -1,24 +1,29 @@
 """Alternating-server subsystem: set tie-breaker, its tie-breaker, and the set.
 
-Three nested layers share one mechanism — a race to a target with serve-split
-binomial sums:
+Each layer is a race to a target, settled at n-1 all by a rule of its own.
+``_SplitPowers.race`` reads each player's final-score masses from that
+player's per-unit tables, and a layer passes only how the race's opener
+serves:
 
 * STT: at (K-1, K-1) points the set tie-breaker continues in pairs of points
   (one serve each) until someone sweeps a pair; the pair count is geometric
   with success probability pA*qB + qA*pB.
-* ST: first to K points, serve rotation ABBAABB...; the probability of any
-  final score is a binomial-convolution mass over the A-serve/B-serve split,
-  times the winner taking the final point.
-* Set: first to six games with a margin of two (7-5 possible), games
-  alternating servers; at 6-6 the ST decides.  The algebra is the ST's with
-  points replaced by games, K by 6, and the serve split by the strict
-  alternation.
+* ST: first to K points, serve rotation ABBAABB... (units served by the
+  opener: ``serves_by_first_server``); at K-1 all the STT decides.
+* Set: first to six games, games alternating servers
+  (``games_served_by_first_server``); at five games all, games 11 and 12
+  give 7-5 or 6-6, and at 6-6 the ST decides.
 
-Point-count moments condition on the final score.  Within an ST all score
-durations are fixed or winner-independent, so its moments are exact; at set
-level a game's length is treated as exchangeable with its winner, which is the
-usual summary-decomposition convention (the exact-process variance differs in
-the third significant figure — see the tests for a quantified comparison).
+Moments and breakdowns weight the final scores by the Theorem of Total
+Probability: each layer lists :class:`~deuce.core._ScoreRow`s for
+``_mixture_moments`` and ``_breakdown``.  Within an ST all score durations
+are fixed or winner-independent, so its moments are exact; at set level a
+game's length is treated as exchangeable with its winner, which is the usual
+summary-decomposition convention (the exact-process variance differs in the
+third significant figure — see the tests for a quantified comparison).
+
+Exact sums stay within the float range up to about 515 trials of one kind
+(see :class:`~deuce.core._SplitPowers`).
 """
 
 from __future__ import annotations
@@ -26,20 +31,19 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    BreakdownRow,
     NonTerminatingError,
     PointCountDistribution,
     ScoreBreakdown,
+    _breakdown,
     _check_count,
     _check_prob,
     _compose_length_law,
     _mixture_moments,
     _pmf_array,
+    _scalar_or_array,
     _ScoreRow,
     _SplitPowers,
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
-    first_server_on_point,
-    first_server_serves_game,
     games_served_by_first_server,
     geometric_moments,
     serves_by_first_server,
@@ -68,15 +72,14 @@ def _decisive_pair_prob(pa, pb):
     return pa * (1.0 - pb) + (1.0 - pa) * pb
 
 
-def _require_terminating(pa, pb) -> None:
-    """Reject the degenerate pairs (0,0) and (1,1).
+def _require_terminating(pa, pb, reach=1.0) -> None:
+    """Reject the degenerate pairs (0,0) and (1,1) where the STT is reached.
 
     For those the STT continues forever: every pair of points splits 1-1 with
-    probability one.  Callers invoke this only on paths where the tie-breaker
-    is reachable with positive probability.
+    probability one.  ``reach`` is the mass reaching the tie-breaker, which
+    broadcasts with the pairs; a pair fails only where it is positive.
     """
-    eta = _decisive_pair_prob(pa, pb)
-    if np.any(eta == 0.0):
+    if np.any((np.asarray(reach) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
         raise NonTerminatingError(
             "non-terminating tie-breaker: pA and pB both 0 or both 1 make every "
             "point pair split 1-1, so the two-point-advantage race never resolves"
@@ -149,39 +152,6 @@ def _st_split(pa, pb, k: int) -> _SplitPowers:
     return _SplitPowers(k - 1, pa, 1.0 - pa, 1.0 - pb, pb)
 
 
-def _st_score_prob(split: _SplitPowers, k: int, h: int):
-    """Probability one player takes the set tie-breaker K points to h.
-
-    ``split`` holds that player's per-point tables (see :func:`_st_split`).
-    Of the first K+h-1 points the player must win K-1, split across the
-    serve counts of the ABBA rotation, then take point K+h.
-    """
-    n = k + h - 1
-    sa = serves_by_first_server(n)
-    last = split.win1 if first_server_on_point(k + h) else split.win2
-    return split.mass(sa, n - sa, k - 1) * last
-
-
-def _st_tie_prob(split: _SplitPowers, k: int):
-    """Probability the set tie-breaker reaches K-1 points all.
-
-    The ABBA rotation splits the first 2(K-1) points evenly, so this is the
-    convolution mass Pr{B(K-1, pA) + B(K-1, qB) = K-1}, read from either
-    player's tables.
-    """
-    return split.mass(k - 1, k - 1, k - 1)
-
-
-def _st_win(split: _SplitPowers, k: int, tie, stt):
-    """One player's K-point ST win probability from that player's tables.
-
-    ``split`` holds the player's per-point tables (A's from :func:`_st_split`,
-    B's its ``.swapped()``), ``tie`` the mass reaching K-1 points all and
-    ``stt`` the player's STT win probability.
-    """
-    return sum(_st_score_prob(split, k, h) for h in range(k - 1)) + tie * stt
-
-
 def st_win_prob(pa, pb, k: int):
     """First player's probability of winning a K-point set tie-breaker.
 
@@ -198,73 +168,56 @@ def st_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    split = _st_split(pa, pb, k)
-    tie = _st_tie_prob(split, k)
-    if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (tie > 0.0)):
-        _require_terminating(pa, pb)
-    out = _st_win(split, k, tie, stt_win_prob(pa, pb))
-    return float(out) if np.asarray(out).ndim == 0 else out
+    wins, tie = _st_split(pa, pb, k).race(k, serves_by_first_server)
+    _require_terminating(pa, pb, tie)
+    return _scalar_or_array(sum(wins) + tie * stt_win_prob(pa, pb))
 
 
-def _st_points_moments(pa, pb, k: int, a: _SplitPowers):
-    """(mean, variance) of the ST point count, by conditioning on the final score.
+def _st_rows(pa, pb, k: int):
+    """(A's wins, B's wins, final-score rows) of a K-point set tie-breaker.
 
-    ``a`` holds A's per-point tables (see :func:`_st_split`).  Scores (K,h)
-    and (h,K) pin the count at K+h exactly; the tie branch costs 2(K-1)
-    points plus twice a geometric pair count.  Mean and variance then follow
-    from the laws of total expectation and total variance — the variance
-    inside every non-tie category is zero, so only the tie's geometric
-    variance and the spread of the category means contribute.
+    ``wins[h]`` is the player's mass on the score K-h (see
+    :meth:`_SplitPowers.race`).  Scores K-h and h-K pin the count at K+h
+    exactly; the last row, K-1 all, costs 2(K-1) points plus twice a
+    geometric pair count, and its mass is A's tie.
     """
-    b = a.swapped()
-    tie = _st_tie_prob(a, k)
+    a = _st_split(pa, pb, k)
+    a_wins, tie = a.race(k, serves_by_first_server)
+    _require_terminating(pa, pb, tie)
+    b_wins, _ = a.swapped().race(k, serves_by_first_server)
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    tie_mean = 2.0 * (k - 1) + 2.0 * g_mean
-    tie_var = 4.0 * g_var
-    mean = tie * tie_mean
-    second = tie * tie_mean**2
-    for h in range(k - 1):
-        prob = _st_score_prob(a, k, h) + _st_score_prob(b, k, h)
-        mean = mean + (k + h) * prob
-        second = second + (k + h) ** 2 * prob
-    var = second - mean**2 + tie * tie_var
-    return mean, var
+    rows = [_ScoreRow(x + y, k + h, False, k + h, 0.0)
+            for h, (x, y) in enumerate(zip(a_wins, b_wins))]
+    rows.append(_ScoreRow(tie, 2 * k - 2, True, 2.0 * (k - 1) + 2.0 * g_mean, 4.0 * g_var))
+    return a_wins, b_wins, rows
 
 
 def st_points_moments(pa, pb, k: int):
-    """Exact (mean, variance) of the number of points in a K-point set tie-breaker."""
+    """Exact (mean, variance) of the number of points in a K-point set tie-breaker.
+
+    Every non-tie score pins the count, so only the tie's geometric variance
+    and the spread of the score means contribute (:func:`_mixture_moments`).
+    """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    split = _st_split(pa, pb, k)
-    tie = _st_tie_prob(split, k)
-    if np.any((_decisive_pair_prob(pa, pb) == 0.0) & (np.asarray(tie) > 0.0)):
-        _require_terminating(pa, pb)
-    mean, var = _st_points_moments(pa, pb, k, split)
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    mean, var = _mixture_moments(_st_rows(pa, pb, k)[2])
+    return _scalar_or_array(mean), _scalar_or_array(var)
 
 
-def _st_support(pa: float, pb: float, k: int, a: _SplitPowers, n_max: int) -> list:
-    """(n, mass) pairs of the ST point count up to ``n_max``, from A's tables ``a``.
+def _st_support(pa: float, pb: float, rows: list, n_max: int) -> list:
+    """(n, mass) pairs of the ST point count up to ``n_max``, from :func:`_st_rows`.
 
     Mass at n in [K, 2K-2] comes from the direct scores (K, n-K) and (n-K, K);
     mass at even n >= 2K is the tie probability times the geometric STT
     landing on pair (n - 2K + 2)/2.
     """
-    b = a.swapped()
-    tie = _st_tie_prob(a, k)
-    support = [
-        (n, _st_score_prob(a, k, n - k) + _st_score_prob(b, k, n - k))
-        for n in range(k, 2 * k - 1)
-    ]
+    *scores, tie = rows
+    support = [(row.units, row.mass) for row in scores]
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    lengths = range(2 * k, n_max + 1, 2)
-    support.extend(zip(lengths, _geometric_tail(tie * eta, 1.0 - eta, len(lengths))))
+    lengths = range(tie.units + 2, n_max + 1, 2)
+    support.extend(zip(lengths, _geometric_tail(tie.mass * eta, 1.0 - eta, len(lengths))))
     return support
 
 
@@ -279,15 +232,13 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    split = _st_split(pa, pb, k)
-    tie = _st_tie_prob(split, k)
-    if tie > 0.0:
-        _require_terminating(pa, pb)
+    rows = _st_rows(pa, pb, k)[2]
+    tie = rows[-1].mass
     rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
     residual = tie * rho ** ((n_max - (2 * k - 2)) // 2) if tie > 0.0 else 0.0
-    mean, var = _st_points_moments(pa, pb, k, split)
+    mean, var = _mixture_moments(rows)
     return PointCountDistribution(
-        support=tuple(_st_support(pa, pb, k, split, n_max)),
+        support=tuple(_st_support(pa, pb, rows, n_max)),
         truncation_mass=float(residual),
         mean=float(mean),
         variance=float(var),
@@ -299,46 +250,13 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    qa, qb = 1.0 - pa, 1.0 - pb
-    a = _st_split(pa, pb, k)
-    b = a.swapped()
-    tie = _st_tie_prob(a, k)
-    if tie > 0.0:
-        _require_terminating(pa, pb)
-    rows = []
-    for h in range(k - 1):
-        rows.append(
-            BreakdownRow(
-                score=f"{k}-{h}",
-                loser_score=h,
-                p_first_wins=float(_st_score_prob(a, k, h)),
-                p_second_wins=float(_st_score_prob(b, k, h)),
-                cond_mean=float(k + h),
-                cond_var=0.0,
-            )
-        )
+    a_wins, b_wins, rows = _st_rows(pa, pb, k)
+    tie = rows[-1].mass
+    scores = [(f"{k}-{h}", h, x, y) for h, (x, y) in enumerate(zip(a_wins, b_wins))]
     theta_stt = stt_win_prob(pa, pb)
     if tie > 0.0:
-        eta = pa * qb + qa * pb
-        g_mean, g_var = geometric_moments(eta)
-        rows.append(
-            BreakdownRow(
-                score="TB",
-                loser_score=None,
-                p_first_wins=float(tie * theta_stt),
-                p_second_wins=float(tie * stt_win_prob(pb, pa)),
-                cond_mean=float(2 * (k - 1) + 2.0 * g_mean),
-                cond_var=float(4.0 * g_var),
-            )
-        )
-    mean, var = _st_points_moments(pa, pb, k, a)
-    return ScoreBreakdown(
-        rows=tuple(rows),
-        win_prob=float(_st_win(a, k, tie, theta_stt)),
-        mean=float(mean),
-        variance=float(var),
-        label="st",
-    )
+        scores.append(("TB", None, tie * theta_stt, tie * stt_win_prob(pb, pa)))
+    return _breakdown("st", scores, rows, sum(a_wins) + tie * theta_stt)
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -358,39 +276,28 @@ def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
                         game_win_prob(np.subtract(1.0, pb)), game_win_prob(pb))
 
 
-def _set_score_prob(split: _SplitPowers, h: int):
-    """Probability one player takes the set six games to h (h = 0..4).
-
-    ``split`` holds that player's per-game tables (see :func:`_game_split`).
-    Five of the first 5+h games must go to the player, split across the
-    alternation, then game 6+h closes it out.
-    """
-    g = 5 + h
-    ta = games_served_by_first_server(g)
-    last = split.win1 if first_server_serves_game(6 + h) else split.win2
-    return split.mass(ta, g - ta, 5) * last
+def _set_tie_share(split: _SplitPowers):
+    """Probability that games 11 and 12 split one each, so 5-5 goes on to 6-6."""
+    return split.win1 * split.loss2 + split.loss1 * split.win2
 
 
 def _set_head(pa, pb, split: _SplitPowers):
-    """(A's mass on the scores 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
+    """(A's masses on 6-0 .. 6-4 and 7-5, the mass reaching 5-5, the mass reaching 6-6).
 
-    ``split`` holds A's per-game tables (see :func:`_game_split`).  This is
-    the part of a set win probability that the tie-breaker target does not
-    change, so a match evaluates it once for both of its targets.
+    ``split`` holds A's per-game tables (see :func:`_game_split`).  None of
+    this depends on the tie-breaker target, so a match evaluates it once for
+    both of its targets.
     """
-    head = sum(_set_score_prob(split, h) for h in range(5))
-    reach_55 = split.mass(5, 5, 5)
-    p75 = reach_55 * split.win1 * split.win2
+    wins, reach_55 = split.race(_SET_TARGET, games_served_by_first_server)
     p66 = reach_55 * _set_tie_share(split)
-    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
-        _require_terminating(pa, pb)
-    return head + p75, p66
+    _require_terminating(pa, pb, p66)
+    return wins + [reach_55 * split.win1 * split.win2], reach_55, p66
 
 
 def _set_win(head, p66, theta_st):
-    """Set win probability from :func:`_set_head` and the tie-breaker's win probability."""
-    out = np.minimum(head + p66 * theta_st, 1.0)
-    return float(out) if out.ndim == 0 else out
+    """Set win probability from A's mass on the outright scores, the mass
+    reaching 6-6 and the tie-breaker's win probability."""
+    return _scalar_or_array(np.minimum(head + p66 * theta_st, 1.0))
 
 
 def set_win_prob(pa, pb, k: int):
@@ -407,23 +314,24 @@ def set_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    return _set_win(*_set_head(pa, pb, _game_split(pa, pb)), st_win_prob(pa, pb, k))
+    head, _, p66 = _set_head(pa, pb, _game_split(pa, pb))
+    return _set_win(sum(head), p66, st_win_prob(pa, pb, k))
 
 
-def _set_tie_share(split: _SplitPowers):
-    """Probability that games 11 and 12 split one each, so 5-5 goes on to 6-6."""
-    return split.win1 * split.loss2 + split.loss1 * split.win2
+def _set_rows(pa, pb, a: _SplitPowers):
+    """(scores, rows) of a set's final scores, before the tie-breaker.
 
-
-def _set_rows(pa, pb, a: _SplitPowers) -> list:
-    """Final-score rows 6-0 .. 6-4, 7-5, 7-6 of a set, both winners merged.
-
-    ``a`` holds A's per-game tables.  A score with g games plays g
-    alternating-server games, and row moments add per-game moments.  None of
-    this depends on the tie-breaker target, so the 7-6 row holds only its
-    twelve games; :func:`_stack_st` puts the ST of a given target on top.
+    ``a`` holds A's per-game tables.  ``scores`` lists 6-0 .. 6-4 and 7-5 as
+    (score, loser's games, A's mass, B's mass); ``rows`` merges both winners
+    for those and adds 7-6.  A score with g games plays g alternating-server
+    games, and row moments add per-game moments.  None of this depends on
+    the tie-breaker target, so the 7-6 row holds only its twelve games;
+    :func:`_stack_st` puts the ST of a given target on top.
     """
+    a_wins, reach_55, p66 = _set_head(pa, pb, a)
     b = a.swapped()
+    b_wins, _ = b.race(_SET_TARGET, games_served_by_first_server)
+    b_wins.append(reach_55 * b.win1 * b.win2)
     mu_a, var_a = game_points_moments(pa)
     mu_b, var_b = game_points_moments(pb)
 
@@ -432,28 +340,22 @@ def _set_rows(pa, pb, a: _SplitPowers) -> list:
         tb = games - ta
         return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
 
-    reach_55 = a.mass(5, 5, 5)
-    p66 = reach_55 * _set_tie_share(a)
-    if np.any((np.asarray(p66) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
-        _require_terminating(pa, pb)
-    rows = []
-    for h in range(5):
-        prob = _set_score_prob(a, h) + _set_score_prob(b, h)
-        rows.append(_ScoreRow(prob, 6 + h, False, *games_moments(6 + h)))
+    scores = [(f"6-{h}", h, a_wins[h], b_wins[h]) for h in range(5)]
+    scores.append(("7-5", 5, a_wins[5], b_wins[5]))
+    rows = [_ScoreRow(a_wins[h] + b_wins[h], 6 + h, False, *games_moments(6 + h))
+            for h in range(5)]
     p75 = reach_55 * (a.win1 * a.win2 + b.win1 * b.win2)
     m12, v12 = games_moments(12)
     rows.append(_ScoreRow(p75, 12, False, m12, v12))
     rows.append(_ScoreRow(p66, 12, True, m12, v12))
-    return rows
+    return scores, rows
 
 
-def _stack_st(rows: list, pa, pb, k: int, st: _SplitPowers) -> list:
-    """:func:`_set_rows` with a K-point ST stacked on the 7-6 row's twelve games.
-
-    ``st`` holds A's per-point tables of that ST (see :func:`_st_split`).
-    """
+def _stack_st(rows: list, st_rows: list) -> list:
+    """:func:`_set_rows`' rows with an ST (its :func:`_st_rows`) stacked on the
+    7-6 row's twelve games."""
     *head, tie = rows
-    st_mean, st_var = _st_points_moments(pa, pb, k, st)
+    st_mean, st_var = _mixture_moments(st_rows)
     return head + [tie._replace(mean=tie.mean + st_mean, var=tie.var + st_var)]
 
 
@@ -468,13 +370,9 @@ def set_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    rows = _stack_st(_set_rows(pa, pb, _game_split(pa, pb)), pa, pb, k, _st_split(pa, pb, k))
-    mean, var = _mixture_moments(rows)
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
+    mean, var = _mixture_moments(_stack_st(rows, _st_rows(pa, pb, k)[2]))
+    return _scalar_or_array(mean), _scalar_or_array(var)
 
 
 def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
@@ -487,39 +385,14 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    a = _game_split(pa, pb)
-    b = a.swapped()
-    st = _st_split(pa, pb, k)
-    score_rows = _stack_st(_set_rows(pa, pb, a), pa, pb, k, st)
-    reach_55 = a.mass(5, 5, 5)
-    # (score, loser's games, A's mass, B's mass); the 7-6 row only when reachable
-    splits = [(f"6-{h}", h, _set_score_prob(a, h), _set_score_prob(b, h)) for h in range(5)]
-    splits.append(("7-5", 5, reach_55 * a.win1 * a.win2, reach_55 * b.win1 * b.win2))
-    p66 = score_rows[-1].mass
-    tie = _st_tie_prob(st, k)
-    theta_st = _st_win(st, k, tie, stt_win_prob(pa, pb))
-    if p66 > 0.0:
-        theta_st_b = _st_win(st.swapped(), k, tie, stt_win_prob(pb, pa))
-        splits.append(("7-6", 6, p66 * theta_st, p66 * theta_st_b))
-    rows = tuple(
-        BreakdownRow(
-            score=score,
-            loser_score=loser,
-            p_first_wins=float(first),
-            p_second_wins=float(second),
-            cond_mean=float(row.mean),
-            cond_var=float(row.var),
-        )
-        for (score, loser, first, second), row in zip(splits, score_rows)
-    )
-    mean, var = _mixture_moments(score_rows)
-    return ScoreBreakdown(
-        rows=rows,
-        win_prob=_set_win(sum(first for _, _, first, _ in splits[:6]), p66, theta_st),
-        mean=float(mean),
-        variance=float(var),
-        label="set",
-    )
+    scores, rows = _set_rows(pa, pb, _game_split(pa, pb))
+    st_a, st_b, st_rows = _st_rows(pa, pb, k)
+    tie, p66 = st_rows[-1].mass, rows[-1].mass
+    theta_st = sum(st_a) + tie * stt_win_prob(pa, pb)
+    win = _set_win(sum(first for _, _, first, _ in scores), p66, theta_st)
+    if p66 > 0.0:  # the 7-6 row only when reachable
+        scores.append(("7-6", 6, p66 * theta_st, p66 * (sum(st_b) + tie * stt_win_prob(pb, pa))))
+    return _breakdown("set", scores, _stack_st(rows, st_rows), win)
 
 
 def _set_game_units(pa: float, pb: float) -> list:
@@ -529,12 +402,12 @@ def _set_game_units(pa: float, pb: float) -> list:
     return [game_a, game_b] * _SET_TARGET
 
 
-def _set_length_law(pa: float, pb: float, k: int, n_max: int, rows: list,
-                    games) -> PointCountDistribution:
-    """Set length law from :func:`_set_rows` and game-length units already in hand."""
-    st = _st_split(pa, pb, k)
-    return _compose_length_law(games, _pmf_array(_st_support(pa, pb, k, st, n_max)),
-                               _stack_st(rows, pa, pb, k, st), n_max)
+def _set_length_law(pa: float, pb: float, n_max: int, games, rows: list,
+                    st_rows: list) -> PointCountDistribution:
+    """Set length law from game-length units, the set's rows with the ST
+    stacked (:func:`_stack_st`) and the ST's own rows (:func:`_st_rows`)."""
+    return _compose_length_law(games, _pmf_array(_st_support(pa, pb, st_rows, n_max)),
+                               rows, n_max)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -556,5 +429,7 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    return _set_length_law(pa, pb, k, n_max, _set_rows(pa, pb, _game_split(pa, pb)),
-                           _set_game_units(pa, pb))
+    rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
+    st_rows = _st_rows(pa, pb, k)[2]
+    return _set_length_law(pa, pb, n_max, _set_game_units(pa, pb), _stack_st(rows, st_rows),
+                           st_rows)

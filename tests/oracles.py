@@ -620,6 +620,41 @@ def st_outcome_exact(pa: float, pb: float, k: int) -> tuple[Fraction, Fraction, 
     return a_wins, b_wins, tie
 
 
+def race_outcome_exact(
+    odds: tuple[float, float, float, float], n: int, opener_serves
+) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """(A's wins by loser's count, B's wins by loser's count, n-1 all reached).
+
+    A race to ``n`` units, walked score by score in rational arithmetic.
+    ``odds`` are A's (win, loss) on a unit the opener serves, then on one the
+    other player serves, exact for the floats given; ``opener_serves(m)``
+    says whether the opener serves unit m.  The walk stops at n units or at
+    n-1 all.
+    """
+    win1, loss1, win2, loss2 = map(Fraction, odds)
+    a_wins = [Fraction(0)] * (n - 1)
+    b_wins = [Fraction(0)] * (n - 1)
+    tie = Fraction(0)
+    states = {(0, 0): Fraction(1)}
+    m = 0
+    while states:
+        m += 1
+        win, loss = (win1, loss1) if opener_serves(m) else (win2, loss2)
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a, b), prob in states.items():
+            for na, nb, w in ((a + 1, b, win), (a, b + 1, loss)):
+                if (na, nb) == (n - 1, n - 1):
+                    tie += prob * w
+                elif na == n:
+                    a_wins[nb] += prob * w
+                elif nb == n:
+                    b_wins[na] += prob * w
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + prob * w
+        states = nxt
+    return a_wins, b_wins, tie
+
+
 def set_score_probs_dp(pa: float, pb: float) -> dict[tuple[int, int], float]:
     """Final set-score probabilities by an exact game-score walk, 6-6 kept as one state.
 

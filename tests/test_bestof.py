@@ -11,7 +11,6 @@ from scipy.stats import binom
 import oracles
 from deuce.bestof import (
     BestOfGamesSpec,
-    _bog_score_masses,
     bofk_points_distribution,
     bofk_win_prob,
     bog_match_points_moments,
@@ -131,7 +130,8 @@ def test_bog_score_partition_and_head_identity():
             pa, pb = rng.uniform(0.05, 0.95, size=2)
             split = _game_split(pa, pb, l)
             wa, wb = split.win1, split.win2
-            a_wins, b_wins, tie = _bog_score_masses(split, l)
+            a_wins, tie = split.race(l + 1, games_served_by_first_server)
+            b_wins, _ = split.swapped().race(l + 1, games_served_by_first_server)
             assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-12)
             assert sum(a_wins) == pytest.approx(
                 binomial_convolution_tail(l, wa, l, wb, l + 1), abs=1e-12
@@ -157,7 +157,7 @@ def test_bog_win_prob_tie_rules_differ():
     assert probs["sttg"] != pytest.approx(probs["sttp"], abs=1e-4)
     split = _game_split(0.8, 0.7, 4)
     wa, wb = split.win1, split.win2
-    _, _, tie = _bog_score_masses(split, 4)
+    _, tie = split.race(5, games_served_by_first_server)
     head = binomial_convolution_tail(4, wa, 4, wb, 5)
     assert probs["sg"] == pytest.approx(head + tie * 0.5 * (wa + wb), abs=1e-12)
     assert probs["sttg"] == pytest.approx(

@@ -103,6 +103,37 @@ def test_compute_non_terminating_exits_3():
     assert "non-terminating" in diagnostics(result)
 
 
+_PAIR = ("--pa", "0.6", "--pb", "0.55")
+
+
+@pytest.mark.parametrize("args", [
+    ("compute", "st", *_PAIR, "--k", "600"),
+    ("compute", "bofk", "--p", "0.6", "--l", "520"),
+    ("compute", "bog", *_PAIR, "--l", "600"),
+    ("grid", "st", "--k", "600", "--res", "3"),
+    ("efficiency", "bofk", "--l", "520"),
+    ("compute", "match", *_PAIR, "--q", "600"),
+    ("breakdown", "match", *_PAIR, "--q", "600"),
+], ids=lambda args: " ".join(a for a in args if not a.startswith("0.")))
+def test_targets_past_the_float_range_exit_4(args):
+    result = run_cli(*args)
+    assert result.exit_code == 4, result.output
+    message = diagnostics(result)
+    assert "numerical failure" in message and "515 trials" in message
+    assert "deuce simulate" in message and "Traceback" not in message
+
+
+@pytest.mark.parametrize("args", [
+    ("st", *_PAIR, "--k", "510"),
+    ("bofk", "--p", "0.6", "--l", "510"),
+    ("bog", *_PAIR, "--l", "510"),
+    ("match", *_PAIR, "--q", "510"),
+], ids=lambda args: args[0])
+def test_targets_inside_the_float_range_compute(args):
+    record = run_json("compute", *args)
+    assert all(math.isfinite(v) for v in record.values() if isinstance(v, float))
+
+
 def test_compute_csv_is_flat_key_value():
     result = run_cli("compute", "game", "--p", "0.6", "--format", "csv")
     assert result.exit_code == 0

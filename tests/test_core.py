@@ -138,6 +138,40 @@ def test_split_tables_serve_every_term_and_the_opponent():
         _SplitPowers(3, 0.5, 0.5, 0.5, float("nan"))
 
 
+# unit pattern -> (the library's count of opener-served units among 1..m,
+# whether the opener serves unit m, walked independently)
+RACE_PATTERNS = {
+    "abba points": (serves_by_first_server, oracles.abba_server_is_first),
+    "alternating games": (games_served_by_first_server, lambda m: m % 2 == 1),
+    "every unit": (lambda m: m, lambda m: True),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 10, 16])
+@pytest.mark.parametrize("pattern", RACE_PATTERNS)
+def test_race_matches_exact_score_walk(pattern, n):
+    opener_units, opener_serves = RACE_PATTERNS[pattern]
+    for p1, p2 in ((0.6, 0.45), (0.01, 0.99), (0.999, 0.001), (0.3, 0.3), (1.0, 0.0)):
+        odds = (p1, 1.0 - p1, p2, 1.0 - p2)
+        split = _SplitPowers(n - 1, *odds)
+        a_wins, tie = split.race(n, opener_units)
+        b_wins, b_tie = split.swapped().race(n, opener_units)
+        exact_a, exact_b, exact_tie = oracles.race_outcome_exact(odds, n, opener_serves)
+        assert len(a_wins) == len(b_wins) == n - 1
+        for got, want in zip(a_wins + b_wins + [tie, b_tie],
+                             exact_a + exact_b + [exact_tie, exact_tie]):
+            if want == 0:
+                assert got == 0.0
+            elif want > 1e-300:
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0)
+        assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-14)
+
+
+def test_race_default_gives_every_unit_the_first_kind():
+    split = _SplitPowers(6, 0.3, 0.7, 0.9, 0.1)
+    assert split.race(7) == split.race(7, lambda m: m)
+
+
 def test_binomial_convolution_normalizes():
     rng = np.random.default_rng(7)
     for _ in range(20):
