@@ -276,10 +276,39 @@ def _flatten(record: dict, prefix: str = ""):
             yield name, value
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, character for character.
+
+    ``json`` encodes indented output in pure Python, one element at a time.
+    Here each non-empty list of scalars is one call to the C encoder, whose
+    item separator carries the line break and indentation; keys and scalars
+    are encoded by ``json`` itself.  Keys are strings, as in every record.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{json.dumps(key)}: {_json_text(value, inner)}"
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if {type(value) for value in obj} <= _JSON_SCALARS:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(_json_text(value, inner) for value in obj)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(record: dict, fmt: str, precision: int) -> None:
     record = _round_sig(record, precision)
     if fmt == "json":
-        _echo(json.dumps(record, indent=2, sort_keys=True))
+        _echo(_json_text(record))
     else:
         for key, value in sorted(_flatten(record)):
             _echo(f"{key},{value}")

@@ -21,6 +21,17 @@ The 2-D surface is evaluated in fixed blocks of nodes written into one
 array, which keeps every temporary small.  Surfaces are elementwise, so each
 node's value, and with it every weight, product and sum, and so every
 result, is the same as from one call on the whole triangle.
+
+Above the game level nobody gains from serving first, so a true surface is
+antisymmetric: θ(pA, pB) + θ(pB, pA) = 1.  The lower triangle's nodes are the
+upper triangle's swapped, so on such a surface one pass serves both refined
+triangles: the lower part weights the same 2θ - 1 values by the lower
+triangle's prior density.  The coarse rule evaluates both triangles in full
+and checks the property at every one of its nodes; only a surface whose
+residual max |θ_lower + θ_upper - 1| is at most ``_MIRROR_TOL`` gets the
+single-pass refined rule, and any other surface is integrated over both
+triangles as before.  The coarse value, and with it the error estimate,
+never relies on the property.
 """
 
 from __future__ import annotations
@@ -36,6 +47,10 @@ from .core import QuadratureError, SystemSpec
 # enough to be reused from the heap instead of being mapped and faulted in
 # afresh for every operation, as grid-sized (up to 320 x 320) ones were.
 _BLOCK_NODES = 4096
+
+# Largest coarse antisymmetry residual at which the refined 2-D rule reuses
+# the upper triangle's surface values for the lower triangle.
+_MIRROR_TOL = 1e-12
 
 __all__ = [
     "BetaPrior",
@@ -81,12 +96,19 @@ class BetaPrior:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    """An efficiency value with its provenance and quadrature error estimate."""
+    """An efficiency value with its provenance and quadrature error estimate.
+
+    ``surface_points`` counts the nodes at which the curve or surface was
+    evaluated over both rules.  ``antisymmetry_residual`` is the coarse 2-D
+    rule's max |θ(pB, pA) + θ(pA, pB) - 1|, and ``None`` for one parameter.
+    """
 
     system: SystemSpec | None
     prior: object
     value: float
     quadrature_error_estimate: float
+    surface_points: int
+    antisymmetry_residual: float | None
 
 
 def _gauss_panels(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,9 +164,17 @@ def _blocked_surface(surface, pa, pb) -> np.ndarray:
 
 
 def _eff_two_parts(
-    surface, prior_a: BetaPrior, prior_b: BetaPrior, panels: int, order: int
-) -> tuple[float, float]:
-    """(lower-triangle, upper-triangle) contributions to the 2-D efficiency."""
+    surface, prior_a: BetaPrior, prior_b: BetaPrior, panels: int, order: int,
+    mirror: bool = False,
+) -> tuple[float, float, float | None]:
+    """(lower-triangle, upper-triangle) contributions to the 2-D efficiency,
+    and the antisymmetry residual.
+
+    With ``mirror`` the lower triangle reuses the upper triangle's values,
+    which assumes θ(pB, pA) = 1 - θ(pA, pB), and the residual is ``None``.
+    Otherwise the surface is evaluated on both triangles and the residual is
+    max |θ_lower + θ_upper - 1| over their node pairs.
+    """
     soften = prior_a.endpoint_singular or prior_b.endpoint_singular
     nodes, weights = _axis_nodes(panels, order, soften)
     x = nodes[:, None]  # outer coordinate: the larger of the two probabilities
@@ -153,15 +183,19 @@ def _eff_two_parts(
     jac = x
 
     # upper triangle pA > pB: pA = x, pB = t x
-    theta = _blocked_surface(surface, x, t * x)
+    theta_upper = _blocked_surface(surface, x, t * x)
+    edge = w2 * (2.0 * theta_upper - 1.0)
     dens = prior_a.pdf(x) * prior_b.pdf(t * x)
-    upper = float(np.sum(w2 * (2.0 * theta - 1.0) * dens * jac))
+    upper = float(np.sum(edge * dens * jac))
 
     # lower triangle pA < pB: pB = x, pA = t x
-    theta = _blocked_surface(surface, t * x, x)
     dens = prior_a.pdf(t * x) * prior_b.pdf(x)
+    if mirror:
+        return float(np.sum(edge * dens * jac)), upper, None
+    theta = _blocked_surface(surface, t * x, x)
     lower = float(np.sum(w2 * (1.0 - 2.0 * theta) * dens * jac))
-    return lower, upper
+    residual = float(np.max(np.abs(theta + theta_upper - 1.0)))
+    return lower, upper, residual
 
 
 def efficiency_one_param(
@@ -190,7 +224,7 @@ def efficiency_one_param(
             estimate=fine,
             error_estimate=err,
         )
-    return EfficiencyReport(system, prior, fine, err)
+    return EfficiencyReport(system, prior, fine, err, 6 * panels * order, None)
 
 
 def efficiency_two_param(
@@ -206,11 +240,14 @@ def efficiency_two_param(
     the product prior ``priors[0] x priors[1]``.
 
     ``surface`` must broadcast over numpy arrays.  Reporting and convergence
-    follow the one-parameter rule, with the looser 2-D tolerance.
+    follow the one-parameter rule, with the looser 2-D tolerance.  The
+    refined rule evaluates only the upper triangle when the coarse rule finds
+    the surface antisymmetric to ``_MIRROR_TOL``.
     """
     prior_a, prior_b = priors
-    lo_c, up_c = _eff_two_parts(surface, prior_a, prior_b, panels, order)
-    lo_f, up_f = _eff_two_parts(surface, prior_a, prior_b, 2 * panels, order)
+    lo_c, up_c, residual = _eff_two_parts(surface, prior_a, prior_b, panels, order)
+    mirror = residual <= _MIRROR_TOL
+    lo_f, up_f, _ = _eff_two_parts(surface, prior_a, prior_b, 2 * panels, order, mirror)
     coarse = lo_c + up_c
     fine = lo_f + up_f
     err = abs(fine - coarse)
@@ -221,4 +258,6 @@ def efficiency_two_param(
             estimate=fine,
             error_estimate=err,
         )
-    return EfficiencyReport(system, (prior_a, prior_b), fine, err)
+    nodes = panels * order  # per axis of a coarse triangle; a refined one has twice as many
+    points = 2 * nodes**2 + (1 if mirror else 2) * (2 * nodes) ** 2
+    return EfficiencyReport(system, (prior_a, prior_b), fine, err, points, residual)

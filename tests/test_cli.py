@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 import deuce
 from deuce import core
-from deuce.cli import _OPS, SYSTEM_KINDS, _round_sig, main
+from deuce.cli import _OPS, SYSTEM_KINDS, _json_text, _round_sig, main
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
 from deuce.sets import set_win_prob, st_win_prob
 
@@ -463,6 +463,17 @@ def test_json_output_reserializes_byte_identically(args):
     assert result.exit_code == 0
     text = result.stdout.strip()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
+
+
+def test_json_text_matches_indented_json_dumps():
+    record = {
+        "z": [], "y": {}, "x": [[], [{}], [1, [2.5, None]]], "é\"key": "tab\t§",
+        "w": [math.nan, math.inf, -math.inf, -0.0, 5e-324, True, False, None, 7, "s"],
+        "v": [{"b": [0.1], "a": {"c": []}}, 3], "u": (1, 2), "t": np.float64(0.25),
+    }
+    assert _json_text(record) == json.dumps(record, indent=2, sort_keys=True)
+    for scalar in (1, 0.1, "a", None, True, math.nan):
+        assert _json_text(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
 
 
 def _round_each(obj, digits):

@@ -262,19 +262,25 @@ RESIDUAL_CELLS = {("stt", 2), ("bofk2_l29", 1), ("bofk3_l15", 1), ("bofk3_l29", 
 STT_UNIFORM_FROZEN = 0.6137056197
 
 
-def _eff(surface, priors):
-    return efficiency_two_param(surface, priors, panels=8, order=20, tol=5e-4).value
+def _report(surface, priors):
+    return efficiency_two_param(surface, priors, panels=8, order=20, tol=5e-4)
 
 
 @pytest.fixture(scope="module")
-def two_param_values():
-    values = {}
-    for label, fn in TRUE_SURFACES.items():
-        values[label] = (_eff(fn, PRIOR_COLS[1]), _eff(fn, PRIOR_COLS[2]))
-    for label, fn in VARIANT_SURFACES.items():
-        values[label] = (_eff(fn, PRIOR_COLS[1]), _eff(fn, PRIOR_COLS[2]))
-    values["stt_uniform"] = _eff(stt_win_prob, (BetaPrior(1, 1), BetaPrior(1, 1)))
-    return values
+def two_param_reports():
+    reports = {}
+    for label, fn in {**TRUE_SURFACES, **VARIANT_SURFACES}.items():
+        reports[label] = (_report(fn, PRIOR_COLS[1]), _report(fn, PRIOR_COLS[2]))
+    reports["stt_uniform"] = _report(stt_win_prob, (BetaPrior(1, 1), BetaPrior(1, 1)))
+    return reports
+
+
+@pytest.fixture(scope="module")
+def two_param_values(two_param_reports):
+    return {
+        label: report.value if label == "stt_uniform" else tuple(r.value for r in report)
+        for label, report in two_param_reports.items()
+    }
 
 
 @pytest.mark.parametrize("label", list(TWO_PARAM_TRUE))
@@ -330,32 +336,51 @@ def test_swapped_tie_st_equals_true_st_for_odd_k():
 
 
 def test_triangle_contributions_match_for_symmetric_surface():
-    lower, upper = _eff_two_parts(stt_win_prob, BetaPrior(2, 1), BetaPrior(2, 1), 8, 20)
+    lower, upper, _ = _eff_two_parts(stt_win_prob, BetaPrior(2, 1), BetaPrior(2, 1), 8, 20)
     assert lower == pytest.approx(upper, abs=1e-12)
 
 
 def _full_grid_two_param(surface, prior_a, prior_b, panels, order):
-    """(value, error estimate) with the surface called once on each whole triangle."""
+    """(value, error estimate) with the surface called once on each whole triangle.
 
-    def parts(n_panels):
+    As in the library, the refined rule weights the upper triangle's values
+    by the lower triangle's density when the coarse rule finds the surface
+    antisymmetric to 1e-12, and evaluates the lower triangle otherwise.
+    """
+
+    def parts(n_panels, mirror):
         soften = prior_a.endpoint_singular or prior_b.endpoint_singular
         nodes, weights = _axis_nodes(n_panels, order, soften)
         x, t = nodes[:, None], nodes[None, :]
         w2 = weights[:, None] * weights[None, :]
-        theta = np.asarray(surface(np.broadcast_to(x, w2.shape), t * x), dtype=float)
-        upper = float(np.sum(w2 * (2.0 * theta - 1.0) * (prior_a.pdf(x) * prior_b.pdf(t * x)) * x))
+        theta_upper = np.asarray(surface(np.broadcast_to(x, w2.shape), t * x), dtype=float)
+        edge = w2 * (2.0 * theta_upper - 1.0)
+        upper = float(np.sum(edge * (prior_a.pdf(x) * prior_b.pdf(t * x)) * x))
+        dens = prior_a.pdf(t * x) * prior_b.pdf(x)
+        if mirror:
+            return float(np.sum(edge * dens * x)) + upper, None
         theta = np.asarray(surface(t * x, np.broadcast_to(x, w2.shape)), dtype=float)
-        lower = float(np.sum(w2 * (1.0 - 2.0 * theta) * (prior_a.pdf(t * x) * prior_b.pdf(x)) * x))
-        return lower + upper
+        lower = float(np.sum(w2 * (1.0 - 2.0 * theta) * dens * x))
+        return lower + upper, np.max(np.abs(theta + theta_upper - 1.0))
 
-    coarse, fine = parts(panels), parts(2 * panels)
+    coarse, residual = parts(panels, False)
+    fine, _ = parts(2 * panels, residual <= 1e-12)
     return fine, abs(fine - coarse)
+
+
+def first_server_edge(pa, pb):
+    """A surface that is not antisymmetric: the first server gains 0.05 * pA."""
+    return 0.9 * stt_win_prob(pa, pb) + 0.05 * pa
 
 
 @pytest.mark.parametrize(
     "surface",
-    [lambda a, b: st_win_prob(a, b, 7), lambda a, b: match_win_prob(a, b, MatchSpec(7, 10, 2))],
-    ids=["st7", "m7102"],
+    [
+        lambda a, b: st_win_prob(a, b, 7),
+        lambda a, b: match_win_prob(a, b, MatchSpec(7, 10, 2)),
+        first_server_edge,
+    ],
+    ids=["st7", "m7102", "first_server_edge"],
 )
 def test_blocked_surface_evaluation_is_exact(surface):
     # 4 panels of order 12 give 48^2 nodes per coarse triangle (one block)
@@ -373,6 +398,41 @@ def test_blocked_surface_evaluation_is_exact(surface):
     value, error = _full_grid_two_param(surface, prior_a, prior_b, 4, 12)
     assert report.value == value
     assert report.quadrature_error_estimate == error
+
+
+@pytest.mark.parametrize(
+    "surface, points",
+    [(stt_win_prob, 153_600), (first_server_edge, 256_000)],
+    ids=["antisymmetric", "first_server_edge"],
+)
+def test_refined_rule_reads_an_antisymmetric_surface_once(surface, points):
+    # panels=8, order=20: each coarse triangle has 160^2 = 25 600 nodes and
+    # each refined one 320^2 = 102 400.  The refined lower triangle is read
+    # only when the surface is not antisymmetric.
+    seen = []
+
+    def spy(a, b):
+        seen.append(np.size(a))
+        return surface(a, b)
+
+    report = efficiency_two_param(spy, PRIOR_COLS[1], panels=8, order=20)
+    assert sum(seen) == report.surface_points == points
+    assert (report.antisymmetry_residual <= 1e-12) == (points == 153_600)
+
+
+def test_every_table_surface_is_antisymmetric(two_param_reports):
+    # The coarse residual max |θ(pB, pA) + θ(pA, pB) - 1| of every true and
+    # variant surface under both prior columns, so each refined rule mirrors.
+    for label in {**TRUE_SURFACES, **VARIANT_SURFACES}:
+        for report in two_param_reports[label]:
+            assert report.antisymmetry_residual <= 1e-12, label
+            assert report.surface_points == 153_600, label
+
+
+def test_one_param_report_counts_curve_points():
+    report = efficiency_one_param(game_win_prob, BetaPrior(2, 1), panels=16, order=20)
+    assert report.surface_points == 6 * 16 * 20
+    assert report.antisymmetry_residual is None
 
 
 def test_refinement_stays_within_reported_error():
