@@ -258,6 +258,6 @@ def efficiency_two_param(
             estimate=fine,
             error_estimate=err,
         )
-    nodes = panels * order  # per axis of a coarse triangle; a refined one has twice as many
-    points = 2 * nodes**2 + (1 if mirror else 2) * (2 * nodes) ** 2
+    axis = panels * order  # nodes per axis of a coarse triangle; twice that when refined
+    points = 2 * axis**2 + (1 if mirror else 2) * (2 * axis) ** 2
     return EfficiencyReport(system, (prior_a, prior_b), fine, err, points, residual)
