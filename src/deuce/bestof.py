@@ -18,10 +18,13 @@ from .core import (
     SystemSpec,
     _check_count,
     _check_prob,
+    _clipped_win,
     _mixture_moments,
     _plain_split,
+    _race_rows,
     _scalar_or_array,
     _ScoreRow,
+    _unit_sum,
     games_served_by_first_server,
     geometric_moments,
 )
@@ -54,12 +57,8 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     """Exact PMF of the race length: the support is finite, n in [l+1, 2l+1]."""
     _check_count("l", l, minimum=1)
     p = float(_check_prob("p", p))
-    split = _plain_split(l, p, 0, p)
-    a_wins, tie = split.race(l + 1)
-    b_wins, _ = split.swapped().race(l + 1)
+    _, tie, rows = _race_rows(_plain_split(l, p, 0, p), l + 1)
     # from l all the next point ends the race, whoever takes it
-    rows = [_ScoreRow(x + y, l + 1 + h, False, l + 1 + h, 0.0)
-            for h, (x, y) in enumerate(zip(a_wins, b_wins))]
     rows.append(_ScoreRow(tie, 2 * l + 1, False, 2 * l + 1, 0.0))
     mean, var = _mixture_moments(rows)
     return PointCountDistribution(
@@ -93,10 +92,8 @@ def bog_match_win_prob(pa, pb, spec: SystemSpec):
     _check_prob("pb", pb)
     l = spec.l
     split = _game_split(pa, pb, l)
-    head = split.tail(l, l, l + 1)
-    tie = split.mass(l, l, l)
-    out = np.minimum(head + tie * _tie_win_prob(pa, pb, split, spec), 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _clipped_win(split.tail(l, l, l + 1), split.mass(l, l, l),
+                        _tie_win_prob(pa, pb, split, spec))
 
 
 def _tie_extra_moments(pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b):
@@ -137,24 +134,12 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
         raise ValueError("tie_unit='games' is only defined for the sttg tie rule")
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    mu_a, var_a = game_points_moments(pa)
-    mu_b, var_b = game_points_moments(pb)
+    games = (game_points_moments(pa), game_points_moments(pb))
     l = spec.l
-    split = _game_split(pa, pb, l)
-    a_wins, tie = split.race(l + 1, games_served_by_first_server)
-    b_wins, _ = split.swapped().race(l + 1, games_served_by_first_server)
-
-    def category(n_games):
-        ta = games_served_by_first_server(n_games)
-        tb = n_games - ta
-        return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
-
-    rows = [_ScoreRow(x + y, l + 1 + b, False, *category(l + 1 + b))
-            for b, (x, y) in enumerate(zip(a_wins, b_wins))]
-    m_base, v_base = category(2 * l)
-    m_extra, v_extra = _tie_extra_moments(
-        pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b
-    )
+    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, games_served_by_first_server,
+                              *games)
+    m_base, v_base = _unit_sum(2 * l, games_served_by_first_server, *games)
+    m_extra, v_extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
     rows.append(_ScoreRow(tie, 2 * l, True, m_base + m_extra, v_base + v_extra))
     mean, var = _mixture_moments(rows)
     return _scalar_or_array(mean), _scalar_or_array(var)

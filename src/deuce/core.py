@@ -9,6 +9,8 @@ of ingredients collected here:
   different success probabilities (serve-split sums), and from them the
   final-score masses of a race to a target (``_SplitPowers.race``), which
   every layer reads,
+* both players' final scores and score rows of a race (``_race_rows``), and
+  a layer's clipped win probability (``_clipped_win``),
 * the mixture over final scores that gives a layer's moments and its
   breakdown table (``_ScoreRow``, ``_mixture_moments``, ``_breakdown``),
 * moments of the geometric distribution (two-point and two-game tie-breaker
@@ -78,7 +80,7 @@ def _check_prob(name: str, p) -> np.ndarray | float:
 
 
 def _check_count(name: str, n: int, minimum: int = 1) -> int:
-    if not isinstance(n, (int, np.integer)):
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
@@ -382,6 +384,38 @@ def _mixture_moments(rows):
     return mean, second - mean**2
 
 
+def _unit_sum(units: int, opener_units, first, second):
+    """(mean, variance) of the summed length of ``units`` independent units,
+    ``opener_units(units)`` with per-unit moments ``first`` and the rest ``second``."""
+    ta = opener_units(units)
+    tb = units - ta
+    return ta * first[0] + tb * second[0], ta * first[1] + tb * second[1]
+
+
+def _race_rows(split: _SplitPowers, n: int, opener_units=lambda m: m,
+               first=(1.0, 0.0), second=(1.0, 0.0)):
+    """``(scores, tie, rows)`` of a race to ``n`` units, from A's tables.
+
+    ``scores[h]`` is (label "n-h", loser's count h, A's mass, B's mass) for
+    h = 0..n-2 (see :meth:`_SplitPowers.race`), ``tie`` the mass reaching
+    n-1 all, and ``rows[h]`` both winners' :class:`_ScoreRow`, its n+h units
+    summed by :func:`_unit_sum` (by default each unit counts one).  Each
+    layer appends the rows of its own tie rule.
+    """
+    a_wins, tie = split.race(n, opener_units)
+    b_wins, _ = split.swapped().race(n, opener_units)
+    scores = [(f"{n}-{h}", h, a, b) for h, (a, b) in enumerate(zip(a_wins, b_wins))]
+    rows = [_ScoreRow(a + b, n + h, False, *_unit_sum(n + h, opener_units, first, second))
+            for _, h, a, b in scores]
+    return scores, tie, rows
+
+
+def _clipped_win(head, tie, theta):
+    """A's win probability, head + tie * theta, from A's outright mass, the tie
+    and A's chance in it; clipped at 1, which rounding can pass by an ulp."""
+    return _scalar_or_array(np.minimum(head + tie * theta, 1.0))
+
+
 def _compose_length_law(units, extra, rows, n_max: int) -> PointCountDistribution:
     """Length PMF of a mixture, over final scores, of sums of per-unit lengths.
 
@@ -538,7 +572,8 @@ class SystemSpec:
                     raise ValueError(f"{name} is required for system {self.kind!r}")
                 object.__setattr__(self, name, default)
             if name in _MINIMUM:
-                _check_count(name, getattr(self, name), minimum=_MINIMUM[name])
+                value = _check_count(name, getattr(self, name), minimum=_MINIMUM[name])
+                object.__setattr__(self, name, value)
             elif self.tiebreak not in _TIEBREAKS:  # the one field that is not a count
                 raise ValueError(
                     f"tiebreak must be one of {_TIEBREAKS}, got {self.tiebreak!r}"

@@ -2,25 +2,25 @@
 
 Since who serves first in a set does not affect who wins it, the sequence of
 set winners is an i.i.d. coin with success theta_S; the match is a race to
-Q+1 set wins in which every set has the same odds (``_SplitPowers.race``),
-except that the deciding set may use a different tie-breaker target (K1
-instead of K0).  Every conditional
-point-count moment is a sum of per-set moments, all computed with A opening
-service (changing the opener flips which player serves more, but that level
-of detail is not carried here — win probabilities are unaffected).
+Q+1 set wins in which every set has the same odds, except that the deciding
+set may use a different tie-breaker target (K1 instead of K0).
+``_race_rows`` gives both players' final set scores and their rows, and
+the match appends its decider row.  Every conditional point-count moment is
+a sum of per-set moments, all computed with A opening service (changing the
+opener flips which player serves more, but that level of detail is not
+carried here — win probabilities are unaffected).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
-                   _check_count, _check_prob, _compose_length_law, _mixture_moments,
-                   _plain_split, _pmf_array, _scalar_or_array, _ScoreRow)
+                   _check_count, _check_prob, _clipped_win, _compose_length_law,
+                   _mixture_moments, _plain_split, _pmf_array, _race_rows, _scalar_or_array,
+                   _ScoreRow)
 from .sets import (_game_split, _set_game_units, _set_head, _set_length_law, _set_rows,
-                   _set_win, _st_rows, _stack_st, st_win_prob, stt_win_prob)
+                   _st_rows, _stack_st, st_win_prob, stt_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -58,9 +58,8 @@ def _theta_pair(pa, pb, spec: SystemSpec, split):
     ``split`` holds A's per-game tables.  Only the tie-breaker depends on the
     target, so the rest of the set is evaluated once for both.
     """
-    head, _, p66 = _set_head(pa, pb, split)
-    head = sum(head)
-    return _per_k(lambda pa, pb, k: _set_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
+    head, p66 = _set_head(pa, pb, split)
+    return _per_k(lambda pa, pb, k: _clipped_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
 
 
 def _set_pair(pa, pb, spec: SystemSpec, split):
@@ -76,22 +75,22 @@ def _set_pair(pa, pb, spec: SystemSpec, split):
     head = sum(first for _, _, first, _ in scores)
 
     def at(pa, pb, k):
-        st_wins, _, st_rows = _st_rows(pa, pb, k)
-        theta_st = sum(st_wins) + st_rows[-1].mass * stt_win_prob(pa, pb)
-        return _set_win(head, rows[-1].mass, theta_st), _stack_st(rows, st_rows), st_rows
+        st_scores, st_rows = _st_rows(pa, pb, k)
+        theta_st = (sum(first for _, _, first, _ in st_scores)
+                    + st_rows[-1].mass * stt_win_prob(pa, pb))
+        return _clipped_win(head, rows[-1].mass, theta_st), _stack_st(rows, st_rows), st_rows
 
     return _per_k(at, pa, pb, spec)
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
     sets = _plain_split(q, theta0, 0, theta0)
-    a_wins, tie = sets.race(q + 1)
-    b_wins, _ = sets.swapped().race(q + 1)
+    scores, tie, _ = _race_rows(sets, q + 1)
     transient = {(a, b): sets.mass(a + b, 0, a) for a in range(q + 1) for b in range(q + 1)}
     absorbing = {}
-    for b in range(q):
-        absorbing[(q + 1, b)] = a_wins[b]
-        absorbing[(b, q + 1)] = b_wins[b]
+    for _, b, first, second in scores:
+        absorbing[(q + 1, b)] = first
+        absorbing[(b, q + 1)] = second
     absorbing[(q + 1, q)] = tie * theta1
     absorbing[(q, q + 1)] = tie * (1.0 - theta1)
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
@@ -109,11 +108,6 @@ def match_set_jpmf(pa: float, pb: float, spec: SystemSpec) -> SetScoreJPMF:
     return _set_score_jpmf(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
 
 
-def _match_win(wins, tie, theta1):
-    """Match win probability from A's race over sets and the decider's theta."""
-    return _scalar_or_array(np.minimum(sum(wins) + tie * theta1, 1.0))
-
-
 def match_win_prob(pa, pb, spec: SystemSpec):
     """First player's probability of winning the match.
 
@@ -128,24 +122,23 @@ def match_win_prob(pa, pb, spec: SystemSpec):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     theta0, theta1 = _theta_pair(pa, pb, spec, _game_split(pa, pb))
-    return _match_win(*_plain_split(spec.q, theta0, 0, theta0).race(spec.q + 1), theta1)
+    wins, tie = _plain_split(spec.q, theta0, 0, theta0).race(spec.q + 1)
+    return _clipped_win(sum(wins), tie, theta1)
 
 
-def _match_rows(theta0, q: int, set0, set1) -> list:
-    """Final-score rows of the match, both winners merged, by the loser's set count.
+def _match_rows(theta0, q: int, set0, set1):
+    """(scores, rows) of the match's final set scores, by the loser's set count.
 
-    ``set0`` / ``set1`` are (mean, variance) of a set at k0 / k1.  A score
-    (q+1, b) with b < q plays q+1+b sets at k0; the full-length score plays
-    2q at k0 and stacks the k1 decider.  Per-set moments add.
+    ``set0`` / ``set1`` are (mean, variance) of a set at k0 / k1.  ``scores``
+    are those of :func:`~deuce.core._race_rows`, without the decider, whose
+    split rests on its own theta.  A score (q+1, b) with b < q plays q+1+b
+    sets at k0; the full-length score plays 2q at k0 and stacks the k1
+    decider, and its row's mass is the tie.  Per-set moments add.
     """
-    sets = _plain_split(q, theta0, 0, theta0)
-    a_wins, tie = sets.race(q + 1)
-    b_wins, _ = sets.swapped().race(q + 1)
+    scores, tie, rows = _race_rows(_plain_split(q, theta0, 0, theta0), q + 1, first=set0)
     (mu0, var0), (mu1, var1) = set0, set1
-    rows = [_ScoreRow(x + y, q + 1 + b, False, (q + 1 + b) * mu0, (q + 1 + b) * var0)
-            for b, (x, y) in enumerate(zip(a_wins, b_wins))]
     rows.append(_ScoreRow(tie, 2 * q, True, 2 * q * mu0 + mu1, 2 * q * var0 + var1))
-    return rows
+    return scores, rows
 
 
 def match_points_moments(pa, pb, spec: SystemSpec):
@@ -163,7 +156,7 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     (theta0, set0, _), (_, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
-    rows = _match_rows(theta0, spec.q, _mixture_moments(set0), _mixture_moments(set1))
+    rows = _match_rows(theta0, spec.q, _mixture_moments(set0), _mixture_moments(set1))[1]
     mean, var = _mixture_moments(rows)
     return _scalar_or_array(mean), _scalar_or_array(var)
 
@@ -174,13 +167,11 @@ def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     (theta0, set0, _), (theta1, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
     q = spec.q
-    sets = _plain_split(q, theta0, 0, theta0)
-    a_wins, tie = sets.race(q + 1)
-    b_wins, _ = sets.swapped().race(q + 1)
-    scores = [(f"{q + 1}-{b}", b, x, y) for b, (x, y) in enumerate(zip(a_wins, b_wins))]
+    scores, rows = _match_rows(theta0, q, _mixture_moments(set0), _mixture_moments(set1))
+    tie = rows[-1].mass
+    win = _clipped_win(sum(first for _, _, first, _ in scores), tie, theta1)
     scores.append((f"{q + 1}-{q}", q, tie * theta1, tie * (1.0 - theta1)))
-    rows = _match_rows(theta0, q, _mixture_moments(set0), _mixture_moments(set1))
-    return _breakdown("match", scores, rows, _match_win(a_wins, tie, theta1))
+    return _breakdown("match", scores, rows, win)
 
 
 def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
@@ -207,7 +198,8 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     (theta0, *rows0), (_, *rows1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
     set0 = _set_length_law(pa, pb, n_max, games, *rows0)
     set1 = set0 if spec.k1 == spec.k0 else _set_length_law(pa, pb, n_max, games, *rows1)
-    rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance), (set1.mean, set1.variance))
+    rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance),
+                       (set1.mean, set1.variance))[1]
     return _compose_length_law(
         [_pmf_array(set0.support)] * (2 * spec.q), _pmf_array(set1.support), rows, n_max
     )

@@ -193,7 +193,8 @@ class _RepOutcomes:
 # serves the next step, and ``point(state, a_won)`` returns (state, winner,
 # fold).  Once ``winner`` is decided (True for A) the returned state is the
 # final score label; ``fold`` is what the step folded off each side of the
-# score.  ``scored`` is the counted race, if any, whose counts are the score.
+# score.  ``scored`` is the race whose score is the final score, for the kinds
+# that record one: a counted race's counts, else the final state's label.
 
 _A, _B, _COIN = 0, 1, 2
 
@@ -362,23 +363,23 @@ def _rules(spec: SystemSpec, counted: bool):
     if kind in ("stt", "st"):
         race = _tiebreak(spec.k, counted) if kind == "st" else _tiebreak(1)
         point = functools.partial(_race, race=race)  # stt: win by two from 0-0
-        return _start(race), _abba, point, race if race.counted else None
+        return _start(race), _abba, point, race if kind == "st" else None
     if kind == "set":
         point = functools.partial(_set_point, tiebreak=_tiebreak(spec.k, counted))
-        return _NEW_SET, _set_server, point, None
+        return _NEW_SET, _set_server, point, _SET_GAMES
     if kind == "match":
         sets = _Race(spec.q + 1, level=spec.q, counted=counted)
         tiebreaks = (_tiebreak(spec.k0, counted), _tiebreak(spec.k1, counted))
         point = functools.partial(_match_point, sets_race=sets, tiebreaks=tiebreaks)
         start = (_start(sets), _NEW_SET)
-        return start, lambda s: _set_server(s[1]), point, sets if counted else None
+        return start, lambda s: _set_server(s[1]), point, sets
     lead = 2 if spec.tiebreak == "sttg" else 1
     games = _Race(spec.l + 1, lead, fold_at=spec.l + 1, level=spec.l, period=2,
                   counted=counted)
     rule = dict(games_race=games, rule=spec.tiebreak)
     server = functools.partial(_bog_server, **rule)
     point = functools.partial(_bog_point, **rule)
-    return (_start(games), None, (0, 0)), server, point, games if counted else None
+    return (_start(games), None, (0, 0)), server, point, games
 
 
 class _Tables(NamedTuple):
@@ -472,7 +473,7 @@ def _walk(spec: SystemSpec, counted: bool, max_states: int | None) -> _Tables:
     a_won = np.zeros(n, dtype=bool)
     a_won[final:] = [won for won, _, _ in ends]
     score = None
-    if spec.kind in ("st", "set", "match", "bog") and scored is None:
+    if scored is not None and not scored.counted:
         score = np.zeros((n, 2), dtype=np.int32)
         score[final:] = [label for _, label, _ in ends]
     fold = np.array(folds, dtype=np.int32)

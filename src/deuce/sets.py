@@ -15,12 +15,14 @@ serves:
   give 7-5 or 6-6, and at 6-6 the ST decides.
 
 Moments and breakdowns weight the final scores by the Theorem of Total
-Probability: each layer lists :class:`~deuce.core._ScoreRow`s for
-``_mixture_moments`` and ``_breakdown``.  Within an ST all score durations
-are fixed or winner-independent, so its moments are exact; at set level a
-game's length is treated as exchangeable with its winner, which is the usual
-summary-decomposition convention (the exact-process variance differs in the
-third significant figure — see the tests for a quantified comparison).
+Probability.  ``_race_rows`` gives both players' final scores as
+:class:`~deuce.core._ScoreRow`s for ``_mixture_moments`` and ``_breakdown``;
+the ST appends its STT row and the set its 7-5 and 7-6 rows.  Within an ST
+all score durations are fixed or winner-independent, so its moments are
+exact; at set level a game's length is treated as exchangeable with its
+winner, which is the usual summary-decomposition convention (the
+exact-process variance differs in the third significant figure — see the
+tests for a quantified comparison).
 
 Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
@@ -37,12 +39,15 @@ from .core import (
     _breakdown,
     _check_count,
     _check_prob,
+    _clipped_win,
     _compose_length_law,
     _mixture_moments,
     _pmf_array,
+    _race_rows,
     _scalar_or_array,
     _ScoreRow,
     _SplitPowers,
+    _unit_sum,
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
     games_served_by_first_server,
     geometric_moments,
@@ -174,23 +179,19 @@ def st_win_prob(pa, pb, k: int):
 
 
 def _st_rows(pa, pb, k: int):
-    """(A's wins, B's wins, final-score rows) of a K-point set tie-breaker.
+    """(scores, rows) of a K-point set tie-breaker's final scores.
 
-    ``wins[h]`` is the player's mass on the score K-h (see
-    :meth:`_SplitPowers.race`).  Scores K-h and h-K pin the count at K+h
-    exactly; the last row, K-1 all, costs 2(K-1) points plus twice a
-    geometric pair count, and its mass is A's tie.
+    ``scores`` lists K-0 .. K-(K-2) as (score, loser's points, A's mass,
+    B's mass) (see :func:`~deuce.core._race_rows`).  Scores K-h and h-K pin
+    the count at K+h exactly; the last row, K-1 all, costs 2(K-1) points
+    plus twice a geometric pair count, and its mass is the tie.
     """
-    a = _st_split(pa, pb, k)
-    a_wins, tie = a.race(k, serves_by_first_server)
+    scores, tie, rows = _race_rows(_st_split(pa, pb, k), k, serves_by_first_server)
     _require_terminating(pa, pb, tie)
-    b_wins, _ = a.swapped().race(k, serves_by_first_server)
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    rows = [_ScoreRow(x + y, k + h, False, k + h, 0.0)
-            for h, (x, y) in enumerate(zip(a_wins, b_wins))]
     rows.append(_ScoreRow(tie, 2 * k - 2, True, 2.0 * (k - 1) + 2.0 * g_mean, 4.0 * g_var))
-    return a_wins, b_wins, rows
+    return scores, rows
 
 
 def st_points_moments(pa, pb, k: int):
@@ -202,7 +203,7 @@ def st_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    mean, var = _mixture_moments(_st_rows(pa, pb, k)[2])
+    mean, var = _mixture_moments(_st_rows(pa, pb, k)[1])
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -232,7 +233,7 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    rows = _st_rows(pa, pb, k)[2]
+    rows = _st_rows(pa, pb, k)[1]
     tie = rows[-1].mass
     rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
     residual = tie * rho ** ((n_max - (2 * k - 2)) // 2) if tie > 0.0 else 0.0
@@ -250,13 +251,13 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    a_wins, b_wins, rows = _st_rows(pa, pb, k)
+    scores, rows = _st_rows(pa, pb, k)
     tie = rows[-1].mass
-    scores = [(f"{k}-{h}", h, x, y) for h, (x, y) in enumerate(zip(a_wins, b_wins))]
     theta_stt = stt_win_prob(pa, pb)
+    win = sum(first for _, _, first, _ in scores) + tie * theta_stt
     if tie > 0.0:
         scores.append(("TB", None, tie * theta_stt, tie * stt_win_prob(pb, pa)))
-    return _breakdown("st", scores, rows, sum(a_wins) + tie * theta_stt)
+    return _breakdown("st", scores, rows, win)
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -276,28 +277,22 @@ def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
                         game_win_prob(np.subtract(1.0, pb)), game_win_prob(pb))
 
 
-def _set_tie_share(split: _SplitPowers):
-    """Probability that games 11 and 12 split one each, so 5-5 goes on to 6-6."""
-    return split.win1 * split.loss2 + split.loss1 * split.win2
+def _reach_66(pa, pb, split: _SplitPowers, reach_55):
+    """The mass reaching 6-6: 5-5, then games 11 and 12 split one each."""
+    p66 = reach_55 * (split.win1 * split.loss2 + split.loss1 * split.win2)
+    _require_terminating(pa, pb, p66)
+    return p66
 
 
 def _set_head(pa, pb, split: _SplitPowers):
-    """(A's masses on 6-0 .. 6-4 and 7-5, the mass reaching 5-5, the mass reaching 6-6).
+    """(A's summed mass on 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
 
     ``split`` holds A's per-game tables (see :func:`_game_split`).  None of
     this depends on the tie-breaker target, so a match evaluates it once for
     both of its targets.
     """
     wins, reach_55 = split.race(_SET_TARGET, games_served_by_first_server)
-    p66 = reach_55 * _set_tie_share(split)
-    _require_terminating(pa, pb, p66)
-    return wins + [reach_55 * split.win1 * split.win2], reach_55, p66
-
-
-def _set_win(head, p66, theta_st):
-    """Set win probability from A's mass on the outright scores, the mass
-    reaching 6-6 and the tie-breaker's win probability."""
-    return _scalar_or_array(np.minimum(head + p66 * theta_st, 1.0))
+    return sum(wins) + reach_55 * split.win1 * split.win2, _reach_66(pa, pb, split, reach_55)
 
 
 def set_win_prob(pa, pb, k: int):
@@ -314,40 +309,30 @@ def set_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    head, _, p66 = _set_head(pa, pb, _game_split(pa, pb))
-    return _set_win(sum(head), p66, st_win_prob(pa, pb, k))
+    head, p66 = _set_head(pa, pb, _game_split(pa, pb))
+    return _clipped_win(head, p66, st_win_prob(pa, pb, k))
 
 
-def _set_rows(pa, pb, a: _SplitPowers):
+def _set_rows(pa, pb, split: _SplitPowers):
     """(scores, rows) of a set's final scores, before the tie-breaker.
 
-    ``a`` holds A's per-game tables.  ``scores`` lists 6-0 .. 6-4 and 7-5 as
-    (score, loser's games, A's mass, B's mass); ``rows`` merges both winners
-    for those and adds 7-6.  A score with g games plays g alternating-server
-    games, and row moments add per-game moments.  None of this depends on
-    the tie-breaker target, so the 7-6 row holds only its twelve games;
-    :func:`_stack_st` puts the ST of a given target on top.
+    ``split`` holds A's per-game tables.  ``scores`` lists 6-0 .. 6-4 and
+    7-5 as (score, loser's games, A's mass, B's mass); ``rows`` merges both
+    winners for those and adds 7-6.  A score with g games plays g
+    alternating-server games, and row moments add per-game moments.  None of
+    this depends on the tie-breaker target, so the 7-6 row holds only its
+    twelve games; :func:`_stack_st` puts the ST of a given target on top.
     """
-    a_wins, reach_55, p66 = _set_head(pa, pb, a)
-    b = a.swapped()
-    b_wins, _ = b.race(_SET_TARGET, games_served_by_first_server)
-    b_wins.append(reach_55 * b.win1 * b.win2)
-    mu_a, var_a = game_points_moments(pa)
-    mu_b, var_b = game_points_moments(pb)
-
-    def games_moments(games):
-        ta = games_served_by_first_server(games)
-        tb = games - ta
-        return ta * mu_a + tb * mu_b, ta * var_a + tb * var_b
-
-    scores = [(f"6-{h}", h, a_wins[h], b_wins[h]) for h in range(5)]
-    scores.append(("7-5", 5, a_wins[5], b_wins[5]))
-    rows = [_ScoreRow(a_wins[h] + b_wins[h], 6 + h, False, *games_moments(6 + h))
-            for h in range(5)]
-    p75 = reach_55 * (a.win1 * a.win2 + b.win1 * b.win2)
-    m12, v12 = games_moments(12)
-    rows.append(_ScoreRow(p75, 12, False, m12, v12))
-    rows.append(_ScoreRow(p66, 12, True, m12, v12))
+    games = (game_points_moments(pa), game_points_moments(pb))
+    scores, reach_55, rows = _race_rows(split, _SET_TARGET, games_served_by_first_server,
+                                        *games)
+    p66 = _reach_66(pa, pb, split, reach_55)
+    scores.append(("7-5", 5, reach_55 * split.win1 * split.win2,
+                   reach_55 * split.loss1 * split.loss2))
+    p75 = reach_55 * (split.win1 * split.win2 + split.loss1 * split.loss2)
+    twelve = _unit_sum(12, games_served_by_first_server, *games)
+    rows.append(_ScoreRow(p75, 12, False, *twelve))
+    rows.append(_ScoreRow(p66, 12, True, *twelve))
     return scores, rows
 
 
@@ -371,7 +356,7 @@ def set_points_moments(pa, pb, k: int):
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
     rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
-    mean, var = _mixture_moments(_stack_st(rows, _st_rows(pa, pb, k)[2]))
+    mean, var = _mixture_moments(_stack_st(rows, _st_rows(pa, pb, k)[1]))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -386,12 +371,13 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     scores, rows = _set_rows(pa, pb, _game_split(pa, pb))
-    st_a, st_b, st_rows = _st_rows(pa, pb, k)
+    st_scores, st_rows = _st_rows(pa, pb, k)
     tie, p66 = st_rows[-1].mass, rows[-1].mass
-    theta_st = sum(st_a) + tie * stt_win_prob(pa, pb)
-    win = _set_win(sum(first for _, _, first, _ in scores), p66, theta_st)
+    theta_st = sum(first for _, _, first, _ in st_scores) + tie * stt_win_prob(pa, pb)
+    win = _clipped_win(sum(first for _, _, first, _ in scores), p66, theta_st)
     if p66 > 0.0:  # the 7-6 row only when reachable
-        scores.append(("7-6", 6, p66 * theta_st, p66 * (sum(st_b) + tie * stt_win_prob(pb, pa))))
+        theta_b = sum(second for _, _, _, second in st_scores) + tie * stt_win_prob(pb, pa)
+        scores.append(("7-6", 6, p66 * theta_st, p66 * theta_b))
     return _breakdown("set", scores, _stack_st(rows, st_rows), win)
 
 
@@ -430,6 +416,6 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
     rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
-    st_rows = _st_rows(pa, pb, k)[2]
+    st_rows = _st_rows(pa, pb, k)[1]
     return _set_length_law(pa, pb, n_max, _set_game_units(pa, pb), _stack_st(rows, st_rows),
                            st_rows)

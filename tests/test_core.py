@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from deuce.core import (
     NonTerminatingError,
+    _race_rows,
     _SplitPowers,
     binomial_convolution_mass,
     binomial_convolution_tail,
@@ -165,6 +166,15 @@ def test_race_matches_exact_score_walk(pattern, n):
             elif want > 1e-300:
                 assert got == pytest.approx(float(want), rel=1e-13, abs=0)
         assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-14)
+        # the builder pairs the same two races, labels them and merges the rows
+        scores, rows_tie, rows = _race_rows(split, n, opener_units)
+        assert rows_tie == tie
+        assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
+        assert [a for _, _, a, _ in scores] == a_wins
+        assert [b for _, _, _, b in scores] == b_wins
+        for h, ((_, _, a, b), row) in enumerate(zip(scores, rows, strict=True)):
+            assert row.units == n + h and row.mass == a + b
+            assert (row.stacked, row.mean, row.var) == (False, n + h, 0.0)
 
 
 def test_race_default_gives_every_unit_the_first_kind():
@@ -254,3 +264,12 @@ def test_system_spec_defaults_and_validation():
         SystemSpec("match", q=0)
     with pytest.raises(ValueError):
         SystemSpec("bog", l=3, tiebreak="coin")
+    with pytest.raises(ValueError):
+        SystemSpec("bofk", l=True)  # a boolean is not a count
+    with pytest.raises(ValueError):
+        SystemSpec("st", k=False)
+    for spec in (SystemSpec("st", k=np.int64(7)), SystemSpec("match", q=np.int32(3)),
+                 SystemSpec("bofk", l=np.uint8(5))):
+        for name in ("k", "k0", "k1", "q", "l"):
+            value = getattr(spec, name)
+            assert value is None or type(value) is int

@@ -31,6 +31,10 @@ def test_match_spec_validation():
         MatchSpec(k1=0)
     with pytest.raises(ValueError):
         MatchSpec(q=0)
+    with pytest.raises(ValueError):
+        MatchSpec(q=True)
+    with pytest.raises(ValueError):
+        MatchSpec(k1=True)
 
 
 def test_jpmf_partitions_unit_mass():
@@ -224,8 +228,8 @@ def test_moments_and_breakdown_compose_the_public_set_layer(spec):
     c = np.linspace(0.05, 0.95, 7)
     for pa, pb in ((c[:, None], c[None, :]), (0.64, 0.58), (0.3, 0.71)):
         theta0 = set_win_prob(pa, pb, spec.k0)
-        rows = _match_rows(theta0, spec.q, set_points_moments(pa, pb, spec.k0),
-                           set_points_moments(pa, pb, spec.k1))
+        _, rows = _match_rows(theta0, spec.q, set_points_moments(pa, pb, spec.k0),
+                              set_points_moments(pa, pb, spec.k1))
         mean, var = _mixture_moments(rows)
         got_mean, got_var = match_points_moments(pa, pb, spec)
         assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)

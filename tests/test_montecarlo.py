@@ -132,6 +132,7 @@ def test_config_normalizes_params_and_seed():
             seed=1,
             max_points_per_replication=99,
         ),
+        dict(system=SystemSpec("game"), params=0.6, replications=True, seed=1),
     ],
 )
 def test_config_rejects_bad_input(kwargs):
