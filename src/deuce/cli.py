@@ -33,7 +33,7 @@ from .bestof import (
     bog_match_points_moments,
     bog_match_win_prob,
 )
-from .core import _KINDS, NonTerminatingError, QuadratureError, SystemSpec
+from .core import _KINDS, _TIEBREAKS, NonTerminatingError, QuadratureError, SystemSpec
 from .efficiency import BetaPrior, efficiency_one_param, efficiency_two_param
 from .game import (
     game_breakdown,
@@ -127,7 +127,7 @@ def _structure_options(fn):
                      help="sets needed to win the match (best of 2q+1)."),
         click.option("--l", type=click.IntRange(min=1), default=None,
                      help="race length parameter for bofk/bog (win l+1 units)."),
-        click.option("--tiebreak", type=click.Choice(["sg", "sttg", "sttp"]),
+        click.option("--tiebreak", type=click.Choice(_TIEBREAKS),
                      default=None, help="rule applied at l-all games (bog)."),
     ):
         fn = option(fn)
@@ -188,13 +188,13 @@ def _build_specs(kinds, k, k0, k1, q, l, tiebreak) -> list[SystemSpec]:
     fields = {"k": k, "k0": k0, "k1": k1, "q": q, "l": l, "tiebreak": tiebreak}
     provided = {name: value for name, value in fields.items() if value is not None}
     for name in provided:
-        if not any(name in _KINDS[kind][1] for kind in kinds):
+        if not any(name in _KINDS[kind].fields for kind in kinds):
             raise click.UsageError(
                 f"--{name} does not apply to system '{'/'.join(kinds)}'")
     specs = []
     for kind in kinds:
         usable = {name: value for name, value in provided.items()
-                  if name in _KINDS[kind][1]}
+                  if name in _KINDS[kind].fields}
         try:
             specs.append(SystemSpec(kind=kind, **usable))
         except ValueError as exc:

@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rules import _KINDS
+
 __all__ = [
     "NonTerminatingError",
     "QuadratureError",
@@ -515,18 +517,6 @@ def _breakdown(label: str, scores, rows, win_prob) -> ScoreBreakdown:
 
 _TIEBREAKS = ("sg", "sttg", "sttp")
 
-# kind -> (takes a (pA, pB) pair, {field: default}); a default of None
-# marks a required field.  Fields are listed in SystemSpec's order.
-_KINDS = {
-    "gt": (False, {}),
-    "game": (False, {}),
-    "stt": (True, {}),
-    "st": (True, {"k": 7}),
-    "set": (True, {"k": 7}),
-    "match": (True, {"k0": 7, "k1": 7, "q": 2}),
-    "bofk": (False, {"l": None}),
-    "bog": (True, {"l": None, "tiebreak": "sttg"}),
-}
 _MINIMUM = {"k": 2, "k0": 2, "k1": 2, "q": 1, "l": 1}
 
 
@@ -536,7 +526,8 @@ class SystemSpec:
 
     This is the one spec type: every layer, the simulator and the CLI read
     it, and ``MatchSpec`` and ``BestOfGamesSpec`` are constructors that
-    return it.
+    return it.  Each kind's parameters, fields and scoring rules are one
+    entry of the kind table, ``rules._KINDS``.
 
     Kinds: ``gt`` (win-by-two from deuce), ``game``, ``stt`` (two-point-cycle
     tie-breaker), ``st`` (K-point set tie-breaker), ``set`` (six-game set with
@@ -562,7 +553,7 @@ class SystemSpec:
             raise ValueError(
                 f"unknown system kind {self.kind!r}; expected one of {tuple(_KINDS)}"
             )
-        defaults = _KINDS[self.kind][1]
+        defaults = _KINDS[self.kind].fields
         for name in ("k", "k0", "k1", "q", "l", "tiebreak"):
             if getattr(self, name) is not None and name not in defaults:
                 raise ValueError(f"{name} does not apply to system {self.kind!r}")
@@ -582,7 +573,7 @@ class SystemSpec:
     @property
     def takes_pair(self) -> bool:
         """Whether the system is parameterized by (pA, pB) rather than one p."""
-        return _KINDS[self.kind][0]
+        return _KINDS[self.kind].takes_pair
 
 
 def MatchSpec(k0: int = 7, k1: int = 7, q: int = 2) -> SystemSpec:

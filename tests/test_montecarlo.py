@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from deuce.bestof import (
     bog_match_points_moments,
     bog_match_win_prob,
 )
-from deuce import montecarlo
+from deuce import rules
 from deuce.core import SystemSpec, first_server_on_point
 from deuce.game import game_points_moments, game_win_prob, gt_points_moments, gt_win_prob
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
@@ -28,11 +31,10 @@ from deuce.montecarlo import (
     _mix64,
     _rep_streams,
     _score_table,
-    _serves_first_abba,
     _simulate_outcomes,
-    _tables,
     simulate,
 )
+from deuce.rules import _serves_first_abba, _tables
 from deuce.sets import (
     set_points_moments,
     set_win_prob,
@@ -568,7 +570,7 @@ def test_seeded_outcomes_match_golden_digests(
 def counted_races(monkeypatch):
     """Compile every system with its target-sized races counted."""
     _tables.cache_clear()
-    monkeypatch.setattr(montecarlo, "_MAX_STATES", 1)
+    monkeypatch.setattr(rules, "_MAX_STATES", 1)
     yield
     _tables.cache_clear()
 
@@ -613,6 +615,39 @@ def test_long_targets_are_counted_in_small_tables(spec, params, target, min_poin
     if spec.kind == "st":
         assert np.array_equal(a + b, out.points)
         assert np.all(np.abs(a - b) >= 2)
+    # the score table keys each replication by its side and (winner, loser) score
+    expected = {("A", (x, y)) if w else ("B", (y, x))
+                for w, x, y in zip(out.winner_a, a.tolist(), b.tolist())}
+    assert set(_score_table(out)) == expected
+
+
+def test_counted_tables_compile_alike_on_concurrent_threads(counted_races):
+    # each walk carries its own script of counted outcomes, so builds on
+    # several threads at once must give the tables of a serial build
+    specs = [SystemSpec("st", k=9), SystemSpec("set", k=7), SystemSpec("match"),
+             SystemSpec("bog", l=4, tiebreak="sttg")]
+    serial = [_tables(spec) for spec in specs]
+    _tables.cache_clear()
+    barrier = threading.Barrier(len(specs))
+
+    def build(spec):
+        barrier.wait(timeout=60)
+        return _tables(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside every walk
+    try:
+        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+            concurrent = list(pool.map(build, specs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, concurrent):
+        assert want.final > want.live  # the scripted, counted path
+        for name, a, b in zip(want._fields, want, got):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            else:
+                assert a == b, name
 
 
 def test_capped_replications_record_no_score():
