@@ -19,12 +19,13 @@ from .core import (
     _check_count,
     _check_prob,
     _clipped_win,
+    _Laws,
     _mixture_moments,
     _plain_split,
+    _POINT,
     _race_rows,
     _scalar_or_array,
     _ScoreRow,
-    _unit_sum,
     games_served_by_first_server,
     geometric_moments,
 )
@@ -59,8 +60,8 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     p = float(_check_prob("p", p))
     _, tie, rows = _race_rows(_plain_split(l, p, 0, p), l + 1)
     # from l all the next point ends the race, whoever takes it
-    rows.append(_ScoreRow(tie, 2 * l + 1, False, 2 * l + 1, 0.0))
-    mean, var = _mixture_moments(rows)
+    rows.append(_ScoreRow(tie, 2 * l + 1, False))
+    mean, var = _mixture_moments(rows, _Laws(_POINT, _POINT))
     return PointCountDistribution(
         support=tuple((row.units, float(row.mass)) for row in rows),
         truncation_mass=0.0,
@@ -136,10 +137,8 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
     _check_prob("pb", pb)
     games = (game_points_moments(pa), game_points_moments(pb))
     l = spec.l
-    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, games_served_by_first_server,
-                              *games)
-    m_base, v_base = _unit_sum(2 * l, games_served_by_first_server, *games)
-    m_extra, v_extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
-    rows.append(_ScoreRow(tie, 2 * l, True, m_base + m_extra, v_base + v_extra))
-    mean, var = _mixture_moments(rows)
+    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, games_served_by_first_server)
+    rows.append(_ScoreRow(tie, 2 * l, True))
+    extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
+    mean, var = _mixture_moments(rows, _Laws(*games, extra, games_served_by_first_server))
     return _scalar_or_array(mean), _scalar_or_array(var)

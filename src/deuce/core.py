@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -364,52 +364,101 @@ def _convolve_capped(a: np.ndarray, b: np.ndarray, n_max: int) -> np.ndarray:
     return np.trim_zeros(np.convolve(a, b)[: n_max + 1], "b")
 
 
+def _geometric_tail(first, rho, count: int) -> list:
+    """[first * rho**j for j < count], cut before the first mass that underflows to 0.
+
+    Each entry is one power, not a running product: a running product sticks
+    at the smallest subnormal (5e-324 * rho rounds back up to 5e-324 once
+    rho > 0.5) and never reaches 0.
+    """
+    tail = first * rho ** np.arange(count, dtype=float)
+    (zeros,) = np.nonzero(tail == 0.0)
+    return tail[: zeros[0] if zeros.size else count].tolist()
+
+
 class _ScoreRow(NamedTuple):
     """One final score of a length mixture.
 
     With probability ``mass`` the length is the sum of the first ``units``
-    per-unit lengths, plus one independent draw of the extra law when
-    ``stacked``; ``mean`` and ``var`` are that sum's moments.
+    per-unit lengths, plus one draw of the stacked law when ``stacked``; the
+    layer's :class:`_Laws` say what each of those lengths is.
     """
 
     mass: float | np.ndarray
     units: int
     stacked: bool
-    mean: float | np.ndarray
-    var: float | np.ndarray
 
 
-def _mixture_moments(rows):
-    """(mean, variance) of a mixture over final scores, by the iterated rules."""
-    mean = sum(r.mass * r.mean for r in rows)
-    second = sum(r.mass * (r.var + r.mean**2) for r in rows)
+class _Laws(NamedTuple):
+    """A layer's per-unit length laws, stated once per evaluation.
+
+    Each law is ``(mean, variance)``, or ``(mean, variance, pmf array)`` for
+    the compose step (:func:`_pmf_law`).  ``opener`` is the length of a unit
+    the race's opener serves, ``other`` that of any other unit, and
+    ``stacked`` the independent length a stacked row adds after its units.
+    ``opener_units(m)`` counts the opener's units among units 1..m; the
+    default gives every unit to the opener.
+    """
+
+    opener: tuple
+    other: tuple
+    stacked: tuple | None = None
+    opener_units: Callable[[int], int] = lambda m: m
+
+
+_POINT = (1.0, 0.0)  # a unit that is one point long
+
+
+def _pmf_law(dist: PointCountDistribution) -> tuple:
+    """A law for the compose step: a length PMF's moments and its array."""
+    return dist.mean, dist.variance, _pmf_array(dist.support)
+
+
+def _row_moments(rows, laws: _Laws) -> list:
+    """Each row's (mean, variance) of length, from the layer's laws.
+
+    A row's units are independent, ``opener_units(units)`` of them the
+    opener's, so their moments add; a stacked row adds the stacked law's.
+    Every moment, breakdown row and composed law reads rows through here.
+    """
+    (mean1, var1), (mean2, var2) = laws.opener[:2], laws.other[:2]
+    moments = []
+    for row in rows:
+        first = laws.opener_units(row.units)
+        second = row.units - first
+        mean = first * mean1 + second * mean2
+        var = first * var1 + second * var2
+        if row.stacked:
+            mean, var = mean + laws.stacked[0], var + laws.stacked[1]
+        moments.append((mean, var))
+    return moments
+
+
+def _mix(rows, moments):
+    """(mean, variance) of a mixture over final scores, by the iterated
+    rules, from each row's (mean, variance)."""
+    mean = sum(r.mass * m for r, (m, _) in zip(rows, moments))
+    second = sum(r.mass * (v + m**2) for r, (m, v) in zip(rows, moments))
     return mean, second - mean**2
 
 
-def _unit_sum(units: int, opener_units, first, second):
-    """(mean, variance) of the summed length of ``units`` independent units,
-    ``opener_units(units)`` with per-unit moments ``first`` and the rest ``second``."""
-    ta = opener_units(units)
-    tb = units - ta
-    return ta * first[0] + tb * second[0], ta * first[1] + tb * second[1]
+def _mixture_moments(rows, laws: _Laws):
+    """(mean, variance) of a layer's length, mixed over its final scores."""
+    return _mix(rows, _row_moments(rows, laws))
 
 
-def _race_rows(split: _SplitPowers, n: int, opener_units=lambda m: m,
-               first=(1.0, 0.0), second=(1.0, 0.0)):
+def _race_rows(split: _SplitPowers, n: int, opener_units=lambda m: m):
     """``(scores, tie, rows)`` of a race to ``n`` units, from A's tables.
 
     ``scores[h]`` is (label "n-h", loser's count h, A's mass, B's mass) for
     h = 0..n-2 (see :meth:`_SplitPowers.race`), ``tie`` the mass reaching
-    n-1 all, and ``rows[h]`` both winners' :class:`_ScoreRow`, its n+h units
-    summed by :func:`_unit_sum` (by default each unit counts one).  Each
-    layer appends the rows of its own tie rule.
+    n-1 all, and ``rows[h]`` both winners' :class:`_ScoreRow` of n+h units.
+    Each layer appends the rows of its own tie rule.
     """
     a_wins, tie = split.race(n, opener_units)
     b_wins, _ = split.swapped().race(n, opener_units)
     scores = [(f"{n}-{h}", h, a, b) for h, (a, b) in enumerate(zip(a_wins, b_wins))]
-    rows = [_ScoreRow(a + b, n + h, False, *_unit_sum(n + h, opener_units, first, second))
-            for _, h, a, b in scores]
-    return scores, tie, rows
+    return scores, tie, [_ScoreRow(a + b, n + h, False) for _, h, a, b in scores]
 
 
 def _clipped_win(head, tie, theta):
@@ -418,34 +467,59 @@ def _clipped_win(head, tie, theta):
     return _scalar_or_array(np.minimum(head + tie * theta, 1.0))
 
 
-def _compose_length_law(units, extra, rows, n_max: int) -> PointCountDistribution:
+def _compose_length_law(rows, laws: _Laws, n_max: int) -> PointCountDistribution:
     """Length PMF of a mixture, over final scores, of sums of per-unit lengths.
 
-    ``units`` are the per-unit PMF arrays in playing order and ``extra`` the
-    PMF array stacked on ``stacked`` rows (see :class:`_ScoreRow`).  Every
-    array ends at its last positive mass, and every partial sum is cut at
-    ``n_max`` and trimmed the same way, so no convolution pays for mass that
-    underflowed to 0 or lies past the cap.  Convolution is direct: all terms
-    are positive, so each entry keeps its full relative accuracy down to the
-    smallest normal floats.  An FFT product would add round-off of about
-    1e-17 times the largest mass to every entry and swamp the far tails.
-    ``truncation_mass`` is one minus the mass kept.
+    ``laws`` carry PMF arrays (:func:`_pmf_law`); unit i is the opener's
+    when ``opener_units`` counts it.  Every array ends at its last positive
+    mass, and every partial sum is cut at ``n_max`` and trimmed the same
+    way, so no convolution pays for mass that underflowed to 0 or lies past
+    the cap.  Convolution is direct: all terms are positive, so each entry
+    keeps its full relative accuracy down to the smallest normal floats.
+    An FFT product would add round-off of about 1e-17 times the largest
+    mass to every entry and swamp the far tails.  ``truncation_mass`` is
+    one minus the mass kept.
     """
-    runs = [np.ones(1)]
-    for unit in units[: max(r.units for r in rows)]:
-        runs.append(_convolve_capped(runs[-1], unit, n_max))
+    runs, served = [np.ones(1)], 0
+    for units in range(1, max(r.units for r in rows) + 1):
+        opener = laws.opener_units(units)
+        unit = laws.opener if opener > served else laws.other
+        runs.append(_convolve_capped(runs[-1], unit[2], n_max))
+        served = opener
     total = np.zeros(n_max + 1)
     for row in rows:
         arr = runs[row.units]
         if row.stacked:
-            arr = _convolve_capped(arr, extra, n_max)
+            arr = _convolve_capped(arr, laws.stacked[2], n_max)
         total[: arr.size] += row.mass * arr
-    mean, var = _mixture_moments(rows)
+    mean, var = _mixture_moments(rows, laws)
     (n,) = np.nonzero(total)
     return PointCountDistribution(
         support=tuple(zip(n.tolist(), total[n].tolist())),
         truncation_mass=max(0.0, 1.0 - float(total.sum())),
         mean=float(mean),
+        variance=float(var),
+    )
+
+
+def _race_tie_law(rows, laws: _Laws, eta, rho, n_max: int) -> PointCountDistribution:
+    """Length PMF of a race whose outright rows each have a fixed length and
+    whose last row, the tie, stacks twice a geometric pair count.
+
+    ``eta`` is a pair's chance to decide the tie and ``rho`` the chance it
+    does not, each formed the way the layer keeps it accurate.  The support
+    lists every outright row, then the tie's even lengths up to ``n_max``
+    until their mass underflows to 0; ``truncation_mass`` is the exact
+    geometric residual past ``n_max``.
+    """
+    *outright, tie = rows
+    support = [(row.units, float(row.mass)) for row in outright]
+    lengths = range(tie.units + 2, n_max + 1, 2)
+    support.extend(zip(lengths, _geometric_tail(tie.mass * eta, rho, len(lengths))))
+    residual = tie.mass * rho ** max(0, (n_max - tie.units) // 2) if tie.mass > 0.0 else 0.0
+    mean, var = _mixture_moments(rows, laws)
+    return PointCountDistribution(
+        support=tuple(support), truncation_mass=float(residual), mean=float(mean),
         variance=float(var),
     )
 
@@ -493,7 +567,7 @@ class ScoreBreakdown:
         return sum(r.p_total for r in self.rows)
 
 
-def _breakdown(label: str, scores, rows, win_prob) -> ScoreBreakdown:
+def _breakdown(label: str, scores, rows, laws: _Laws, win_prob) -> ScoreBreakdown:
     """Summary table of a layer from its final scores.
 
     ``scores`` holds (score label, loser's count, A's mass, B's mass) for
@@ -502,11 +576,12 @@ def _breakdown(label: str, scores, rows, win_prob) -> ScoreBreakdown:
     moments; a trailing row left out of ``scores`` (a tie that cannot be
     reached) is not shown.
     """
-    mean, var = _mixture_moments(rows)
+    moments = _row_moments(rows, laws)
+    mean, var = _mix(rows, moments)
     return ScoreBreakdown(
         rows=tuple(
-            BreakdownRow(score, loser, float(first), float(second), float(row.mean), float(row.var))
-            for (score, loser, first, second), row in zip(scores, rows)
+            BreakdownRow(score, loser, float(first), float(second), float(m), float(v))
+            for (score, loser, first, second), (m, v) in zip(scores, moments)
         ),
         win_prob=float(win_prob),
         mean=float(mean),

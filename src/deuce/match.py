@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
-                   _check_count, _check_prob, _clipped_win, _compose_length_law,
-                   _mixture_moments, _plain_split, _pmf_array, _race_rows, _scalar_or_array,
+                   _check_count, _check_prob, _clipped_win, _compose_length_law, _Laws,
+                   _mixture_moments, _pmf_law, _plain_split, _race_rows, _scalar_or_array,
                    _ScoreRow)
-from .sets import (_game_split, _set_game_units, _set_head, _set_length_law, _set_rows,
-                   _st_rows, _stack_st, st_win_prob, stt_win_prob)
+from .game import game_points_moments, game_points_pmf
+from .sets import (_game_split, _set_head, _set_law, _set_laws, _set_rows, _st_rows, st_win_prob,
+                   stt_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
            "match_points_moments", "match_points_distribution", "match_breakdown"]
@@ -63,22 +64,23 @@ def _theta_pair(pa, pb, spec: SystemSpec, split):
 
 
 def _set_pair(pa, pb, spec: SystemSpec, split):
-    """((theta, rows, ST rows) at k0, the same at k1) from one evaluation of the set.
+    """((theta, set moments) at k0, the same at k1) from one evaluation of the set.
 
-    ``split`` holds A's per-game tables.  ``rows`` are the set's final-score
-    rows with that target's ST stacked (:func:`_stack_st`).  Only the 7-6
-    row's tie-breaker depends on the target, so A's set race, which gives
-    both the rows and the head of theta, serves both targets, and each
-    target's ST race gives both its theta and its rows.
+    ``split`` holds A's per-game tables.  Only the 7-6 row's tie-breaker
+    depends on the target, so A's set race, which gives both the rows and
+    the head of theta, and the game laws serve both targets, and each
+    target's ST race gives both its theta and the law stacked on 7-6.
     """
     scores, rows = _set_rows(pa, pb, split)
     head = sum(first for _, _, first, _ in scores)
+    laws = _set_laws(game_points_moments(pa), game_points_moments(pb), None)
 
     def at(pa, pb, k):
-        st_scores, st_rows = _st_rows(pa, pb, k)
+        st_scores, st_rows, st_laws = _st_rows(pa, pb, k)
         theta_st = (sum(first for _, _, first, _ in st_scores)
                     + st_rows[-1].mass * stt_win_prob(pa, pb))
-        return _clipped_win(head, rows[-1].mass, theta_st), _stack_st(rows, st_rows), st_rows
+        stacked = laws._replace(stacked=_mixture_moments(st_rows, st_laws))
+        return _clipped_win(head, rows[-1].mass, theta_st), _mixture_moments(rows, stacked)
 
     return _per_k(at, pa, pb, spec)
 
@@ -126,18 +128,17 @@ def match_win_prob(pa, pb, spec: SystemSpec):
     return _clipped_win(sum(wins), tie, theta1)
 
 
-def _match_rows(theta0, q: int, set0, set1):
+def _match_rows(theta0, q: int):
     """(scores, rows) of the match's final set scores, by the loser's set count.
 
-    ``set0`` / ``set1`` are (mean, variance) of a set at k0 / k1.  ``scores``
-    are those of :func:`~deuce.core._race_rows`, without the decider, whose
-    split rests on its own theta.  A score (q+1, b) with b < q plays q+1+b
-    sets at k0; the full-length score plays 2q at k0 and stacks the k1
-    decider, and its row's mass is the tie.  Per-set moments add.
+    ``scores`` are those of :func:`~deuce.core._race_rows`, without the
+    decider, whose split rests on its own theta.  A score (q+1, b) with
+    b < q plays q+1+b sets at k0; the full-length score plays 2q at k0 and
+    stacks the k1 decider, and its row's mass is the tie.  Every set is
+    the opener's unit of the match's laws, and the decider the stacked one.
     """
-    scores, tie, rows = _race_rows(_plain_split(q, theta0, 0, theta0), q + 1, first=set0)
-    (mu0, var0), (mu1, var1) = set0, set1
-    rows.append(_ScoreRow(tie, 2 * q, True, 2 * q * mu0 + mu1, 2 * q * var0 + var1))
+    scores, tie, rows = _race_rows(_plain_split(q, theta0, 0, theta0), q + 1)
+    rows.append(_ScoreRow(tie, 2 * q, True))
     return scores, rows
 
 
@@ -155,9 +156,8 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     """
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    (theta0, set0, _), (_, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
-    rows = _match_rows(theta0, spec.q, _mixture_moments(set0), _mixture_moments(set1))[1]
-    mean, var = _mixture_moments(rows)
+    (theta0, set0), (_, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    mean, var = _mixture_moments(_match_rows(theta0, spec.q)[1], _Laws(set0, set0, set1))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -165,13 +165,13 @@ def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    (theta0, set0, _), (theta1, set1, _) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
     q = spec.q
-    scores, rows = _match_rows(theta0, q, _mixture_moments(set0), _mixture_moments(set1))
+    scores, rows = _match_rows(theta0, q)
     tie = rows[-1].mass
     win = _clipped_win(sum(first for _, _, first, _ in scores), tie, theta1)
     scores.append((f"{q + 1}-{q}", q, tie * theta1, tie * (1.0 - theta1)))
-    return _breakdown("match", scores, rows, win)
+    return _breakdown("match", scores, rows, _Laws(set0, set0, set1), win)
 
 
 def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
@@ -188,18 +188,16 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     and no convolution runs past ``n_max``.  FFT is not used because its
     round-off of about 1e-17 absolute would swamp the small masses (the
     three-set floor at 72 points is about 1e-21).  Each set law is built
-    once, a single one when k0 == k1, and carries the set moments that the
-    match moments need.
+    once, a single one when k0 == k1, from one pair of game laws and one
+    set race, and carries the set moments that the match moments need.
     """
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
-    games = _set_game_units(pa, pb)
-    (theta0, *rows0), (_, *rows1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
-    set0 = _set_length_law(pa, pb, n_max, games, *rows0)
-    set1 = set0 if spec.k1 == spec.k0 else _set_length_law(pa, pb, n_max, games, *rows1)
-    rows = _match_rows(theta0, spec.q, (set0.mean, set0.variance),
-                       (set1.mean, set1.variance))[1]
-    return _compose_length_law(
-        [_pmf_array(set0.support)] * (2 * spec.q), _pmf_array(set1.support), rows, n_max
-    )
+    split = _game_split(pa, pb)
+    games = _pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb))
+    rows = _set_rows(pa, pb, split)[1]
+    set0, set1 = _per_k(lambda pa, pb, k: _pmf_law(_set_law(pa, pb, k, n_max, games, rows)),
+                        pa, pb, spec)
+    match_rows = _match_rows(_theta_pair(pa, pb, spec, split)[0], spec.q)[1]
+    return _compose_length_law(match_rows, _Laws(set0, set0, set1), n_max)

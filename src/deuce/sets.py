@@ -41,13 +41,16 @@ from .core import (
     _check_prob,
     _clipped_win,
     _compose_length_law,
+    _geometric_tail,
+    _Laws,
     _mixture_moments,
-    _pmf_array,
+    _pmf_law,
+    _POINT,
     _race_rows,
+    _race_tie_law,
     _scalar_or_array,
     _ScoreRow,
     _SplitPowers,
-    _unit_sum,
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
     games_served_by_first_server,
     geometric_moments,
@@ -111,18 +114,6 @@ def stt_win_prob(pa, pb):
     return float(out) if out.ndim == 0 else out
 
 
-def _geometric_tail(first, rho, count: int) -> list:
-    """[first * rho**j for j < count], cut before the first mass that underflows to 0.
-
-    Each entry is one power, not a running product: a running product sticks
-    at the smallest subnormal (5e-324 * rho rounds back up to 5e-324 once
-    rho > 0.5) and never reaches 0.
-    """
-    tail = first * rho ** np.arange(count, dtype=float)
-    (zeros,) = np.nonzero(tail == 0.0)
-    return tail[: zeros[0] if zeros.size else count].tolist()
-
-
 def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCountDistribution:
     """PMF of the number of points in the STT, truncated at ``n_max``.
 
@@ -179,19 +170,19 @@ def st_win_prob(pa, pb, k: int):
 
 
 def _st_rows(pa, pb, k: int):
-    """(scores, rows) of a K-point set tie-breaker's final scores.
+    """(scores, rows, laws) of a K-point set tie-breaker's final scores.
 
     ``scores`` lists K-0 .. K-(K-2) as (score, loser's points, A's mass,
     B's mass) (see :func:`~deuce.core._race_rows`).  Scores K-h and h-K pin
-    the count at K+h exactly; the last row, K-1 all, costs 2(K-1) points
-    plus twice a geometric pair count, and its mass is the tie.
+    the count at K+h points; the last row, K-1 all, whose mass is the tie,
+    stacks the STT's twice-geometric pair count on its 2(K-1) points.
     """
     scores, tie, rows = _race_rows(_st_split(pa, pb, k), k, serves_by_first_server)
     _require_terminating(pa, pb, tie)
+    rows.append(_ScoreRow(tie, 2 * k - 2, True))
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    rows.append(_ScoreRow(tie, 2 * k - 2, True, 2.0 * (k - 1) + 2.0 * g_mean, 4.0 * g_var))
-    return scores, rows
+    return scores, rows, _Laws(_POINT, _POINT, (2.0 * g_mean, 4.0 * g_var))
 
 
 def st_points_moments(pa, pb, k: int):
@@ -203,23 +194,14 @@ def st_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    mean, var = _mixture_moments(_st_rows(pa, pb, k)[1])
+    mean, var = _mixture_moments(*_st_rows(pa, pb, k)[1:])
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
-def _st_support(pa: float, pb: float, rows: list, n_max: int) -> list:
-    """(n, mass) pairs of the ST point count up to ``n_max``, from :func:`_st_rows`.
-
-    Mass at n in [K, 2K-2] comes from the direct scores (K, n-K) and (n-K, K);
-    mass at even n >= 2K is the tie probability times the geometric STT
-    landing on pair (n - 2K + 2)/2.
-    """
-    *scores, tie = rows
-    support = [(row.units, row.mass) for row in scores]
+def _st_law(pa: float, pb: float, k: int, n_max: int) -> PointCountDistribution:
+    """The ST point-count law, any ``n_max`` (see :func:`st_points_distribution`)."""
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    lengths = range(tie.units + 2, n_max + 1, 2)
-    support.extend(zip(lengths, _geometric_tail(tie.mass * eta, 1.0 - eta, len(lengths))))
-    return support
+    return _race_tie_law(*_st_rows(pa, pb, k)[1:], eta, 1.0 - eta, n_max)
 
 
 def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -232,18 +214,7 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    rows = _st_rows(pa, pb, k)[1]
-    tie = rows[-1].mass
-    rho = 1.0 - (pa * (1.0 - pb) + (1.0 - pa) * pb)
-    residual = tie * rho ** ((n_max - (2 * k - 2)) // 2) if tie > 0.0 else 0.0
-    mean, var = _mixture_moments(rows)
-    return PointCountDistribution(
-        support=tuple(_st_support(pa, pb, rows, n_max)),
-        truncation_mass=float(residual),
-        mean=float(mean),
-        variance=float(var),
-    )
+    return _st_law(pa, pb, k, _check_count("n_max", n_max, minimum=2 * k - 2))
 
 
 def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
@@ -251,13 +222,13 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    scores, rows = _st_rows(pa, pb, k)
+    scores, rows, laws = _st_rows(pa, pb, k)
     tie = rows[-1].mass
     theta_stt = stt_win_prob(pa, pb)
     win = sum(first for _, _, first, _ in scores) + tie * theta_stt
     if tie > 0.0:
         scores.append(("TB", None, tie * theta_stt, tie * stt_win_prob(pb, pa)))
-    return _breakdown("st", scores, rows, win)
+    return _breakdown("st", scores, rows, laws, win)
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -314,34 +285,27 @@ def set_win_prob(pa, pb, k: int):
 
 
 def _set_rows(pa, pb, split: _SplitPowers):
-    """(scores, rows) of a set's final scores, before the tie-breaker.
+    """(scores, rows) of a set's final scores.
 
     ``split`` holds A's per-game tables.  ``scores`` lists 6-0 .. 6-4 and
     7-5 as (score, loser's games, A's mass, B's mass); ``rows`` merges both
-    winners for those and adds 7-6.  A score with g games plays g
-    alternating-server games, and row moments add per-game moments.  None of
-    this depends on the tie-breaker target, so the 7-6 row holds only its
-    twelve games; :func:`_stack_st` puts the ST of a given target on top.
+    winners for those and adds 7-6, twelve games with the ST stacked.  A
+    score with g games plays g alternating-server games.  None of this
+    depends on the tie-breaker target, which only the laws carry
+    (:func:`_set_laws`).
     """
-    games = (game_points_moments(pa), game_points_moments(pb))
-    scores, reach_55, rows = _race_rows(split, _SET_TARGET, games_served_by_first_server,
-                                        *games)
+    scores, reach_55, rows = _race_rows(split, _SET_TARGET, games_served_by_first_server)
     p66 = _reach_66(pa, pb, split, reach_55)
     scores.append(("7-5", 5, reach_55 * split.win1 * split.win2,
                    reach_55 * split.loss1 * split.loss2))
     p75 = reach_55 * (split.win1 * split.win2 + split.loss1 * split.loss2)
-    twelve = _unit_sum(12, games_served_by_first_server, *games)
-    rows.append(_ScoreRow(p75, 12, False, *twelve))
-    rows.append(_ScoreRow(p66, 12, True, *twelve))
+    rows += [_ScoreRow(p75, 12, False), _ScoreRow(p66, 12, True)]
     return scores, rows
 
 
-def _stack_st(rows: list, st_rows: list) -> list:
-    """:func:`_set_rows`' rows with an ST (its :func:`_st_rows`) stacked on the
-    7-6 row's twelve games."""
-    *head, tie = rows
-    st_mean, st_var = _mixture_moments(st_rows)
-    return head + [tie._replace(mean=tie.mean + st_mean, var=tie.var + st_var)]
+def _set_laws(game_a, game_b, st) -> _Laws:
+    """A set's laws: A's games, B's games and the ST stacked on 7-6."""
+    return _Laws(game_a, game_b, st, games_served_by_first_server)
 
 
 def set_points_moments(pa, pb, k: int):
@@ -355,8 +319,9 @@ def set_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
-    mean, var = _mixture_moments(_stack_st(rows, _st_rows(pa, pb, k)[1]))
+    laws = _set_laws(game_points_moments(pa), game_points_moments(pb),
+                     _mixture_moments(*_st_rows(pa, pb, k)[1:]))
+    mean, var = _mixture_moments(_set_rows(pa, pb, _game_split(pa, pb))[1], laws)
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -371,29 +336,16 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     scores, rows = _set_rows(pa, pb, _game_split(pa, pb))
-    st_scores, st_rows = _st_rows(pa, pb, k)
+    st_scores, st_rows, st_laws = _st_rows(pa, pb, k)
     tie, p66 = st_rows[-1].mass, rows[-1].mass
     theta_st = sum(first for _, _, first, _ in st_scores) + tie * stt_win_prob(pa, pb)
     win = _clipped_win(sum(first for _, _, first, _ in scores), p66, theta_st)
     if p66 > 0.0:  # the 7-6 row only when reachable
         theta_b = sum(second for _, _, _, second in st_scores) + tie * stt_win_prob(pb, pa)
         scores.append(("7-6", 6, p66 * theta_st, p66 * theta_b))
-    return _breakdown("set", scores, _stack_st(rows, st_rows), win)
-
-
-def _set_game_units(pa: float, pb: float) -> list:
-    """Game-length PMF arrays in playing order: A serves the odd games."""
-    game_a = _pmf_array(game_points_pmf(pa).support)
-    game_b = _pmf_array(game_points_pmf(pb).support)
-    return [game_a, game_b] * _SET_TARGET
-
-
-def _set_length_law(pa: float, pb: float, n_max: int, games, rows: list,
-                    st_rows: list) -> PointCountDistribution:
-    """Set length law from game-length units, the set's rows with the ST
-    stacked (:func:`_stack_st`) and the ST's own rows (:func:`_st_rows`)."""
-    return _compose_length_law(games, _pmf_array(_st_support(pa, pb, st_rows, n_max)),
-                               rows, n_max)
+    laws = _set_laws(game_points_moments(pa), game_points_moments(pb),
+                     _mixture_moments(st_rows, st_laws))
+    return _breakdown("set", scores, rows, laws, win)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -415,7 +367,12 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    rows = _set_rows(pa, pb, _game_split(pa, pb))[1]
-    st_rows = _st_rows(pa, pb, k)[1]
-    return _set_length_law(pa, pb, n_max, _set_game_units(pa, pb), _stack_st(rows, st_rows),
-                           st_rows)
+    games = _pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb))
+    return _set_law(pa, pb, k, n_max, games, _set_rows(pa, pb, _game_split(pa, pb))[1])
+
+
+def _set_law(pa: float, pb: float, k: int, n_max: int, games, rows) -> PointCountDistribution:
+    """The set point-count law from both players' game laws (:func:`~deuce.core._pmf_law`)
+    and the set's rows, which do not depend on ``k``."""
+    return _compose_length_law(rows, _set_laws(*games, _pmf_law(_st_law(pa, pb, k, n_max))),
+                               n_max)

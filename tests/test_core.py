@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deuce.core import (
+    _POINT,
     NonTerminatingError,
+    _Laws,
     _race_rows,
+    _row_moments,
     _SplitPowers,
     binomial_convolution_mass,
     binomial_convolution_tail,
@@ -172,9 +175,11 @@ def test_race_matches_exact_score_walk(pattern, n):
         assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
         assert [a for _, _, a, _ in scores] == a_wins
         assert [b for _, _, _, b in scores] == b_wins
-        for h, ((_, _, a, b), row) in enumerate(zip(scores, rows, strict=True)):
+        moments = _row_moments(rows, _Laws(_POINT, _POINT, None, opener_units))
+        for h, ((_, _, a, b), row, (mean, var)) in enumerate(zip(scores, rows, moments,
+                                                                 strict=True)):
             assert row.units == n + h and row.mass == a + b
-            assert (row.stacked, row.mean, row.var) == (False, n + h, 0.0)
+            assert (row.stacked, mean, var) == (False, n + h, 0.0)
 
 
 def test_race_default_gives_every_unit_the_first_kind():

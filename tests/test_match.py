@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from deuce.core import _mixture_moments, binomial_convolution_mass
+from deuce.core import _Laws, _mixture_moments, _row_moments, binomial_convolution_mass
 from deuce.match import (
     MatchSpec,
     _match_rows,
@@ -228,16 +228,17 @@ def test_moments_and_breakdown_compose_the_public_set_layer(spec):
     c = np.linspace(0.05, 0.95, 7)
     for pa, pb in ((c[:, None], c[None, :]), (0.64, 0.58), (0.3, 0.71)):
         theta0 = set_win_prob(pa, pb, spec.k0)
-        _, rows = _match_rows(theta0, spec.q, set_points_moments(pa, pb, spec.k0),
-                              set_points_moments(pa, pb, spec.k1))
-        mean, var = _mixture_moments(rows)
+        _, rows = _match_rows(theta0, spec.q)
+        set0 = set_points_moments(pa, pb, spec.k0)
+        laws = _Laws(set0, set0, set_points_moments(pa, pb, spec.k1))
+        mean, var = _mixture_moments(rows, laws)
         got_mean, got_var = match_points_moments(pa, pb, spec)
         assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
         if np.ndim(pa):
             continue
         b = match_breakdown(pa, pb, spec)
         assert [(r.cond_mean, r.cond_var) for r in b.rows] == [
-            (float(r.mean), float(r.var)) for r in rows]
+            (float(m), float(v)) for m, v in _row_moments(rows, laws)]
         assert (b.mean, b.variance) == (float(mean), float(var))
         q = spec.q
         absorbing = _set_score_jpmf(theta0, set_win_prob(pa, pb, spec.k1), q).absorbing
