@@ -9,17 +9,20 @@ with success probability p^2 + q^2.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import (
-    BreakdownRow,
+    _POINT,
     PointCountDistribution,
     ScoreBreakdown,
+    _breakdown,
     _check_count,
     _check_prob,
-    geometric_moments,
+    _Laws,
+    _mixture_moments,
+    _race_tie_law,
+    _scalar_or_array,
+    _ScoreRow,
 )
 
 __all__ = [
@@ -56,14 +59,15 @@ def gt_points_moments(p):
 
     The point count is 2 Ge(p^2+q^2): mean 2/(p^2+q^2), variance 8pq/(p^2+q^2)^2.
     """
-    _check_prob("p", p)
-    p = np.asarray(p, dtype=float)
-    eta = p**2 + (1.0 - p) ** 2
-    g_mean, g_var = geometric_moments(eta)
-    mean, var = 2.0 * g_mean, 4.0 * g_var
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    mean, var = _gt_moments(np.asarray(_check_prob("p", p), dtype=float))
+    return _scalar_or_array(mean), _scalar_or_array(var)
+
+
+def _gt_moments(p):
+    """:func:`gt_points_moments` for a valid ``p``: a pair decides with
+    p^2 + q^2 >= 1/2, so the geometric count always terminates."""
+    eta = p * p + (1.0 - p) ** 2
+    return 2.0 / eta, 4.0 * ((1.0 - eta) / (eta * eta))
 
 
 def game_win_prob(p):
@@ -85,6 +89,22 @@ def game_win_prob(p):
     return float(out) if out.ndim == 0 else out
 
 
+def _game_rows(p):
+    """(scores, rows, laws) of a game's final scores.
+
+    ``scores`` lists 4-0, 4-1 and 4-2 as (score, receiver's points,
+    server's mass, receiver's mass), closed forms with C(3+h, 3) orderings.
+    Their rows pin the count at 4+h points; the last row, deuce (3-3), whose
+    mass is C(6, 3) p^3 q^3, stacks the GT's point count on its six points.
+    """
+    q = 1.0 - p
+    scores = [(f"4-{h}", h, ways * p**4 * q**h, ways * q**4 * p**h)
+              for h, ways in _SCORE_WAYS.items()]
+    rows = [_ScoreRow(a + b, 4 + h, False) for _, h, a, b in scores]
+    rows.append(_ScoreRow(_DEUCE_WAYS * p**3 * q**3, 6, True))
+    return scores, rows, _Laws(_POINT, _POINT, _gt_moments(p))
+
+
 def game_points_moments(p):
     """(mean, variance) of the number of points in a game.
 
@@ -92,22 +112,9 @@ def game_points_moments(p):
     degenerate in length, the deuce branch lasts 6 + 2 Ge(p^2+q^2) points.
     Mean and variance combine by the laws of total expectation and variance.
     """
-    _check_prob("p", p)
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p
-    tie_prob = _DEUCE_WAYS * p**3 * q**3
-    tie_mean, tie_var = gt_points_moments(p)
-    tie_mean = tie_mean + 6.0
-    mean = tie_prob * tie_mean
-    second = tie_prob * tie_mean**2
-    for h, ways in _SCORE_WAYS.items():
-        prob = ways * (p**4 * q**h + q**4 * p**h)
-        mean = mean + (4 + h) * prob
-        second = second + (4 + h) ** 2 * prob
-    var = second - mean**2 + tie_prob * tie_var
-    if np.asarray(mean).ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    p = _scalar_or_array(np.asarray(_check_prob("p", p), dtype=float))
+    mean, var = _mixture_moments(*_game_rows(p)[1:])
+    return _scalar_or_array(mean), _scalar_or_array(var)
 
 
 def game_points_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
@@ -121,19 +128,8 @@ def game_points_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
     p = float(_check_prob("p", p))
     n_max = _check_count("n_max", n_max, minimum=6)
     q = 1.0 - p
-    eta = p**2 + q**2
-    tie_prob = _DEUCE_WAYS * p**3 * q**3
-    support = []
-    for h, ways in _SCORE_WAYS.items():
-        support.append((4 + h, ways * (p**4 * q**h + q**4 * p**h)))
-    pairs = (n_max - 6) // 2
-    for m in range(1, pairs + 1):
-        support.append((6 + 2 * m, tie_prob * (2.0 * p * q) ** (m - 1) * eta))
-    residual = tie_prob * (2.0 * p * q) ** pairs
-    mean, var = game_points_moments(p)
-    return PointCountDistribution(
-        support=tuple(support), truncation_mass=residual, mean=mean, variance=var
-    )
+    # a deuce pair ends the game with p^2 + q^2 and goes on with 2pq
+    return _race_tie_law(*_game_rows(p)[1:], p**2 + q**2, 2.0 * p * q, n_max)
 
 
 def game_breakdown(p: float) -> ScoreBreakdown:
@@ -143,37 +139,7 @@ def game_breakdown(p: float) -> ScoreBreakdown:
     win probability and the unconditional point-count moments.
     """
     p = float(_check_prob("p", p))
-    q = 1.0 - p
-    rows = []
-    for h, ways in _SCORE_WAYS.items():
-        rows.append(
-            BreakdownRow(
-                score=f"4-{h}",
-                loser_score=h,
-                p_first_wins=ways * p**4 * q**h,
-                p_second_wins=ways * q**4 * p**h,
-                cond_mean=float(4 + h),
-                cond_var=0.0,
-            )
-        )
-    tie_prob = _DEUCE_WAYS * p**3 * q**3
-    theta_gt = gt_win_prob(p)
-    tie_mean, tie_var = gt_points_moments(p)
-    rows.append(
-        BreakdownRow(
-            score="TB",
-            loser_score=None,
-            p_first_wins=tie_prob * theta_gt,
-            p_second_wins=tie_prob * (1.0 - theta_gt),
-            cond_mean=6.0 + tie_mean,
-            cond_var=tie_var,
-        )
-    )
-    mean, var = game_points_moments(p)
-    return ScoreBreakdown(
-        rows=tuple(rows),
-        win_prob=game_win_prob(p),
-        mean=mean,
-        variance=var,
-        label="game",
-    )
+    scores, rows, laws = _game_rows(p)
+    tie, theta_gt = rows[-1].mass, gt_win_prob(p)
+    scores.append(("TB", None, tie * theta_gt, tie * (1.0 - theta_gt)))
+    return _breakdown("game", scores, rows, laws, game_win_prob(p))
