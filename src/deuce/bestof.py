@@ -18,6 +18,7 @@ from .core import (
     SystemSpec,
     _check_count,
     _check_prob,
+    _check_spec,
     _clipped_win,
     _Laws,
     _mixture_moments,
@@ -89,6 +90,7 @@ def bog_match_win_prob(pa, pb, spec: SystemSpec):
     clipped there, like ``set_win_prob``.  Degenerate pairs that make a
     reachable tie race run forever raise the non-terminating error.
     """
+    _check_spec(spec, "bog")
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     l = spec.l
@@ -129,6 +131,7 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
     deliberate, reproducing the convention some published comparison tables
     used; it exists as a diagnostic, not a model.
     """
+    _check_spec(spec, "bog")
     if tie_unit not in ("points", "games"):
         raise ValueError(f"tie_unit must be 'points' or 'games', got {tie_unit!r}")
     if tie_unit == "games" and spec.tiebreak != "sttg":

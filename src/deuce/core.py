@@ -435,11 +435,15 @@ def _row_moments(rows, laws: _Laws) -> list:
 
 
 def _mix(rows, moments):
-    """(mean, variance) of a mixture over final scores, by the iterated
-    rules, from each row's (mean, variance)."""
+    """(mean, variance) of a mixture over final scores from each row's
+    (mean, variance), by the iterated rules.
+
+    The variance is centered, sum of mass * (v + (mean_row - mean)^2):
+    every term is non-negative, where E[L^2] - mean^2 cancels to noise, or
+    below 0, when the spread is small against the mean.
+    """
     mean = sum(r.mass * m for r, (m, _) in zip(rows, moments))
-    second = sum(r.mass * (v + m**2) for r, (m, v) in zip(rows, moments))
-    return mean, second - mean**2
+    return mean, sum(r.mass * (v + (m - mean) ** 2) for r, (m, v) in zip(rows, moments))
 
 
 def _mixture_moments(rows, laws: _Laws):
@@ -649,6 +653,13 @@ class SystemSpec:
     def takes_pair(self) -> bool:
         """Whether the system is parameterized by (pA, pB) rather than one p."""
         return _KINDS[self.kind].takes_pair
+
+
+def _check_spec(spec, kind: str) -> SystemSpec:
+    """``spec``, which must be a :class:`SystemSpec` of ``kind``."""
+    if not isinstance(spec, SystemSpec) or spec.kind != kind:
+        raise ValueError(f"spec must be a SystemSpec of kind {kind!r}, got {spec!r}")
+    return spec
 
 
 def MatchSpec(k0: int = 7, k1: int = 7, q: int = 2) -> SystemSpec:

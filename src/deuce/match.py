@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
-                   _check_count, _check_prob, _clipped_win, _compose_length_law, _Laws,
-                   _mixture_moments, _pmf_law, _plain_split, _race_rows, _scalar_or_array,
-                   _ScoreRow)
+                   _check_count, _check_prob, _check_spec, _clipped_win, _compose_length_law,
+                   _Laws, _mixture_moments, _pmf_law, _plain_split, _race_rows,
+                   _scalar_or_array, _ScoreRow)
 from .game import game_points_moments, game_points_pmf
 from .sets import (_game_split, _set_head, _set_law, _set_laws, _set_rows, _st_rows, st_win_prob,
                    stt_win_prob)
@@ -105,6 +105,7 @@ def match_set_jpmf(pa: float, pb: float, spec: SystemSpec) -> SetScoreJPMF:
     a match ends by winning set a+b+1 from (q, b) or (a, q), with the decider
     from (q, q) using k1.
     """
+    _check_spec(spec, "match")
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     return _set_score_jpmf(*_theta_pair(pa, pb, spec, _game_split(pa, pb)), spec.q)
@@ -121,6 +122,7 @@ def match_win_prob(pa, pb, spec: SystemSpec):
     clipped at 1 like ``set_win_prob``, since rounding can carry it an ulp
     past.
     """
+    _check_spec(spec, "match")
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     theta0, theta1 = _theta_pair(pa, pb, spec, _game_split(pa, pb))
@@ -154,6 +156,7 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     game tables, one set race for both players, and one tie-breaker race per
     player and target.
     """
+    _check_spec(spec, "match")
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     (theta0, set0), (_, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
@@ -163,6 +166,7 @@ def match_points_moments(pa, pb, spec: SystemSpec):
 
 def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
+    _check_spec(spec, "match")
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
@@ -191,6 +195,7 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     once, a single one when k0 == k1, from one pair of game laws and one
     set race, and carries the set moments that the match moments need.
     """
+    _check_spec(spec, "match")
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)

@@ -586,6 +586,36 @@ def game_outcome_exact(p: float) -> tuple[Fraction, Fraction]:
     return won, lost
 
 
+def game_points_moments_exact(p: float) -> tuple[Fraction, Fraction]:
+    """(mean, variance) of a game's point count, exact for the float ``p``.
+
+    Walks the score in rational arithmetic to 4 points or to deuce; from
+    deuce the game lasts 6 + 2G points, G geometric with success p^2 + q^2,
+    E[G] = 1/eta and E[G^2] = (2 - eta)/eta^2.
+    """
+    p = Fraction(p)
+    q = 1 - p
+    eta = p * p + q * q
+    g1, g2 = 1 / eta, (2 - eta) / eta**2
+    first = second = Fraction(0)
+    states = {(0, 0): Fraction(1)}
+    while states:
+        nxt: dict[tuple[int, int], Fraction] = {}
+        for (a, b), prob in states.items():
+            if (a, b) == (3, 3):
+                first += prob * (6 + 2 * g1)
+                second += prob * (36 + 24 * g1 + 4 * g2)
+                continue
+            for na, nb, w in ((a + 1, b, p), (a, b + 1, q)):
+                if 4 in (na, nb):
+                    first += prob * w * (na + nb)
+                    second += prob * w * (na + nb) ** 2
+                else:
+                    nxt[(na, nb)] = nxt.get((na, nb), 0) + prob * w
+        states = nxt
+    return first, second - first * first
+
+
 def st_outcome_exact(pa: float, pb: float, k: int) -> tuple[Fraction, Fraction, Fraction]:
     """(A wins, B wins, K-1 all reached) for a K-point set tie-breaker.
 

@@ -17,7 +17,9 @@ from deuce.bestof import (
     bog_match_win_prob,
 )
 from deuce.core import (
+    MatchSpec,
     NonTerminatingError,
+    SystemSpec,
     binomial_convolution_tail,
     games_served_by_first_server,
     geometric_moments,
@@ -34,6 +36,14 @@ STTG_WIN_TABLE = {
     (0.8, 0.6): {5: 0.9621, 15: 0.9929, 22: 0.9979, 29: 0.9994},
     (0.9, 0.8): {5: 0.9391, 15: 0.9412, 22: 0.9435, 29: 0.9462},
 }
+
+
+@pytest.mark.parametrize("fn", [bog_match_win_prob, bog_match_points_moments])
+@pytest.mark.parametrize("spec", [MatchSpec(), SystemSpec("set"), (3, "sttg")],
+                         ids=["match", "set", "tuple"])
+def test_bog_functions_reject_a_spec_of_another_kind(fn, spec):
+    with pytest.raises(ValueError, match="SystemSpec of kind 'bog'"):
+        fn(0.6, 0.55, spec)
 
 
 # -- raw point races ---------------------------------------------------------

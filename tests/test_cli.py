@@ -81,6 +81,12 @@ def test_compute_fair_game_moments():
     assert record["sigma2_G"] == 7.6875
 
 
+def test_compute_game_at_a_tiny_serve_probability():
+    # the variance is about 4.5e-16 and must not come out negative
+    record = run_json("compute", "game", "--p", "1.1285641832335641e-16")
+    assert record["sigma2_G"] >= 0.0
+
+
 def test_compute_tags_follow_the_system():
     for system, args, tag in [
         ("gt", ("--p", "0.6"), "GT"),

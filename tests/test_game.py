@@ -98,6 +98,17 @@ def test_game_moments_symmetric_in_p():
     assert np.allclose(v1, v2, atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.1285641832335641e-16, 1e-12, 1e-9, 1e-6, 0.01, 0.999,
+                               1 - 1e-9, 1 - 1e-12])
+def test_game_variance_matches_exact_sums(p):
+    # Near p = 0 or 1 the variance is tiny against the squared mean, so
+    # E[L^2] - mean^2 cancels to noise (below 0 at the smallest p); the
+    # centered mixture keeps full relative accuracy.
+    _, var = game_points_moments(p)
+    exact = float(oracles.game_points_moments_exact(p)[1])
+    assert var == pytest.approx(exact, rel=1e-14, abs=0)
+
+
 def test_gt_points_moments():
     mean, var = gt_points_moments(0.5)
     assert mean == pytest.approx(4.0)

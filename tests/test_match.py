@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from deuce.core import _Laws, _mixture_moments, _row_moments, binomial_convolution_mass
+from deuce.core import (SystemSpec, _Laws, _mixture_moments, _row_moments,
+                        binomial_convolution_mass)
 from deuce.match import (
     MatchSpec,
     _match_rows,
@@ -35,6 +36,15 @@ def test_match_spec_validation():
         MatchSpec(q=True)
     with pytest.raises(ValueError):
         MatchSpec(k1=True)
+
+
+@pytest.mark.parametrize("fn", [match_set_jpmf, match_win_prob, match_points_moments,
+                                match_breakdown, match_points_distribution])
+@pytest.mark.parametrize("spec", [SystemSpec("set"), SystemSpec("bog", l=3), (7, 7, 2)],
+                         ids=["set", "bog", "tuple"])
+def test_match_functions_reject_a_spec_of_another_kind(fn, spec):
+    with pytest.raises(ValueError, match="SystemSpec of kind 'match'"):
+        fn(0.6, 0.55, spec)
 
 
 def test_jpmf_partitions_unit_mass():

@@ -130,6 +130,12 @@ def test_geometric_tails_end_where_mass_underflows():
 # ---------------------------------------------------------------- ST
 
 
+def test_st_variance_is_never_negative():
+    # a near-certain 7-0 leaves a variance far below the squared mean
+    _, var = st_points_moments(1.0, 5.18e-17, 7)
+    assert var >= 0.0
+
+
 def test_st_win_prob_fair_for_equal_abilities():
     for k in (7, 8, 9, 10):
         for p in P_GRID:
