@@ -23,7 +23,6 @@ from .core import (
     _Laws,
     _mixture_moments,
     _plain_split,
-    _POINT,
     _race_rows,
     _scalar_or_array,
     _ScoreRow,
@@ -62,7 +61,7 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     _, tie, rows = _race_rows(_plain_split(l, p, 0, p), l + 1)
     # from l all the next point ends the race, whoever takes it
     rows.append(_ScoreRow(tie, 2 * l + 1, False))
-    mean, var = _mixture_moments(rows, _Laws(_POINT, _POINT))
+    mean, var = _mixture_moments(rows, _Laws())
     return PointCountDistribution(
         support=tuple((row.units, float(row.mass)) for row in rows),
         truncation_mass=0.0,

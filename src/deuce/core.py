@@ -11,8 +11,9 @@ of ingredients collected here:
   every layer reads,
 * both players' final scores and score rows of a race (``_race_rows``), and
   a layer's clipped win probability (``_clipped_win``),
-* the mixture over final scores that gives a layer's moments and its
-  breakdown table (``_ScoreRow``, ``_mixture_moments``, ``_breakdown``),
+* the mixture over final scores: rows (``_ScoreRow``, mass and unit count)
+  and a layer's per-unit length laws (``_Laws``) give, through one reader
+  (``_row_moments``), its moments, breakdown and length PMFs,
 * moments of the geometric distribution (two-point and two-game tie-breaker
   cycles are geometric in the number of cycles).
 
@@ -390,23 +391,18 @@ class _ScoreRow(NamedTuple):
 
 
 class _Laws(NamedTuple):
-    """A layer's per-unit length laws, stated once per evaluation.
+    """A layer's per-unit length laws, each ``(mean, variance)`` or, to
+    compose PMFs, ``(mean, variance, pmf array)`` (:func:`_pmf_law`).
 
-    Each law is ``(mean, variance)``, or ``(mean, variance, pmf array)`` for
-    the compose step (:func:`_pmf_law`).  ``opener`` is the length of a unit
-    the race's opener serves, ``other`` that of any other unit, and
-    ``stacked`` the independent length a stacked row adds after its units.
-    ``opener_units(m)`` counts the opener's units among units 1..m; the
-    default gives every unit to the opener.
+    ``opener`` is a unit the race's opener serves and ``other`` any other
+    (one point each by default); ``stacked`` is the length a stacked row
+    adds.  ``opener_units(m)`` counts the opener's units among 1..m.
     """
 
-    opener: tuple
-    other: tuple
+    opener: tuple = (1.0, 0.0)
+    other: tuple = (1.0, 0.0)
     stacked: tuple | None = None
     opener_units: Callable[[int], int] = lambda m: m
-
-
-_POINT = (1.0, 0.0)  # a unit that is one point long
 
 
 def _pmf_law(dist: PointCountDistribution) -> tuple:
@@ -415,12 +411,9 @@ def _pmf_law(dist: PointCountDistribution) -> tuple:
 
 
 def _row_moments(rows, laws: _Laws) -> list:
-    """Each row's (mean, variance) of length, from the layer's laws.
-
-    A row's units are independent, ``opener_units(units)`` of them the
-    opener's, so their moments add; a stacked row adds the stacked law's.
-    Every moment, breakdown row and composed law reads rows through here.
-    """
+    """Each row's (mean, variance) of length: its independent units' moments
+    add, and a stacked row adds the stacked law's.  Every moment, breakdown
+    row and composed law reads its rows through here."""
     (mean1, var1), (mean2, var2) = laws.opener[:2], laws.other[:2]
     moments = []
     for row in rows:
@@ -435,13 +428,10 @@ def _row_moments(rows, laws: _Laws) -> list:
 
 
 def _mix(rows, moments):
-    """(mean, variance) of a mixture over final scores from each row's
-    (mean, variance), by the iterated rules.
-
-    The variance is centered, sum of mass * (v + (mean_row - mean)^2):
-    every term is non-negative, where E[L^2] - mean^2 cancels to noise, or
-    below 0, when the spread is small against the mean.
-    """
+    """(mean, variance) of a mixture from each row's (mean, variance), by the
+    iterated rules.  The variance is centered, sum mass * (v + (mean_row -
+    mean)^2), so no term is negative; E[L^2] - mean^2 cancels to noise, even
+    below 0, when the spread is small against the mean."""
     mean = sum(r.mass * m for r, (m, _) in zip(rows, moments))
     return mean, sum(r.mass * (v + (m - mean) ** 2) for r, (m, v) in zip(rows, moments))
 
@@ -507,25 +497,18 @@ def _compose_length_law(rows, laws: _Laws, n_max: int) -> PointCountDistribution
 
 
 def _race_tie_law(rows, laws: _Laws, eta, rho, n_max: int) -> PointCountDistribution:
-    """Length PMF of a race whose outright rows each have a fixed length and
-    whose last row, the tie, stacks twice a geometric pair count.
-
-    ``eta`` is a pair's chance to decide the tie and ``rho`` the chance it
-    does not, each formed the way the layer keeps it accurate.  The support
-    lists every outright row, then the tie's even lengths up to ``n_max``
-    until their mass underflows to 0; ``truncation_mass`` is the exact
-    geometric residual past ``n_max``.
-    """
+    """Length PMF of a race whose outright rows have fixed lengths and whose
+    last row, the tie, stacks twice a geometric pair count, a pair deciding
+    with ``eta`` and not with ``rho``, each formed as the layer keeps it
+    accurate.  ``truncation_mass`` is the exact geometric residual past
+    ``n_max``."""
     *outright, tie = rows
     support = [(row.units, float(row.mass)) for row in outright]
     lengths = range(tie.units + 2, n_max + 1, 2)
     support.extend(zip(lengths, _geometric_tail(tie.mass * eta, rho, len(lengths))))
     residual = tie.mass * rho ** max(0, (n_max - tie.units) // 2) if tie.mass > 0.0 else 0.0
     mean, var = _mixture_moments(rows, laws)
-    return PointCountDistribution(
-        support=tuple(support), truncation_mass=float(residual), mean=float(mean),
-        variance=float(var),
-    )
+    return PointCountDistribution(tuple(support), float(residual), float(mean), float(var))
 
 
 @dataclass(frozen=True)

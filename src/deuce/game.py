@@ -5,6 +5,10 @@ first to four points with a two-point margin; at 3-3 ("deuce", the game
 tie-breaker GT) play continues in pairs of points until one player leads by
 two.  The pair structure makes the GT duration twice a geometric variable
 with success probability p^2 + q^2.
+
+The final scores 4-0, 4-1, 4-2 and deuce are closed-form rows, the GT
+stacked on deuce, for core's moments, breakdown and PMF; ``game_win_prob``,
+the innermost call of every set and match, keeps its own closed form.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    _POINT,
     PointCountDistribution,
     ScoreBreakdown,
     _breakdown,
@@ -102,7 +105,7 @@ def _game_rows(p):
               for h, ways in _SCORE_WAYS.items()]
     rows = [_ScoreRow(a + b, 4 + h, False) for _, h, a, b in scores]
     rows.append(_ScoreRow(_DEUCE_WAYS * p**3 * q**3, 6, True))
-    return scores, rows, _Laws(_POINT, _POINT, _gt_moments(p))
+    return scores, rows, _Laws(stacked=_gt_moments(p))
 
 
 def game_points_moments(p):

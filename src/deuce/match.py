@@ -5,10 +5,11 @@ set winners is an i.i.d. coin with success theta_S; the match is a race to
 Q+1 set wins in which every set has the same odds, except that the deciding
 set may use a different tie-breaker target (K1 instead of K0).
 ``_race_rows`` gives both players' final set scores and their rows, and
-the match appends its decider row.  Every conditional point-count moment is
-a sum of per-set moments, all computed with A opening service (changing the
-opener flips which player serves more, but that level of detail is not
-carried here — win probabilities are unaffected).
+the match appends its decider row.  Its laws are the k0 set for every set
+and the k1 set stacked as the decider, so every conditional point-count
+moment is a sum of per-set moments, all computed with A opening service
+(changing the opener flips which player serves more, but that level of
+detail is not carried here — win probabilities are unaffected).
 """
 
 from __future__ import annotations

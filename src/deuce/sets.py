@@ -14,15 +14,17 @@ serves:
   (``games_served_by_first_server``); at five games all, games 11 and 12
   give 7-5 or 6-6, and at 6-6 the ST decides.
 
-Moments and breakdowns weight the final scores by the Theorem of Total
-Probability.  ``_race_rows`` gives both players' final scores as
-:class:`~deuce.core._ScoreRow`s for ``_mixture_moments`` and ``_breakdown``;
-the ST appends its STT row and the set its 7-5 and 7-6 rows.  Within an ST
-all score durations are fixed or winner-independent, so its moments are
-exact; at set level a game's length is treated as exchangeable with its
-winner, which is the usual summary-decomposition convention (the
-exact-process variance differs in the third significant figure — see the
-tests for a quantified comparison).
+Moments, breakdowns and PMFs weight the final scores by the Theorem of
+Total Probability.  ``_race_rows`` gives both players' final scores as
+:class:`~deuce.core._ScoreRow`s; the ST appends its STT row and the set its
+7-5 and 7-6 rows.  Each layer states its per-unit laws once
+(:class:`~deuce.core._Laws`): the ST's units are points with the STT
+stacked on K-1 all, and the set's are A's and B's games with the ST
+stacked on 7-6.  Within an ST all score durations are fixed or
+winner-independent, so its moments are exact; at set level a game's length
+is treated as exchangeable with its winner, which is the usual
+summary-decomposition convention (the exact-process variance differs in the
+third significant figure — see the tests for a quantified comparison).
 
 Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
@@ -41,11 +43,9 @@ from .core import (
     _check_prob,
     _clipped_win,
     _compose_length_law,
-    _geometric_tail,
     _Laws,
     _mixture_moments,
     _pmf_law,
-    _POINT,
     _race_rows,
     _race_tie_law,
     _scalar_or_array,
@@ -125,15 +125,9 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     n_max = _check_count("n_max", n_max, minimum=2)
     _require_terminating(pa, pb)
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    rho = 1.0 - eta
-    lengths = range(2, n_max + 1, 2)
     g_mean, g_var = geometric_moments(eta)
-    return PointCountDistribution(
-        support=tuple(zip(lengths, _geometric_tail(eta, rho, len(lengths)))),
-        truncation_mass=rho ** (n_max // 2),
-        mean=2.0 * g_mean,
-        variance=4.0 * g_var,
-    )
+    laws = _Laws(stacked=(2.0 * g_mean, 4.0 * g_var))
+    return _race_tie_law([_ScoreRow(1.0, 0, True)], laws, eta, 1.0 - eta, n_max)
 
 
 def _st_split(pa, pb, k: int) -> _SplitPowers:
@@ -182,7 +176,7 @@ def _st_rows(pa, pb, k: int):
     rows.append(_ScoreRow(tie, 2 * k - 2, True))
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    return scores, rows, _Laws(_POINT, _POINT, (2.0 * g_mean, 4.0 * g_var))
+    return scores, rows, _Laws(stacked=(2.0 * g_mean, 4.0 * g_var))
 
 
 def st_points_moments(pa, pb, k: int):

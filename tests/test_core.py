@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from deuce.core import (
-    _POINT,
     NonTerminatingError,
     _Laws,
     _race_rows,
@@ -175,7 +174,7 @@ def test_race_matches_exact_score_walk(pattern, n):
         assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
         assert [a for _, _, a, _ in scores] == a_wins
         assert [b for _, _, _, b in scores] == b_wins
-        moments = _row_moments(rows, _Laws(_POINT, _POINT, None, opener_units))
+        moments = _row_moments(rows, _Laws(opener_units=opener_units))
         for h, ((_, _, a, b), row, (mean, var)) in enumerate(zip(scores, rows, moments,
                                                                  strict=True)):
             assert row.units == n + h and row.mass == a + b
