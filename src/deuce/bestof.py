@@ -26,11 +26,10 @@ from .core import (
     _race_rows,
     _scalar_or_array,
     _ScoreRow,
-    games_served_by_first_server,
     geometric_moments,
 )
 from .game import game_points_moments, game_win_prob
-from .sets import _decisive_pair_prob, _game_split, stt_win_prob
+from .sets import _GAME_UNITS, _decisive_pair_prob, _game_split, _games_laws, stt_win_prob
 
 __all__ = [
     "BestOfGamesSpec",
@@ -139,8 +138,8 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
     _check_prob("pb", pb)
     games = (game_points_moments(pa), game_points_moments(pb))
     l = spec.l
-    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, games_served_by_first_server)
+    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, _GAME_UNITS)
     rows.append(_ScoreRow(tie, 2 * l, True))
     extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
-    mean, var = _mixture_moments(rows, _Laws(*games, extra, games_served_by_first_server))
+    mean, var = _mixture_moments(rows, _games_laws(*games, extra))
     return _scalar_or_array(mean), _scalar_or_array(var)

@@ -106,13 +106,16 @@ def serves_by_first_server(n: int) -> int:
     """Number of points served by the tie-breaker's first server among points 1..n.
 
     The rotation is one serve, then two-serve blocks alternating: A BB AA BB AA...
-    so A serves point j exactly when j mod 4 is 0 or 1.  Closed form below is
-    the count of such j in 1..n.
+    so A serves point j exactly when j mod 4 is 0 or 1: each full ABBA block
+    holds two (positions 4k+1 and 4k+4), and a partial block one.
     """
     _check_count("n", n)
-    full, rem = divmod(n, 4)
-    # each full ABBA block contributes 2 A-serves (positions 4k+1 and 4k+4)
-    return 2 * full + (1 if rem >= 1 else 0)
+    return _abba_serves(n)
+
+
+def _abba_serves(n: int) -> int:
+    """:func:`serves_by_first_server` unchecked, for the counts a race forms."""
+    return 2 * (n // 4) + (1 if n % 4 else 0)
 
 
 def first_server_on_point(n: int) -> bool:
@@ -127,6 +130,11 @@ def games_served_by_first_server(g: int) -> int:
     Games alternate servers starting with A, so this is ceil(g/2) = floor((g+1)/2).
     """
     _check_count("g", g)
+    return _alternate_serves(g)
+
+
+def _alternate_serves(g: int) -> int:
+    """:func:`games_served_by_first_server` unchecked, for the counts a race forms."""
     return (g + 1) // 2
 
 
@@ -441,16 +449,17 @@ def _mixture_moments(rows, laws: _Laws):
     return _mix(rows, _row_moments(rows, laws))
 
 
-def _race_rows(split: _SplitPowers, n: int, opener_units=lambda m: m):
+def _race_rows(split: _SplitPowers, n: int, laws: _Laws = _Laws()):
     """``(scores, tie, rows)`` of a race to ``n`` units, from A's tables.
 
     ``scores[h]`` is (label "n-h", loser's count h, A's mass, B's mass) for
     h = 0..n-2 (see :meth:`_SplitPowers.race`), ``tie`` the mass reaching
     n-1 all, and ``rows[h]`` both winners' :class:`_ScoreRow` of n+h units.
-    Each layer appends the rows of its own tie rule.
+    The race reads its serve rule from ``laws``, as the moments do.  Each
+    layer appends the rows of its own tie rule.
     """
-    a_wins, tie = split.race(n, opener_units)
-    b_wins, _ = split.swapped().race(n, opener_units)
+    a_wins, tie = split.race(n, laws.opener_units)
+    b_wins, _ = split.swapped().race(n, laws.opener_units)
     scores = [(f"{n}-{h}", h, a, b) for h, (a, b) in enumerate(zip(a_wins, b_wins))]
     return scores, tie, [_ScoreRow(a + b, n + h, False) for _, h, a, b in scores]
 

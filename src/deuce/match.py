@@ -21,7 +21,7 @@ from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec
                    _Laws, _mixture_moments, _pmf_law, _plain_split, _race_rows,
                    _scalar_or_array, _ScoreRow)
 from .game import game_points_moments, game_points_pmf
-from .sets import (_game_split, _set_head, _set_law, _set_laws, _set_rows, _st_rows, st_win_prob,
+from .sets import (_game_split, _games_laws, _set_head, _set_rows, _st_law, _st_rows, st_win_prob,
                    stt_win_prob)
 
 __all__ = ["MatchSpec", "SetScoreJPMF", "match_set_jpmf", "match_win_prob",
@@ -64,24 +64,24 @@ def _theta_pair(pa, pb, spec: SystemSpec, split):
     return _per_k(lambda pa, pb, k: _clipped_win(head, p66, st_win_prob(pa, pb, k)), pa, pb, spec)
 
 
-def _set_pair(pa, pb, spec: SystemSpec, split):
-    """((theta, set moments) at k0, the same at k1) from one evaluation of the set.
+def _set_pair(pa, pb, spec: SystemSpec, game_law=game_points_moments,
+              st_law=_mixture_moments, set_law=_mixture_moments):
+    """((theta, set law) at k0, the same at k1) from one set race and game laws.
 
-    ``split`` holds A's per-game tables.  Only the 7-6 row's tie-breaker
-    depends on the target, so A's set race, which gives both the rows and
-    the head of theta, and the game laws serve both targets, and each
-    target's ST race gives both its theta and the law stacked on 7-6.
+    ``game_law(p)`` gives a player's game law, ``st_law(rows, laws)`` the ST
+    law stacked on 7-6 and ``set_law(rows, laws)`` the set law: moments by
+    default, or PMF laws.  Each target's ST race gives its theta and its law.
     """
-    scores, rows = _set_rows(pa, pb, split)
+    scores, rows = _set_rows(pa, pb, _game_split(pa, pb))
     head = sum(first for _, _, first, _ in scores)
-    laws = _set_laws(game_points_moments(pa), game_points_moments(pb), None)
+    games = game_law(pa), game_law(pb)
 
     def at(pa, pb, k):
         st_scores, st_rows, st_laws = _st_rows(pa, pb, k)
         theta_st = (sum(first for _, _, first, _ in st_scores)
                     + st_rows[-1].mass * stt_win_prob(pa, pb))
-        stacked = laws._replace(stacked=_mixture_moments(st_rows, st_laws))
-        return _clipped_win(head, rows[-1].mass, theta_st), _mixture_moments(rows, stacked)
+        laws = _games_laws(*games, st_law(st_rows, st_laws))
+        return _clipped_win(head, rows[-1].mass, theta_st), set_law(rows, laws)
 
     return _per_k(at, pa, pb, spec)
 
@@ -160,7 +160,7 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     _check_spec(spec, "match")
     _check_prob("pa", pa)
     _check_prob("pb", pb)
-    (theta0, set0), (_, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    (theta0, set0), (_, set1) = _set_pair(pa, pb, spec)
     mean, var = _mixture_moments(_match_rows(theta0, spec.q)[1], _Laws(set0, set0, set1))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
@@ -170,7 +170,7 @@ def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     _check_spec(spec, "match")
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
-    (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec, _game_split(pa, pb))
+    (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec)
     q = spec.q
     scores, rows = _match_rows(theta0, q)
     tie = rows[-1].mass
@@ -193,17 +193,15 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     and no convolution runs past ``n_max``.  FFT is not used because its
     round-off of about 1e-17 absolute would swamp the small masses (the
     three-set floor at 72 points is about 1e-21).  Each set law is built
-    once, a single one when k0 == k1, from one pair of game laws and one
-    set race, and carries the set moments that the match moments need.
+    once, a single one when k0 == k1, by :func:`_set_pair`, which also
+    gives theta0; it carries the set moments that the match moments need.
     """
     _check_spec(spec, "match")
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     n_max = _check_count("n_max", n_max, minimum=2)
-    split = _game_split(pa, pb)
-    games = _pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb))
-    rows = _set_rows(pa, pb, split)[1]
-    set0, set1 = _per_k(lambda pa, pb, k: _pmf_law(_set_law(pa, pb, k, n_max, games, rows)),
-                        pa, pb, spec)
-    match_rows = _match_rows(_theta_pair(pa, pb, spec, split)[0], spec.q)[1]
-    return _compose_length_law(match_rows, _Laws(set0, set0, set1), n_max)
+    (theta0, set0), (_, set1) = _set_pair(
+        pa, pb, spec, lambda p: _pmf_law(game_points_pmf(p)),
+        lambda rows, laws: _pmf_law(_st_law(pa, pb, n_max, rows, laws)),
+        lambda rows, laws: _pmf_law(_compose_length_law(rows, laws, n_max)))
+    return _compose_length_law(_match_rows(theta0, spec.q)[1], _Laws(set0, set0, set1), n_max)

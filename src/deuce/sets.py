@@ -18,7 +18,8 @@ Moments, breakdowns and PMFs weight the final scores by the Theorem of
 Total Probability.  ``_race_rows`` gives both players' final scores as
 :class:`~deuce.core._ScoreRow`s; the ST appends its STT row and the set its
 7-5 and 7-6 rows.  Each layer states its per-unit laws once
-(:class:`~deuce.core._Laws`): the ST's units are points with the STT
+(:class:`~deuce.core._Laws`), from a serve rule its race reads too
+(``_ST_UNITS``, ``_GAME_UNITS``): the ST's units are points with the STT
 stacked on K-1 all, and the set's are A's and B's games with the ST
 stacked on 7-6.  Within an ST all score durations are fixed or
 winner-independent, so its moments are exact; at set level a game's length
@@ -38,6 +39,8 @@ from .core import (
     NonTerminatingError,
     PointCountDistribution,
     ScoreBreakdown,
+    _abba_serves,
+    _alternate_serves,
     _breakdown,
     _check_count,
     _check_prob,
@@ -52,9 +55,7 @@ from .core import (
     _ScoreRow,
     _SplitPowers,
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
-    games_served_by_first_server,
     geometric_moments,
-    serves_by_first_server,
 )
 from .game import game_points_moments, game_points_pmf, game_win_prob
 
@@ -71,6 +72,9 @@ __all__ = [
 ]
 
 _SET_TARGET = 6  # games needed to win a set outright (margin two, else 7-5 / 6-6)
+
+_ST_UNITS = _Laws(opener_units=_abba_serves)
+_GAME_UNITS = _Laws(opener_units=_alternate_serves)
 
 
 def _decisive_pair_prob(pa, pb):
@@ -158,7 +162,7 @@ def st_win_prob(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    wins, tie = _st_split(pa, pb, k).race(k, serves_by_first_server)
+    wins, tie = _st_split(pa, pb, k).race(k, _ST_UNITS.opener_units)
     _require_terminating(pa, pb, tie)
     return _scalar_or_array(sum(wins) + tie * stt_win_prob(pa, pb))
 
@@ -171,12 +175,12 @@ def _st_rows(pa, pb, k: int):
     the count at K+h points; the last row, K-1 all, whose mass is the tie,
     stacks the STT's twice-geometric pair count on its 2(K-1) points.
     """
-    scores, tie, rows = _race_rows(_st_split(pa, pb, k), k, serves_by_first_server)
+    scores, tie, rows = _race_rows(_st_split(pa, pb, k), k, _ST_UNITS)
     _require_terminating(pa, pb, tie)
     rows.append(_ScoreRow(tie, 2 * k - 2, True))
     eta = _decisive_pair_prob(pa, pb)
     g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    return scores, rows, _Laws(stacked=(2.0 * g_mean, 4.0 * g_var))
+    return scores, rows, _ST_UNITS._replace(stacked=(2.0 * g_mean, 4.0 * g_var))
 
 
 def st_points_moments(pa, pb, k: int):
@@ -192,10 +196,10 @@ def st_points_moments(pa, pb, k: int):
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
-def _st_law(pa: float, pb: float, k: int, n_max: int) -> PointCountDistribution:
-    """The ST point-count law, any ``n_max`` (see :func:`st_points_distribution`)."""
+def _st_law(pa: float, pb: float, n_max: int, rows, laws) -> PointCountDistribution:
+    """The ST point-count law from :func:`_st_rows`, any ``n_max``."""
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    return _race_tie_law(*_st_rows(pa, pb, k)[1:], eta, 1.0 - eta, n_max)
+    return _race_tie_law(rows, laws, eta, 1.0 - eta, n_max)
 
 
 def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -208,7 +212,8 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pa = float(_check_prob("pa", pa))
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
-    return _st_law(pa, pb, k, _check_count("n_max", n_max, minimum=2 * k - 2))
+    n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
+    return _st_law(pa, pb, n_max, *_st_rows(pa, pb, k)[1:])
 
 
 def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
@@ -256,7 +261,7 @@ def _set_head(pa, pb, split: _SplitPowers):
     this depends on the tie-breaker target, so a match evaluates it once for
     both of its targets.
     """
-    wins, reach_55 = split.race(_SET_TARGET, games_served_by_first_server)
+    wins, reach_55 = split.race(_SET_TARGET, _GAME_UNITS.opener_units)
     return sum(wins) + reach_55 * split.win1 * split.win2, _reach_66(pa, pb, split, reach_55)
 
 
@@ -286,9 +291,9 @@ def _set_rows(pa, pb, split: _SplitPowers):
     winners for those and adds 7-6, twelve games with the ST stacked.  A
     score with g games plays g alternating-server games.  None of this
     depends on the tie-breaker target, which only the laws carry
-    (:func:`_set_laws`).
+    (:func:`_games_laws`).
     """
-    scores, reach_55, rows = _race_rows(split, _SET_TARGET, games_served_by_first_server)
+    scores, reach_55, rows = _race_rows(split, _SET_TARGET, _GAME_UNITS)
     p66 = _reach_66(pa, pb, split, reach_55)
     scores.append(("7-5", 5, reach_55 * split.win1 * split.win2,
                    reach_55 * split.loss1 * split.loss2))
@@ -297,9 +302,9 @@ def _set_rows(pa, pb, split: _SplitPowers):
     return scores, rows
 
 
-def _set_laws(game_a, game_b, st) -> _Laws:
-    """A set's laws: A's games, B's games and the ST stacked on 7-6."""
-    return _Laws(game_a, game_b, st, games_served_by_first_server)
+def _games_laws(game_a, game_b, stacked) -> _Laws:
+    """Laws of a race of alternating games: A's games, B's, and the tie row's stacked law."""
+    return _GAME_UNITS._replace(opener=game_a, other=game_b, stacked=stacked)
 
 
 def set_points_moments(pa, pb, k: int):
@@ -313,8 +318,8 @@ def set_points_moments(pa, pb, k: int):
     _check_prob("pa", pa)
     _check_prob("pb", pb)
     k = _check_count("k", k, minimum=2)
-    laws = _set_laws(game_points_moments(pa), game_points_moments(pb),
-                     _mixture_moments(*_st_rows(pa, pb, k)[1:]))
+    laws = _games_laws(game_points_moments(pa), game_points_moments(pb),
+                       _mixture_moments(*_st_rows(pa, pb, k)[1:]))
     mean, var = _mixture_moments(_set_rows(pa, pb, _game_split(pa, pb))[1], laws)
     return _scalar_or_array(mean), _scalar_or_array(var)
 
@@ -337,8 +342,8 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     if p66 > 0.0:  # the 7-6 row only when reachable
         theta_b = sum(second for _, _, _, second in st_scores) + tie * stt_win_prob(pb, pa)
         scores.append(("7-6", 6, p66 * theta_st, p66 * theta_b))
-    laws = _set_laws(game_points_moments(pa), game_points_moments(pb),
-                     _mixture_moments(st_rows, st_laws))
+    laws = _games_laws(game_points_moments(pa), game_points_moments(pb),
+                       _mixture_moments(st_rows, st_laws))
     return _breakdown("set", scores, rows, laws, win)
 
 
@@ -361,12 +366,6 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pb = float(_check_prob("pb", pb))
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    games = _pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb))
-    return _set_law(pa, pb, k, n_max, games, _set_rows(pa, pb, _game_split(pa, pb))[1])
-
-
-def _set_law(pa: float, pb: float, k: int, n_max: int, games, rows) -> PointCountDistribution:
-    """The set point-count law from both players' game laws (:func:`~deuce.core._pmf_law`)
-    and the set's rows, which do not depend on ``k``."""
-    return _compose_length_law(rows, _set_laws(*games, _pmf_law(_st_law(pa, pb, k, n_max))),
-                               n_max)
+    laws = _games_laws(_pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb)),
+                       _pmf_law(_st_law(pa, pb, n_max, *_st_rows(pa, pb, k)[1:])))
+    return _compose_length_law(_set_rows(pa, pb, _game_split(pa, pb))[1], laws, n_max)

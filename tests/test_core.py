@@ -169,12 +169,13 @@ def test_race_matches_exact_score_walk(pattern, n):
                 assert got == pytest.approx(float(want), rel=1e-13, abs=0)
         assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-14)
         # the builder pairs the same two races, labels them and merges the rows
-        scores, rows_tie, rows = _race_rows(split, n, opener_units)
+        laws = _Laws(opener_units=opener_units)
+        scores, rows_tie, rows = _race_rows(split, n, laws)
         assert rows_tie == tie
         assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
         assert [a for _, _, a, _ in scores] == a_wins
         assert [b for _, _, _, b in scores] == b_wins
-        moments = _row_moments(rows, _Laws(opener_units=opener_units))
+        moments = _row_moments(rows, laws)
         for h, ((_, _, a, b), row, (mean, var)) in enumerate(zip(scores, rows, moments,
                                                                  strict=True)):
             assert row.units == n + h and row.mass == a + b

@@ -5,14 +5,13 @@ comment, a docstring or a line break, so blank lines, comment lines and
 docstrings do not count and a statement split over several lines counts
 each line it spans.  Prints one line per module and the total, plus the
 physical line count.  Standard library only; it prints and never fails a
-build.
+build.  Run it from the repository root; it counts ``src/deuce`` there.
 
-    python3 tools/src_lines.py [package dir, default src/deuce]
+    python3 tools/src_lines.py
 """
 
 from __future__ import annotations
 
-import sys
 import tokenize
 from pathlib import Path
 
@@ -41,8 +40,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> None:
-    root = Path(argv[1] if len(argv) > 1 else "src/deuce")
+def main() -> None:
+    root = Path("src/deuce")
     total = physical = 0
     for path in sorted(root.rglob("*.py")):
         n = code_lines(path)
@@ -53,4 +52,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
