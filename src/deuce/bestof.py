@@ -6,6 +6,9 @@ best-of-(2l+1) GAMES match (alternating service games, first to l+1 games),
 whose l-l tie is settled by one of three rules — a single sudden game on a
 coin-flipped serve (SG), a two-game-advantage race (STTG), or a two-point-
 advantage race (STTP).
+
+Public functions validate their arguments once; the races and tie rules
+run on the game and set layers' unchecked evaluators.
 """
 
 from __future__ import annotations
@@ -17,19 +20,20 @@ from .core import (
     PointCountDistribution,
     SystemSpec,
     _check_count,
+    _check_pair,
     _check_prob,
     _check_spec,
     _clipped_win,
     _Laws,
     _mixture_moments,
     _plain_split,
-    _race_rows,
+    _Race,
     _scalar_or_array,
     _ScoreRow,
     geometric_moments,
 )
-from .game import game_points_moments, game_win_prob
-from .sets import _GAME_UNITS, _decisive_pair_prob, _game_split, _games_laws, stt_win_prob
+from .game import _game_moments, _game_win
+from .sets import _GAME_UNITS, _decisive_pair_prob, _game_split, _games_laws, _stt_length, _stt_win
 
 __all__ = [
     "BestOfGamesSpec",
@@ -49,17 +53,17 @@ def bofk_win_prob(p, l: int):
     """
     _check_count("l", l, minimum=1)
     p = np.asarray(_check_prob("p", p), dtype=float)
-    wins, tie = _plain_split(l, p, 0, p).race(l + 1)
-    return _scalar_or_array(sum(wins) + tie * p)
+    race = _Race(_plain_split(l, p, 0, p), l + 1)
+    return _scalar_or_array(sum(race.wins) + race.tie * p)
 
 
 def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     """Exact PMF of the race length: the support is finite, n in [l+1, 2l+1]."""
     _check_count("l", l, minimum=1)
     p = float(_check_prob("p", p))
-    _, tie, rows = _race_rows(_plain_split(l, p, 0, p), l + 1)
+    race = _Race(_plain_split(l, p, 0, p), l + 1)
     # from l all the next point ends the race, whoever takes it
-    rows.append(_ScoreRow(tie, 2 * l + 1, False))
+    rows = race.rows() + [_ScoreRow(race.tie, 2 * l + 1, False)]
     mean, var = _mixture_moments(rows, _Laws())
     return PointCountDistribution(
         support=tuple((row.units, float(row.mass)) for row in rows),
@@ -75,8 +79,8 @@ def _tie_win_prob(pa, pb, split, spec: SystemSpec):
         return 0.5 * (split.win1 + split.win2)
     if spec.tiebreak == "sttg":
         # game-level advantage race: each player holds serve with their own game probability
-        return stt_win_prob(split.win1, split.loss2)
-    return stt_win_prob(pa, pb)
+        return _stt_win(split.win1, split.loss2)
+    return _stt_win(pa, pb)
 
 
 def bog_match_win_prob(pa, pb, spec: SystemSpec):
@@ -89,8 +93,7 @@ def bog_match_win_prob(pa, pb, spec: SystemSpec):
     reachable tie race run forever raise the non-terminating error.
     """
     _check_spec(spec, "bog")
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
+    _check_pair(pa, pb)
     l = spec.l
     split = _game_split(pa, pb, l)
     return _clipped_win(split.tail(l, l, l + 1), split.mass(l, l, l),
@@ -104,9 +107,8 @@ def _tie_extra_moments(pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b):
         var = 0.5 * (var_a + var_b) + 0.25 * (mu_a - mu_b) ** 2
         return mean, var
     if spec.tiebreak == "sttp":
-        gm, gv = geometric_moments(_decisive_pair_prob(pa, pb))
-        return 2.0 * gm, 4.0 * gv
-    eta = _decisive_pair_prob(game_win_prob(pa), game_win_prob(pb))
+        return _stt_length(pa, pb)
+    eta = _decisive_pair_prob(_game_win(pa), _game_win(pb))
     gm, gv = geometric_moments(eta)
     if tie_unit == "games":
         return 2.0 * gm, 4.0 * gv
@@ -134,12 +136,11 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
         raise ValueError(f"tie_unit must be 'points' or 'games', got {tie_unit!r}")
     if tie_unit == "games" and spec.tiebreak != "sttg":
         raise ValueError("tie_unit='games' is only defined for the sttg tie rule")
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
-    games = (game_points_moments(pa), game_points_moments(pb))
+    _check_pair(pa, pb)
+    games = (_game_moments(pa), _game_moments(pb))
     l = spec.l
-    _, tie, rows = _race_rows(_game_split(pa, pb, l), l + 1, _GAME_UNITS)
-    rows.append(_ScoreRow(tie, 2 * l, True))
+    race = _Race(_game_split(pa, pb, l), l + 1, _GAME_UNITS)
+    rows = race.rows() + [_ScoreRow(race.tie, 2 * l, True)]
     extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
     mean, var = _mixture_moments(rows, _games_laws(*games, extra))
     return _scalar_or_array(mean), _scalar_or_array(var)

@@ -9,8 +9,10 @@ of ingredients collected here:
   different success probabilities (serve-split sums), and from them the
   final-score masses of a race to a target (``_SplitPowers.race``), which
   every layer reads,
-* both players' final scores and score rows of a race (``_race_rows``), and
-  a layer's clipped win probability (``_clipped_win``),
+* a race's final scores (``_Race``): A's masses and the tie at once, which
+  is all a win path reads, and B's masses and both players' score rows
+  when a moment, breakdown or PMF first reads them; and a layer's clipped
+  win probability (``_clipped_win``),
 * the mixture over final scores: rows (``_ScoreRow``, mass and unit count)
   and a layer's per-unit length laws (``_Laws``) give, through one reader
   (``_row_moments``), its moments, breakdown and length PMFs,
@@ -19,10 +21,15 @@ of ingredients collected here:
 
 All probability arguments accept floats or numpy arrays and broadcast; this is
 what makes grid sweeps and quadrature cheap without a second code path.
+
+Every public function validates its arguments once, at entry, and then runs
+on private evaluators that check nothing; the layers call each other's
+evaluators, never each other's public functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -82,10 +89,17 @@ def _check_prob(name: str, p) -> np.ndarray | float:
     return p
 
 
-def _check_count(name: str, n: int, minimum: int = 1) -> int:
+def _check_pair(pa, pb, cast=lambda p: p):
+    """A (pA, pB) pair of serve probabilities, each validated, then passed
+    through ``cast`` (``float`` for the entries that take scalars only)."""
+    return cast(_check_prob("pa", pa)), cast(_check_prob("pb", pb))
+
+
+def _check_count(name: str, n: int, minimum: int | None = 1) -> int:
+    """``n`` as an int; it must be an integer, and at least ``minimum`` unless that is None."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {n!r}")
-    if n < minimum:
+    if minimum is not None and n < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {n}")
     return int(n)
 
@@ -158,10 +172,10 @@ class _SplitPowers:
     (``win2``, ``loss2``).  ``n`` is the largest trial count of either kind
     that any read will use; no table is built longer.
 
-    All four probabilities are validated once, here, when the tables are
-    built (each must lie in [0, 1]; NaN is rejected).  ``mass``, ``tail``
-    and ``race`` read the tables without further checks, so one evaluation
-    builds and validates one set of tables however many terms it sums.
+    Nothing here is validated: the four probabilities come from a public
+    entry that checked its arguments, or are formed from checked ones (game
+    win probabilities, set win probabilities), so they lie in [0, 1].  One
+    evaluation builds one set of tables however many terms it sums.
 
     ``race`` is the one place that forms final-score masses: every layer's
     race to a target (points of a tie-breaker, games of a set or a
@@ -173,8 +187,6 @@ class _SplitPowers:
     """
 
     def __init__(self, n: int, win1, loss1, win2, loss2):
-        for name, x in (("p1", win1), ("q1", loss1), ("p2", win2), ("q2", loss2)):
-            _check_prob(name, x)
         self.win1, self.loss1, self.win2, self.loss2 = win1, loss1, win2, loss2
         self.shape = np.broadcast_shapes(*(np.shape(x) for x in (win1, loss1, win2, loss2)))
         # One allocation for all four tables (row [t, i] is x_t ** i): a few
@@ -290,6 +302,8 @@ def binomial_convolution_mass(n1: int, p1, n2: int, p2, k: int):
     n1 = _check_count("n1", n1, minimum=0)
     n2 = _check_count("n2", n2, minimum=0)
     k = _check_count("k", k, minimum=0)
+    _check_prob("p1", p1)
+    _check_prob("p2", p2)
     return _plain_split(n1, p1, n2, p2).mass(n1, n2, k)
 
 
@@ -297,10 +311,14 @@ def binomial_convolution_tail(n1: int, p1, n2: int, p2, k: int):
     """Pr{X + Y >= k} for the same pair of independent binomials.
 
     Computed as sum_j Pr{X=j} * Pr{Y >= k-j}, with the survival function of Y
-    accumulated once; avoids the O(k^2) term-by-term double sum.
+    accumulated once; avoids the O(k^2) term-by-term double sum.  ``k`` must
+    be an integer; at k <= 0 the tail is 1.
     """
     n1 = _check_count("n1", n1, minimum=0)
     n2 = _check_count("n2", n2, minimum=0)
+    k = _check_count("k", k, minimum=None)
+    _check_prob("p1", p1)
+    _check_prob("p2", p2)
     return _plain_split(n1, p1, n2, p2).tail(n1, n2, k)
 
 
@@ -449,19 +467,36 @@ def _mixture_moments(rows, laws: _Laws):
     return _mix(rows, _row_moments(rows, laws))
 
 
-def _race_rows(split: _SplitPowers, n: int, laws: _Laws = _Laws()):
-    """``(scores, tie, rows)`` of a race to ``n`` units, from A's tables.
+class _Race:
+    """The final scores of a race to ``n`` units, from A's tables.
 
-    ``scores[h]`` is (label "n-h", loser's count h, A's mass, B's mass) for
-    h = 0..n-2 (see :meth:`_SplitPowers.race`), ``tie`` the mass reaching
-    n-1 all, and ``rows[h]`` both winners' :class:`_ScoreRow` of n+h units.
-    The race reads its serve rule from ``laws``, as the moments do.  Each
-    layer appends the rows of its own tie rule.
+    The race reads its serve rule from the layer's ``laws``, as the moments
+    do (:meth:`_SplitPowers.race`).  ``wins[h]`` is A's mass on n-h, for
+    h = 0..n-2, and ``tie`` the mass reaching n-1 all, which each layer
+    settles by its own rule; these are all a win path reads.  B's masses,
+    ``losses``, are raced on the ``.swapped()`` tables when first read, by
+    :meth:`rows` (both winners' rows) or :meth:`scores` (a breakdown's).
     """
-    a_wins, tie = split.race(n, laws.opener_units)
-    b_wins, _ = split.swapped().race(n, laws.opener_units)
-    scores = [(f"{n}-{h}", h, a, b) for h, (a, b) in enumerate(zip(a_wins, b_wins))]
-    return scores, tie, [_ScoreRow(a + b, n + h, False) for _, h, a, b in scores]
+
+    def __init__(self, split: _SplitPowers, n: int, laws: _Laws = _Laws()):
+        self.split, self.n, self.laws = split, n, laws
+        self.wins, self.tie = split.race(n, laws.opener_units)
+
+    @functools.cached_property
+    def losses(self) -> list:
+        return self.split.swapped().race(self.n, self.laws.opener_units)[0]
+
+    def rows(self) -> list:
+        """Both winners' :class:`_ScoreRow` of n+h units for h = 0..n-2;
+        each layer appends the rows of its own tie rule."""
+        return [_ScoreRow(a + b, self.n + h, False)
+                for h, (a, b) in enumerate(zip(self.wins, self.losses))]
+
+    def scores(self) -> list:
+        """(label "n-h", loser's count h, A's mass, B's mass) for h = 0..n-2,
+        the outright rows of a breakdown (:func:`_breakdown`)."""
+        return [(f"{self.n}-{h}", h, a, b)
+                for h, (a, b) in enumerate(zip(self.wins, self.losses))]
 
 
 def _clipped_win(head, tie, theta):

@@ -7,8 +7,11 @@ two.  The pair structure makes the GT duration twice a geometric variable
 with success probability p^2 + q^2.
 
 The final scores 4-0, 4-1, 4-2 and deuce are closed-form rows, the GT
-stacked on deuce, for core's moments, breakdown and PMF; ``game_win_prob``,
+stacked on deuce, for core's moments, breakdown and PMF; the game win,
 the innermost call of every set and match, keeps its own closed form.
+Each public function checks ``p`` and calls an unchecked evaluator
+(``_gt_win``, ``_game_win``, ``_game_moments``, ``_game_pmf``), which the
+set, match and best-of layers call directly.
 """
 
 from __future__ import annotations
@@ -50,11 +53,14 @@ def gt_win_prob(p):
     or drops both); the server takes a decisive pair with p^2, so the
     geometric race gives p^2 / (p^2 + q^2).  The denominator is at least 1/2.
     """
-    _check_prob("p", p)
+    return _gt_win(_check_prob("p", p))
+
+
+def _gt_win(p):
+    """:func:`gt_win_prob` for a valid ``p``."""
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    out = p**2 / (p**2 + q**2)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(p**2 / (p**2 + q**2))
 
 
 def gt_points_moments(p):
@@ -84,26 +90,28 @@ def game_win_prob(p):
     Rounding can carry the sum one ulp past 1 (p near 1), so it is clipped
     there; small values are never touched.
     """
-    _check_prob("p", p)
+    return _game_win(_check_prob("p", p))
+
+
+def _game_win(p):
+    """:func:`game_win_prob` for a valid ``p``."""
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * gt_win_prob(p)
-    out = np.minimum(out, 1.0)
-    return float(out) if out.ndim == 0 else out
+    out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * _gt_win(p)
+    return _scalar_or_array(np.minimum(out, 1.0))
 
 
 def _game_rows(p):
     """(scores, rows, laws) of a game's final scores.
 
-    ``scores`` lists 4-0, 4-1 and 4-2 as (score, receiver's points,
-    server's mass, receiver's mass), closed forms with C(3+h, 3) orderings.
-    Their rows pin the count at 4+h points; the last row, deuce (3-3), whose
-    mass is C(6, 3) p^3 q^3, stacks the GT's point count on its six points.
+    ``scores`` lists 4-0, 4-1 and 4-2 as (receiver's points, server's
+    mass, receiver's mass), closed forms with C(3+h, 3) orderings.  Their
+    rows pin the count at 4+h points; the last row, deuce (3-3), whose mass
+    is C(6, 3) p^3 q^3, stacks the GT's point count on its six points.
     """
     q = 1.0 - p
-    scores = [(f"4-{h}", h, ways * p**4 * q**h, ways * q**4 * p**h)
-              for h, ways in _SCORE_WAYS.items()]
-    rows = [_ScoreRow(a + b, 4 + h, False) for _, h, a, b in scores]
+    scores = [(h, ways * p**4 * q**h, ways * q**4 * p**h) for h, ways in _SCORE_WAYS.items()]
+    rows = [_ScoreRow(a + b, 4 + h, False) for h, a, b in scores]
     rows.append(_ScoreRow(_DEUCE_WAYS * p**3 * q**3, 6, True))
     return scores, rows, _Laws(stacked=_gt_moments(p))
 
@@ -115,7 +123,12 @@ def game_points_moments(p):
     degenerate in length, the deuce branch lasts 6 + 2 Ge(p^2+q^2) points.
     Mean and variance combine by the laws of total expectation and variance.
     """
-    p = _scalar_or_array(np.asarray(_check_prob("p", p), dtype=float))
+    return _game_moments(_check_prob("p", p))
+
+
+def _game_moments(p):
+    """:func:`game_points_moments` for a valid ``p``."""
+    p = _scalar_or_array(np.asarray(p, dtype=float))
     mean, var = _mixture_moments(*_game_rows(p)[1:])
     return _scalar_or_array(mean), _scalar_or_array(var)
 
@@ -129,7 +142,11 @@ def game_points_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
     mean/variance are the closed forms, not truncated sums.
     """
     p = float(_check_prob("p", p))
-    n_max = _check_count("n_max", n_max, minimum=6)
+    return _game_pmf(p, _check_count("n_max", n_max, minimum=6))
+
+
+def _game_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
+    """:func:`game_points_pmf` for a valid float ``p`` and ``n_max``."""
     q = 1.0 - p
     # a deuce pair ends the game with p^2 + q^2 and goes on with 2pq
     return _race_tie_law(*_game_rows(p)[1:], p**2 + q**2, 2.0 * p * q, n_max)
@@ -143,6 +160,7 @@ def game_breakdown(p: float) -> ScoreBreakdown:
     """
     p = float(_check_prob("p", p))
     scores, rows, laws = _game_rows(p)
-    tie, theta_gt = rows[-1].mass, gt_win_prob(p)
-    scores.append(("TB", None, tie * theta_gt, tie * (1.0 - theta_gt)))
-    return _breakdown("game", scores, rows, laws, game_win_prob(p))
+    tie, theta = rows[-1].mass, _gt_win(p)  # deuce: the server's chance, the receiver's the rest
+    shown = [(f"4-{h}", h, a, b) for h, a, b in scores]
+    shown.append(("TB", None, tie * theta, tie * (1.0 - theta)))
+    return _breakdown("game", shown, rows, laws, _game_win(p))

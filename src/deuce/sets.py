@@ -14,8 +14,19 @@ serves:
   (``games_served_by_first_server``); at five games all, games 11 and 12
   give 7-5 or 6-6, and at 6-6 the ST decides.
 
-Moments, breakdowns and PMFs weight the final scores by the Theorem of
-Total Probability.  ``_race_rows`` gives both players' final scores as
+Each layer states once, next to its race, how its tie is settled, by the
+Theorem of Total Probability.  A player's ST win is that player's outright
+masses plus K-1 all times that player's STT win (``_st_win``), and A's set
+win is A's outright masses, 7-5 included, plus 6-6 times A's ST win
+(``_set_win``).  The win probabilities, the breakdowns' win lines and tie
+rows, and the match's per-set odds read these two.  ``_sets`` is the one
+set evaluation: one race of the set's games serves every tie-breaker
+target asked for, with the set laws when they are asked for too.  A win
+path runs A's races only; B's are raced when rows are first read
+(:class:`~deuce.core._Race`).
+
+Moments, breakdowns and PMFs weight the final scores the same way.  A
+``_Race`` gives both players' final scores as
 :class:`~deuce.core._ScoreRow`s; the ST appends its STT row and the set its
 7-5 and 7-6 rows.  Each layer states its per-unit laws once
 (:class:`~deuce.core._Laws`), from a serve rule its race reads too
@@ -29,6 +40,10 @@ third significant figure — see the tests for a quantified comparison).
 
 Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
+
+Public functions validate their arguments once and call the unchecked
+evaluators (``_stt_win``, ``_st_race``, ``_sets`` and the rest), which the
+match and best-of layers call too.
 """
 
 from __future__ import annotations
@@ -43,13 +58,13 @@ from .core import (
     _alternate_serves,
     _breakdown,
     _check_count,
-    _check_prob,
+    _check_pair,
     _clipped_win,
     _compose_length_law,
     _Laws,
     _mixture_moments,
     _pmf_law,
-    _race_rows,
+    _Race,
     _race_tie_law,
     _scalar_or_array,
     _ScoreRow,
@@ -57,12 +72,13 @@ from .core import (
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
     geometric_moments,
 )
-from .game import game_points_moments, game_points_pmf, game_win_prob
+from .game import _game_moments, _game_pmf, _game_win
 
 __all__ = [
     "stt_win_prob",
     "stt_points_distribution",
     "st_win_prob",
+    "st_points_moments",
     "st_points_distribution",
     "st_breakdown",
     "set_win_prob",
@@ -98,6 +114,13 @@ def _require_terminating(pa, pb, reach=1.0) -> None:
         )
 
 
+def _stt_length(pa, pb):
+    """(mean, variance) of the STT's point count: twice a geometric number of
+    point pairs, a pair deciding with pA*qB + qA*pB."""
+    g_mean, g_var = geometric_moments(_decisive_pair_prob(pa, pb))
+    return 2.0 * g_mean, 4.0 * g_var
+
+
 def stt_win_prob(pa, pb):
     """First player's probability of winning the set tie-breaker's tie-breaker.
 
@@ -109,13 +132,16 @@ def stt_win_prob(pa, pb):
     which is ODDS(pA)/ (ODDS(pA) + ODDS(pB)) territory: only the odds ratio
     matters, and the serving order within pairs does not.
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
+    return _stt_win(*_check_pair(pa, pb))
+
+
+def _stt_win(pa, pb):
+    """:func:`stt_win_prob` for valid ``pa`` and ``pb``; the pairs that never
+    terminate are still rejected.  B's STT win is ``_stt_win(pb, pa)``."""
     _require_terminating(pa, pb)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    out = pa * (1.0 - pb) / _decisive_pair_prob(pa, pb)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(pa * (1.0 - pb) / _decisive_pair_prob(pa, pb))
 
 
 def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCountDistribution:
@@ -124,13 +150,11 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     The point count is twice a geometric variable with success probability
     pA*qB + qA*pB; mass sits on the even integers.
     """
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
+    pa, pb = _check_pair(pa, pb, float)
     n_max = _check_count("n_max", n_max, minimum=2)
     _require_terminating(pa, pb)
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    g_mean, g_var = geometric_moments(eta)
-    laws = _Laws(stacked=(2.0 * g_mean, 4.0 * g_var))
+    laws = _Laws(stacked=_stt_length(pa, pb))
     return _race_tie_law([_ScoreRow(1.0, 0, True)], laws, eta, 1.0 - eta, n_max)
 
 
@@ -146,12 +170,33 @@ def _st_split(pa, pb, k: int) -> _SplitPowers:
     return _SplitPowers(k - 1, pa, 1.0 - pa, 1.0 - pb, pb)
 
 
+def _st_race(pa, pb, k: int) -> _Race:
+    """The race of a K-point set tie-breaker, from A's per-point tables.
+
+    Rejects the non-terminating pairs only where the tie is reachable:
+    the degenerate pairs (0,0) and (1,1) walk to it with probability one.
+    """
+    race = _Race(_st_split(pa, pb, k), k, _ST_UNITS)
+    _require_terminating(pa, pb, race.tie)
+    return race
+
+
+def _st_win(wins, tie, pa, pb):
+    """A player's ST win: the player's outright masses ``wins``, plus the
+    tie times the player's STT win, whose outcome does not depend on who
+    serves first in its pairs.
+
+    A's are the race's ``wins`` (:func:`_st_race`); B's are its ``losses``,
+    with the pair swapped.
+    """
+    return _scalar_or_array(sum(wins) + tie * _stt_win(pa, pb))
+
+
 def st_win_prob(pa, pb, k: int):
     """First player's probability of winning a K-point set tie-breaker.
 
     Sums the direct final scores (K, h) for h = 0..K-2 and the (K-1, K-1) tie
-    weighted by the STT, whose outcome does not depend on who serves first
-    in its pairs:
+    weighted by the STT:
 
         sum_h theta(K,h) + theta(K-1,K-1) * theta_STT
 
@@ -159,28 +204,20 @@ def st_win_prob(pa, pb, k: int):
     i.e. for the degenerate pairs (0,0) and (1,1) — those walk to the tie with
     probability one.
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
-    k = _check_count("k", k, minimum=2)
-    wins, tie = _st_split(pa, pb, k).race(k, _ST_UNITS.opener_units)
-    _require_terminating(pa, pb, tie)
-    return _scalar_or_array(sum(wins) + tie * stt_win_prob(pa, pb))
+    _check_pair(pa, pb)
+    race = _st_race(pa, pb, _check_count("k", k, minimum=2))
+    return _st_win(race.wins, race.tie, pa, pb)
 
 
-def _st_rows(pa, pb, k: int):
-    """(scores, rows, laws) of a K-point set tie-breaker's final scores.
+def _st_rows(race: _Race, pa, pb):
+    """(rows, laws) of a K-point set tie-breaker's final scores, from its race.
 
-    ``scores`` lists K-0 .. K-(K-2) as (score, loser's points, A's mass,
-    B's mass) (see :func:`~deuce.core._race_rows`).  Scores K-h and h-K pin
-    the count at K+h points; the last row, K-1 all, whose mass is the tie,
-    stacks the STT's twice-geometric pair count on its 2(K-1) points.
+    Scores K-h and h-K pin the count at K+h points; the last row, K-1 all,
+    whose mass is the tie, stacks the STT's twice-geometric pair count on
+    its 2(K-1) points.
     """
-    scores, tie, rows = _race_rows(_st_split(pa, pb, k), k, _ST_UNITS)
-    _require_terminating(pa, pb, tie)
-    rows.append(_ScoreRow(tie, 2 * k - 2, True))
-    eta = _decisive_pair_prob(pa, pb)
-    g_mean, g_var = geometric_moments(np.where(eta == 0.0, 1.0, eta))
-    return scores, rows, _ST_UNITS._replace(stacked=(2.0 * g_mean, 4.0 * g_var))
+    rows = race.rows() + [_ScoreRow(race.tie, 2 * race.n - 2, True)]
+    return rows, _ST_UNITS._replace(stacked=_stt_length(pa, pb))
 
 
 def st_points_moments(pa, pb, k: int):
@@ -189,10 +226,9 @@ def st_points_moments(pa, pb, k: int):
     Every non-tie score pins the count, so only the tie's geometric variance
     and the spread of the score means contribute (:func:`_mixture_moments`).
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
+    _check_pair(pa, pb)
     k = _check_count("k", k, minimum=2)
-    mean, var = _mixture_moments(*_st_rows(pa, pb, k)[1:])
+    mean, var = _mixture_moments(*_st_rows(_st_race(pa, pb, k), pa, pb))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -209,25 +245,22 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     mass at even n >= 2K is the tie probability times the geometric STT
     landing on pair (n - 2K + 2)/2.
     """
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
+    pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    return _st_law(pa, pb, n_max, *_st_rows(pa, pb, k)[1:])
+    return _st_law(pa, pb, n_max, *_st_rows(_st_race(pa, pb, k), pa, pb))
 
 
 def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     """Per-final-score summary of a K-point set tie-breaker."""
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
+    pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
-    scores, rows, laws = _st_rows(pa, pb, k)
-    tie = rows[-1].mass
-    theta_stt = stt_win_prob(pa, pb)
-    win = sum(first for _, _, first, _ in scores) + tie * theta_stt
-    if tie > 0.0:
-        scores.append(("TB", None, tie * theta_stt, tie * stt_win_prob(pb, pa)))
-    return _breakdown("st", scores, rows, laws, win)
+    race = _st_race(pa, pb, k)
+    rows, laws = _st_rows(race, pa, pb)
+    scores = race.scores()
+    if race.tie > 0.0:
+        scores.append(("TB", None, race.tie * _stt_win(pa, pb), race.tie * _stt_win(pb, pa)))
+    return _breakdown("st", scores, rows, laws, _st_win(race.wins, race.tie, pa, pb))
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -243,26 +276,87 @@ def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
     No set score reads more than five games of either serve, so the set's
     tables stop there; best-of-games races pass their own ``n``.
     """
-    return _SplitPowers(n, game_win_prob(pa), game_win_prob(np.subtract(1.0, pa)),
-                        game_win_prob(np.subtract(1.0, pb)), game_win_prob(pb))
+    return _SplitPowers(n, _game_win(pa), _game_win(np.subtract(1.0, pa)),
+                        _game_win(np.subtract(1.0, pb)), _game_win(pb))
 
 
-def _reach_66(pa, pb, split: _SplitPowers, reach_55):
-    """The mass reaching 6-6: 5-5, then games 11 and 12 split one each."""
-    p66 = reach_55 * (split.win1 * split.loss2 + split.loss1 * split.win2)
-    _require_terminating(pa, pb, p66)
-    return p66
+def _set_games(pa, pb):
+    """(race, a75, p66): the set's race to six games from A's per-game
+    tables (:func:`_game_split`), A's mass on 7-5 (5-5, then A takes games
+    11 and 12), and the mass reaching 6-6 (5-5, then they split).
 
-
-def _set_head(pa, pb, split: _SplitPowers):
-    """(A's summed mass on 6-0 .. 6-4 and 7-5, the mass reaching 6-6).
-
-    ``split`` holds A's per-game tables (see :func:`_game_split`).  None of
-    this depends on the tie-breaker target, so a match evaluates it once for
-    both of its targets.
+    None of this depends on the tie-breaker target, so a match evaluates it
+    once for both of its targets.
     """
-    wins, reach_55 = split.race(_SET_TARGET, _GAME_UNITS.opener_units)
-    return sum(wins) + reach_55 * split.win1 * split.win2, _reach_66(pa, pb, split, reach_55)
+    race = _Race(_game_split(pa, pb), _SET_TARGET, _GAME_UNITS)
+    split = race.split
+    p66 = race.tie * (split.win1 * split.loss2 + split.loss1 * split.win2)
+    _require_terminating(pa, pb, p66)
+    return race, race.tie * split.win1 * split.win2, p66
+
+
+def _set_win(race: _Race, a75, p66, theta_st):
+    """A's set win: A's outright masses on 6-0 .. 6-4 and 7-5, plus 6-6
+    times A's ST win; clipped at 1, which rounding can pass by an ulp."""
+    return _clipped_win(sum(race.wins) + a75, p66, theta_st)
+
+
+def _set_rows(race: _Race, p66) -> list:
+    """Both winners' rows of a set's final scores, from :func:`_set_games`.
+
+    A score with g games plays g alternating-server games: 6-h from the
+    race, 7-5 twelve, and 7-6 twelve with the ST stacked.  None of this
+    depends on the tie-breaker target, which only the laws carry
+    (:func:`_games_laws`).
+    """
+    split = race.split
+    p75 = race.tie * (split.win1 * split.win2 + split.loss1 * split.loss2)
+    return race.rows() + [_ScoreRow(p75, 12, False), _ScoreRow(p66, 12, True)]
+
+
+def _games_laws(game_a, game_b, stacked) -> _Laws:
+    """Laws of a race of alternating games: A's games, B's, and the tie row's stacked law."""
+    return _GAME_UNITS._replace(opener=game_a, other=game_b, stacked=stacked)
+
+
+def _st_tie(pa, pb, k: int, st_law=None):
+    """A's chance in the set's 6-6 tie at target ``k``, A's ST win; with
+    ``st_law``, paired with ``st_law(rows, laws)``, the ST law stacked on 7-6."""
+    st = _st_race(pa, pb, k)
+    theta = _st_win(st.wins, st.tie, pa, pb)
+    return theta if st_law is None else (theta, st_law(*_st_rows(st, pa, pb)))
+
+
+def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_moments) -> list:
+    """A's set win at each tie-breaker target in ``ks``, from one race of the
+    set's games and one ST race per target.
+
+    With ``game_law`` each win comes paired with the set's law at its
+    target: ``game_law(p)`` gives a player's game law, ``st_law(rows,
+    laws)`` the ST law stacked on 7-6 and ``set_law(rows, laws)`` the set
+    law; moments by default, or PMF laws (:func:`_pmf_laws`).  Without it
+    only A's races run and no score rows are built.
+
+    On a grid each set of power tables is a few MB.  Each ST is settled
+    before the games build their tables, and those are freed before the
+    laws are formed, so one set of tables is alive at a time and the heap
+    reuses its memory instead of faulting fresh pages in on every call.
+    """
+    ties = [_st_tie(pa, pb, k, None if game_law is None else st_law) for k in ks]
+    games, a75, p66 = _set_games(pa, pb)
+    if game_law is None:
+        return [_set_win(games, a75, p66, theta) for theta in ties]
+    wins = [_set_win(games, a75, p66, theta) for theta, _ in ties]
+    rows = _set_rows(games, p66)
+    del games
+    units = game_law(pa), game_law(pb)
+    return [(win, set_law(rows, _games_laws(*units, st))) for win, (_, st) in zip(wins, ties)]
+
+
+def _pmf_laws(pa: float, pb: float, n_max: int) -> tuple:
+    """The game and ST laws of :func:`_sets` as PMFs, the ST's cut at ``n_max``."""
+    return (lambda p: _pmf_law(_game_pmf(p)),
+            lambda rows, laws: _pmf_law(_st_law(pa, pb, n_max, rows, laws)))
 
 
 def set_win_prob(pa, pb, k: int):
@@ -276,35 +370,8 @@ def set_win_prob(pa, pb, k: int):
     Rounding can carry the sum one ulp past 1, so it is clipped there; small
     values are never touched.
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
-    k = _check_count("k", k, minimum=2)
-    head, p66 = _set_head(pa, pb, _game_split(pa, pb))
-    return _clipped_win(head, p66, st_win_prob(pa, pb, k))
-
-
-def _set_rows(pa, pb, split: _SplitPowers):
-    """(scores, rows) of a set's final scores.
-
-    ``split`` holds A's per-game tables.  ``scores`` lists 6-0 .. 6-4 and
-    7-5 as (score, loser's games, A's mass, B's mass); ``rows`` merges both
-    winners for those and adds 7-6, twelve games with the ST stacked.  A
-    score with g games plays g alternating-server games.  None of this
-    depends on the tie-breaker target, which only the laws carry
-    (:func:`_games_laws`).
-    """
-    scores, reach_55, rows = _race_rows(split, _SET_TARGET, _GAME_UNITS)
-    p66 = _reach_66(pa, pb, split, reach_55)
-    scores.append(("7-5", 5, reach_55 * split.win1 * split.win2,
-                   reach_55 * split.loss1 * split.loss2))
-    p75 = reach_55 * (split.win1 * split.win2 + split.loss1 * split.loss2)
-    rows += [_ScoreRow(p75, 12, False), _ScoreRow(p66, 12, True)]
-    return scores, rows
-
-
-def _games_laws(game_a, game_b, stacked) -> _Laws:
-    """Laws of a race of alternating games: A's games, B's, and the tie row's stacked law."""
-    return _GAME_UNITS._replace(opener=game_a, other=game_b, stacked=stacked)
+    _check_pair(pa, pb)
+    return _sets(pa, pb, (_check_count("k", k, minimum=2),))[0]
 
 
 def set_points_moments(pa, pb, k: int):
@@ -315,12 +382,8 @@ def set_points_moments(pa, pb, k: int):
     its twelve games.  Combination is by the iterated expectation/variance
     rules over the score distribution.
     """
-    _check_prob("pa", pa)
-    _check_prob("pb", pb)
-    k = _check_count("k", k, minimum=2)
-    laws = _games_laws(game_points_moments(pa), game_points_moments(pb),
-                       _mixture_moments(*_st_rows(pa, pb, k)[1:]))
-    mean, var = _mixture_moments(_set_rows(pa, pb, _game_split(pa, pb))[1], laws)
+    _check_pair(pa, pb)
+    _, (mean, var) = _sets(pa, pb, (_check_count("k", k, minimum=2),), _game_moments)[0]
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -331,20 +394,19 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     precede it; its probability splits between the players by each one's
     own ST win probability, so the underdog's share is never a complement.
     """
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
+    pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
-    scores, rows = _set_rows(pa, pb, _game_split(pa, pb))
-    st_scores, st_rows, st_laws = _st_rows(pa, pb, k)
-    tie, p66 = st_rows[-1].mass, rows[-1].mass
-    theta_st = sum(first for _, _, first, _ in st_scores) + tie * stt_win_prob(pa, pb)
-    win = _clipped_win(sum(first for _, _, first, _ in scores), p66, theta_st)
+    games, a75, p66 = _set_games(pa, pb)
+    st = _st_race(pa, pb, k)
+    theta_st = _st_win(st.wins, st.tie, pa, pb)
+    split = games.split
+    scores = games.scores() + [("7-5", 5, a75, games.tie * split.loss1 * split.loss2)]
     if p66 > 0.0:  # the 7-6 row only when reachable
-        theta_b = sum(second for _, _, _, second in st_scores) + tie * stt_win_prob(pb, pa)
-        scores.append(("7-6", 6, p66 * theta_st, p66 * theta_b))
-    laws = _games_laws(game_points_moments(pa), game_points_moments(pb),
-                       _mixture_moments(st_rows, st_laws))
-    return _breakdown("set", scores, rows, laws, win)
+        scores.append(("7-6", 6, p66 * theta_st, p66 * _st_win(st.losses, st.tie, pb, pa)))
+    laws = _games_laws(_game_moments(pa), _game_moments(pb),
+                       _mixture_moments(*_st_rows(st, pa, pb)))
+    return _breakdown("set", scores, _set_rows(games, p66), laws,
+                      _set_win(games, a75, p66, theta_st))
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -362,10 +424,8 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     per product but adds round-off of about 1e-17 absolute to every entry,
     which would wipe out the relative accuracy of the small masses.
     """
-    pa = float(_check_prob("pa", pa))
-    pb = float(_check_prob("pb", pb))
+    pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    laws = _games_laws(_pmf_law(game_points_pmf(pa)), _pmf_law(game_points_pmf(pb)),
-                       _pmf_law(_st_law(pa, pb, n_max, *_st_rows(pa, pb, k)[1:])))
-    return _compose_length_law(_set_rows(pa, pb, _game_split(pa, pb))[1], laws, n_max)
+    return _sets(pa, pb, (k,), *_pmf_laws(pa, pb, n_max),
+                 lambda rows, laws: _compose_length_law(rows, laws, n_max))[0][1]

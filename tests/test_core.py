@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from deuce.core import (
     NonTerminatingError,
     _Laws,
-    _race_rows,
+    _Race,
     _row_moments,
     _SplitPowers,
     binomial_convolution_mass,
@@ -137,8 +137,9 @@ def test_split_tables_serve_every_term_and_the_opponent():
                 assert split.mass(n1, n2, k) == pytest.approx(oracle, rel=1e-13, abs=0)
                 flipped = oracles.binomial_convolution_double_loop(n1, 1.0 - p1, n2, 1.0 - p2, k)
                 assert other.mass(n1, n2, k) == pytest.approx(flipped, rel=1e-13, abs=0)
+    # the tables check nothing; the public entry that builds them does
     with pytest.raises(ValueError):
-        _SplitPowers(3, 0.5, 0.5, 0.5, float("nan"))
+        binomial_convolution_mass(3, 0.5, 3, float("nan"), 1)
 
 
 # unit pattern -> (the library's count of opener-served units among 1..m,
@@ -168,10 +169,11 @@ def test_race_matches_exact_score_walk(pattern, n):
             elif want > 1e-300:
                 assert got == pytest.approx(float(want), rel=1e-13, abs=0)
         assert sum(a_wins) + sum(b_wins) + tie == pytest.approx(1.0, abs=1e-14)
-        # the builder pairs the same two races, labels them and merges the rows
+        # the race object pairs the same two races, labels them and merges the rows
         laws = _Laws(opener_units=opener_units)
-        scores, rows_tie, rows = _race_rows(split, n, laws)
-        assert rows_tie == tie
+        race = _Race(split, n, laws)
+        scores, rows = race.scores(), race.rows()
+        assert race.tie == tie
         assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
         assert [a for _, _, a, _ in scores] == a_wins
         assert [b for _, _, _, b in scores] == b_wins
@@ -207,6 +209,14 @@ def test_binomial_convolution_tail_consistent_with_mass():
             expected = 1.0
         got = binomial_convolution_tail(n1, p1, n2, p2, k)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, False, "3", None])
+def test_binomial_convolution_tail_rejects_non_integer_k(k):
+    # the tail checks k as the mass does; only its range is wider (k <= 0 gives 1)
+    for fn in (binomial_convolution_tail, binomial_convolution_mass):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            fn(3, 0.2, 2, 0.5, k)
 
 
 def test_binomial_convolution_broadcasts():
