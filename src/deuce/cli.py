@@ -115,7 +115,14 @@ def _echo(text: str, err: bool = False) -> None:
 
 
 def _structure_options(fn):
-    """Attach the scoring-structure flags shared by every subcommand."""
+    """Attach the scoring-structure flags shared by every subcommand, which
+    receives them as one mapping, ``fields`` (:func:`_build_specs`)."""
+
+    @functools.wraps(fn)
+    def command(**kwargs):
+        fields = {name: kwargs.pop(name) for name in ("k", "k0", "k1", "q", "l", "tiebreak")}
+        return fn(fields=fields, **kwargs)
+
     for option in (
         click.option("--k", type=click.IntRange(min=2), default=None,
                      help="tie-break target (st) or games per set (set)."),
@@ -130,8 +137,8 @@ def _structure_options(fn):
         click.option("--tiebreak", type=click.Choice(_TIEBREAKS),
                      default=None, help="rule applied at l-all games (bog)."),
     ):
-        fn = option(fn)
-    return fn
+        command = option(command)
+    return command
 
 
 def _param_options(fn):
@@ -179,13 +186,13 @@ def _domain_errors(fn):
     return wrapper
 
 
-def _build_specs(kinds, k, k0, k1, q, l, tiebreak) -> list[SystemSpec]:
-    """One spec per kind from one pool of structure flags.
+def _build_specs(kinds, **fields) -> list[SystemSpec]:
+    """One spec per kind from one pool of structure flags, ``fields`` (None
+    where a flag was not given).
 
     Each kind takes only the flags that apply to it; a flag that applies to
     none of ``kinds`` is a usage error, and so is a missing required flag.
     """
-    fields = {"k": k, "k0": k0, "k1": k1, "q": q, "l": l, "tiebreak": tiebreak}
     provided = {name: value for name, value in fields.items() if value is not None}
     for name in provided:
         if not any(name in _KINDS[kind].fields for kind in kinds):
@@ -331,9 +338,9 @@ def main() -> None:
 @_structure_options
 @_output_options()
 @_domain_errors
-def cmd_compute(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
+def cmd_compute(system, p, pa, pb, fields, fmt, precision):
     """Print win probability, mean, variance, and std of the point count."""
-    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], **fields)
     params = _gather_params(spec, p, pa, pb)
     ops = _OPS[system]
     theta = float(ops.win(spec, params))
@@ -359,9 +366,9 @@ def cmd_compute(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
 @_structure_options
 @_output_options()
 @_domain_errors
-def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
+def cmd_breakdown(system, p, pa, pb, fields, fmt, precision):
     """Print the per-final-score probability and duration table."""
-    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], **fields)
     params = _gather_params(spec, p, pa, pb)
     ops = _OPS[system]
     table = ops.breakdown(spec, params)
@@ -414,8 +421,7 @@ def cmd_breakdown(system, p, pa, pb, k, k0, k1, q, l, tiebreak, fmt, precision):
 @_structure_options
 @_output_options(default_format="csv")
 @_domain_errors
-def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
-             tiebreak, fmt, precision):
+def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
     """Tabulate a quantity over a (p_A, p_B) lattice as a CSV matrix.
 
     SYSTEM is one of stt/st/set/match/bog, optionally suffixed with the
@@ -441,7 +447,7 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, k, k0, k1, q, l,
         raise click.UsageError("--pmin must be below --pmax")
 
     kinds = [base] + ([other] if other is not None else [])
-    specs = _build_specs(kinds, k, k0, k1, q, l, tiebreak)
+    specs = _build_specs(kinds, **fields)
     spec = specs[0]
     if not spec.takes_pair:
         raise click.UsageError(
@@ -526,15 +532,14 @@ def _parse_prior(alpha, beta, prior_text, for_pair, kind):
 @_structure_options
 @_output_options()
 @_domain_errors
-def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
-                   tiebreak, fmt, precision):
+def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
     """Report prior-weighted efficiencies for one or more systems."""
     for name in systems:
         if name not in SYSTEM_KINDS:
             raise click.UsageError(
                 f"unknown system '{name}': expected one of {', '.join(SYSTEM_KINDS)}")
     reports = []
-    for spec in _build_specs(systems, k, k0, k1, q, l, tiebreak):
+    for spec in _build_specs(systems, **fields):
         name = spec.kind
         win = functools.partial(_OPS[name].win, spec)
         prior_a, prior_b = _parse_prior(alpha, beta, prior_text,
@@ -578,10 +583,9 @@ def cmd_efficiency(systems, alpha, beta, prior_text, k, k0, k1, q, l,
               show_default=True, help="cap on points per replication.")
 @_output_options()
 @_domain_errors
-def cmd_simulate(system, p, pa, pb, k, k0, k1, q, l, tiebreak, reps, seed,
-                 max_points, fmt, precision):
+def cmd_simulate(system, p, pa, pb, fields, reps, seed, max_points, fmt, precision):
     """Estimate win rate and duration by Monte-Carlo replication."""
-    (spec,) = _build_specs([system], k, k0, k1, q, l, tiebreak)
+    (spec,) = _build_specs([system], **fields)
     params = _gather_params(spec, p, pa, pb)
     if seed is None:
         seed = secrets.randbits(63)

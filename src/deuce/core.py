@@ -11,11 +11,13 @@ of ingredients collected here:
   every layer reads,
 * a race's final scores (``_Race``): A's masses and the tie at once, which
   is all a win path reads, and B's masses and both players' score rows
-  when a moment, breakdown or PMF first reads them; and a layer's clipped
-  win probability (``_clipped_win``),
-* the mixture over final scores: rows (``_ScoreRow``, mass and unit count)
-  and a layer's per-unit length laws (``_Laws``) give, through one reader
-  (``_row_moments``), its moments, breakdown and length PMFs,
+  when a moment, breakdown or PMF first reads them; a layer's clipped win
+  probability (``_clipped_win``), and A's and B's shares of a tie that A
+  wins with a given chance (``_tie_shares``),
+* the mixture over final scores: rows (``_ScoreRow``: mass, unit count and
+  how a breakdown shows the score) and a layer's per-unit length laws
+  (``_Laws``) give, through one reader (``_row_moments``), its moments,
+  breakdown and length PMFs,
 * moments of the geometric distribution (two-point and two-game tie-breaker
   cycles are geometric in the number of cycles).
 
@@ -404,16 +406,26 @@ def _geometric_tail(first, rho, count: int) -> list:
 
 
 class _ScoreRow(NamedTuple):
-    """One final score of a length mixture.
+    """One final score of a length mixture, and how a breakdown shows it.
 
     With probability ``mass`` the length is the sum of the first ``units``
     per-unit lengths, plus one draw of the stacked law when ``stacked``; the
     layer's :class:`_Laws` say what each of those lengths is.
+
+    A breakdown (:func:`_breakdown`) shows the row as ``score``, with the
+    loser's count ``loser``, and splits ``mass`` into A's and B's
+    ``shares``.  An outright score holds the pair itself; a tie row holds a
+    function that forms it when a breakdown asks, so no win, moment or PMF
+    path pays for it, and that returns None where the layer does not show
+    the row.  Rows that no breakdown reads may leave these three unset.
     """
 
     mass: float | np.ndarray
     units: int
     stacked: bool
+    score: str | None = None
+    loser: int | None = None
+    shares: tuple | Callable[[], tuple | None] = ()
 
 
 class _Laws(NamedTuple):
@@ -474,8 +486,8 @@ class _Race:
     do (:meth:`_SplitPowers.race`).  ``wins[h]`` is A's mass on n-h, for
     h = 0..n-2, and ``tie`` the mass reaching n-1 all, which each layer
     settles by its own rule; these are all a win path reads.  B's masses,
-    ``losses``, are raced on the ``.swapped()`` tables when first read, by
-    :meth:`rows` (both winners' rows) or :meth:`scores` (a breakdown's).
+    ``losses``, are raced on the ``.swapped()`` tables when :meth:`rows`
+    first reads them.
     """
 
     def __init__(self, split: _SplitPowers, n: int, laws: _Laws = _Laws()):
@@ -487,16 +499,17 @@ class _Race:
         return self.split.swapped().race(self.n, self.laws.opener_units)[0]
 
     def rows(self) -> list:
-        """Both winners' :class:`_ScoreRow` of n+h units for h = 0..n-2;
-        each layer appends the rows of its own tie rule."""
-        return [_ScoreRow(a + b, self.n + h, False)
+        """Both winners' :class:`_ScoreRow` "n-h" of n+h units, with A's and
+        B's masses as its shares, for h = 0..n-2; each layer appends the
+        rows of its own tie rule."""
+        return [_ScoreRow(a + b, self.n + h, False, f"{self.n}-{h}", h, (a, b))
                 for h, (a, b) in enumerate(zip(self.wins, self.losses))]
 
-    def scores(self) -> list:
-        """(label "n-h", loser's count h, A's mass, B's mass) for h = 0..n-2,
-        the outright rows of a breakdown (:func:`_breakdown`)."""
-        return [(f"{self.n}-{h}", h, a, b)
-                for h, (a, b) in enumerate(zip(self.wins, self.losses))]
+
+def _tie_shares(tie, theta):
+    """A's and B's shares of a tie of mass ``tie`` in which A's chance is
+    ``theta`` and B's the rest."""
+    return tie * theta, tie * (1.0 - theta)
 
 
 def _clipped_win(head, tie, theta):
@@ -598,27 +611,21 @@ class ScoreBreakdown:
         return sum(r.p_total for r in self.rows)
 
 
-def _breakdown(label: str, scores, rows, laws: _Laws, win_prob) -> ScoreBreakdown:
-    """Summary table of a layer from its final scores.
+def _breakdown(label: str, rows, laws: _Laws, win_prob) -> ScoreBreakdown:
+    """Summary table of a layer from its :class:`_ScoreRow` ``rows``.
 
-    ``scores`` holds (score label, loser's count, A's mass, B's mass) for
-    each shown row, in the order of the :class:`_ScoreRow` ``rows`` whose
-    conditional moments they carry.  Every row counts towards the overall
-    moments; a trailing row left out of ``scores`` (a tie that cannot be
-    reached) is not shown.
+    Every row counts towards the overall moments, and every row whose
+    shares are not None is shown, with its conditional moments.
     """
     moments = _row_moments(rows, laws)
     mean, var = _mix(rows, moments)
-    return ScoreBreakdown(
-        rows=tuple(
-            BreakdownRow(score, loser, float(first), float(second), float(m), float(v))
-            for (score, loser, first, second), (m, v) in zip(scores, moments)
-        ),
-        win_prob=float(win_prob),
-        mean=float(mean),
-        variance=float(var),
-        label=label,
-    )
+    shown = []
+    for row, (m, v) in zip(rows, moments):
+        shares = row.shares() if callable(row.shares) else row.shares
+        if shares is not None:
+            shown.append(BreakdownRow(row.score, row.loser, *map(float, shares),
+                                      float(m), float(v)))
+    return ScoreBreakdown(tuple(shown), float(win_prob), float(mean), float(var), label)
 
 
 _TIEBREAKS = ("sg", "sttg", "sttp")

@@ -29,6 +29,7 @@ from .core import (
     _race_tie_law,
     _scalar_or_array,
     _ScoreRow,
+    _tie_shares,
 )
 
 __all__ = [
@@ -102,18 +103,22 @@ def _game_win(p):
 
 
 def _game_rows(p):
-    """(scores, rows, laws) of a game's final scores.
+    """(rows, laws) of a game's final scores.
 
-    ``scores`` lists 4-0, 4-1 and 4-2 as (receiver's points, server's
-    mass, receiver's mass), closed forms with C(3+h, 3) orderings.  Their
-    rows pin the count at 4+h points; the last row, deuce (3-3), whose mass
-    is C(6, 3) p^3 q^3, stacks the GT's point count on its six points.
+    4-0, 4-1 and 4-2 are closed forms with C(3+h, 3) orderings, split
+    between server and receiver, and pin the count at 4+h points.  The
+    last row, deuce (3-3), whose mass is C(6, 3) p^3 q^3, stacks the GT's
+    point count on its six points; a breakdown shows it as "TB", the
+    server's share its GT win.
     """
     q = 1.0 - p
-    scores = [(h, ways * p**4 * q**h, ways * q**4 * p**h) for h, ways in _SCORE_WAYS.items()]
-    rows = [_ScoreRow(a + b, 4 + h, False) for h, a, b in scores]
-    rows.append(_ScoreRow(_DEUCE_WAYS * p**3 * q**3, 6, True))
-    return scores, rows, _Laws(stacked=_gt_moments(p))
+    rows = []
+    for h, ways in _SCORE_WAYS.items():
+        a, b = ways * p**4 * q**h, ways * q**4 * p**h
+        rows.append(_ScoreRow(a + b, 4 + h, False, f"4-{h}", h, (a, b)))
+    tie = _DEUCE_WAYS * p**3 * q**3
+    rows.append(_ScoreRow(tie, 6, True, "TB", None, lambda: _tie_shares(tie, _gt_win(p))))
+    return rows, _Laws(stacked=_gt_moments(p))
 
 
 def game_points_moments(p):
@@ -129,7 +134,7 @@ def game_points_moments(p):
 def _game_moments(p):
     """:func:`game_points_moments` for a valid ``p``."""
     p = _scalar_or_array(np.asarray(p, dtype=float))
-    mean, var = _mixture_moments(*_game_rows(p)[1:])
+    mean, var = _mixture_moments(*_game_rows(p))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -149,7 +154,7 @@ def _game_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
     """:func:`game_points_pmf` for a valid float ``p`` and ``n_max``."""
     q = 1.0 - p
     # a deuce pair ends the game with p^2 + q^2 and goes on with 2pq
-    return _race_tie_law(*_game_rows(p)[1:], p**2 + q**2, 2.0 * p * q, n_max)
+    return _race_tie_law(*_game_rows(p), p**2 + q**2, 2.0 * p * q, n_max)
 
 
 def game_breakdown(p: float) -> ScoreBreakdown:
@@ -159,8 +164,4 @@ def game_breakdown(p: float) -> ScoreBreakdown:
     win probability and the unconditional point-count moments.
     """
     p = float(_check_prob("p", p))
-    scores, rows, laws = _game_rows(p)
-    tie, theta = rows[-1].mass, _gt_win(p)  # deuce: the server's chance, the receiver's the rest
-    shown = [(f"4-{h}", h, a, b) for h, a, b in scores]
-    shown.append(("TB", None, tie * theta, tie * (1.0 - theta)))
-    return _breakdown("game", shown, rows, laws, _game_win(p))
+    return _breakdown("game", *_game_rows(p), _game_win(p))

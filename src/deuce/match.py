@@ -5,15 +5,19 @@ set winners is an i.i.d. coin with success theta_S; the match is a race to
 Q+1 set wins in which every set has the same odds, except that the deciding
 set may use a different tie-breaker target (K1 instead of K0).  The set
 odds theta0 and theta1 come from one set evaluation (``sets._sets``): one
-race of the set's games, and one ST race per target.  The match's race
-over sets (:class:`~deuce.core._Race`) gives both players' final set
-scores and their rows, and the match appends its decider row, whose
-chances, theta1 for A and the rest for B, are stated once
-(``_decider``).  Its laws are the k0 set for every set
-and the k1 set stacked as the decider, so every conditional point-count
-moment is a sum of per-set moments, all computed with A opening service
-(changing the opener flips which player serves more, but that level of
-detail is not carried here — win probabilities are unaffected).
+race of the set's games, and one ST race per target.
+
+The match's race over sets (:class:`~deuce.core._Race`) gives both
+players' final set scores as rows, and the match appends its decider row,
+whose shares, theta1 for A and the rest for B, are formed only when a
+breakdown asks.  Its laws are the k0 set for every set and the k1 set
+stacked as the decider, so every conditional point-count moment is a sum
+of per-set moments, all computed with A opening service (changing the
+opener flips which player serves more, but that level of detail is not
+carried here — win probabilities are unaffected).  One match evaluation,
+``_match``, gives the race, rows, laws and theta1 that the moments,
+breakdown and PMF read; the win reads only the set odds and A's race, and
+builds no rows.
 
 Public functions validate their arguments once and call unchecked
 evaluators; a match call validates ``pa`` and ``pb`` once, not again in
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
                    _check_count, _check_pair, _check_spec, _clipped_win, _compose_length_law,
                    _Laws, _mixture_moments, _pmf_law, _plain_split, _Race, _scalar_or_array,
-                   _ScoreRow)
+                   _ScoreRow, _tie_shares)
 from .game import _game_moments
 from .sets import _pmf_laws, _sets
 
@@ -62,11 +66,6 @@ def _set_pair(pa, pb, spec: SystemSpec, *laws):
     return sets[0], sets[-1]
 
 
-def _decider(theta1):
-    """A's and B's chances in the decider, the match's tie."""
-    return theta1, 1.0 - theta1
-
-
 def _match_race(theta0, q: int) -> _Race:
     """The race to q+1 sets, with the same odds ``theta0`` in every set; its
     ``tie`` is q all, which the decider settles."""
@@ -74,21 +73,34 @@ def _match_race(theta0, q: int) -> _Race:
 
 
 def _match_win(race: _Race, theta1):
-    """A's match win: A's outright masses plus the tie times A's decider
-    chance, theta1 (:func:`_decider`); clipped at 1."""
+    """A's match win: A's outright masses plus the tie times A's chance in
+    the decider, theta1; clipped at 1."""
     return _clipped_win(sum(race.wins), race.tie, theta1)
 
 
-def _match_rows(theta0, q: int):
+def _match_rows(theta0, theta1, q: int):
     """(race, rows) of the match's final set scores, by the loser's set count.
 
     A score (q+1, b) with b < q plays q+1+b sets at k0; the full-length
     score plays 2q at k0 and stacks the k1 decider, and its row's mass is
-    the tie.  Every set is the opener's unit of the match's laws, and the
-    decider the stacked one.
+    the tie, which a breakdown splits by A's chance in the decider, theta1,
+    and B's, the rest.  Every set is the opener's unit of the match's laws,
+    and the decider the stacked one.
     """
     race = _match_race(theta0, q)
-    return race, race.rows() + [_ScoreRow(race.tie, 2 * q, True)]
+    tie = race.tie
+    shares = lambda: _tie_shares(tie, theta1)
+    return race, race.rows() + [_ScoreRow(tie, 2 * q, True, f"{q + 1}-{q}", q, shares)]
+
+
+def _match(pa, pb, spec: SystemSpec, *laws):
+    """(race, rows, laws, theta1): the one match evaluation that moments,
+    breakdowns and PMFs read, from the set layer's ``laws``
+    (:func:`_set_pair`); the k0 set is every set's law and the k1 set the
+    decider's."""
+    (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec, *laws)
+    race, rows = _match_rows(theta0, theta1, spec.q)
+    return race, rows, _Laws(set0, set0, set1), theta1
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
@@ -98,9 +110,7 @@ def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
     for b, (first, second) in enumerate(zip(race.wins, race.losses)):
         absorbing[(q + 1, b)] = first
         absorbing[(b, q + 1)] = second
-    first, second = _decider(theta1)
-    absorbing[(q + 1, q)] = race.tie * first
-    absorbing[(q, q + 1)] = race.tie * second
+    absorbing[(q + 1, q)], absorbing[(q, q + 1)] = _tie_shares(race.tie, theta1)
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
 
 
@@ -147,8 +157,8 @@ def match_points_moments(pa, pb, spec: SystemSpec):
     """
     _check_spec(spec, "match")
     _check_pair(pa, pb)
-    (theta0, set0), (_, set1) = _set_pair(pa, pb, spec, _game_moments)
-    mean, var = _mixture_moments(_match_rows(theta0, spec.q)[1], _Laws(set0, set0, set1))
+    _, rows, laws, _ = _match(pa, pb, spec, _game_moments)
+    mean, var = _mixture_moments(rows, laws)
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -156,12 +166,8 @@ def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     """Per-final-set-score summary of the match (rows by loser's set count)."""
     _check_spec(spec, "match")
     pa, pb = _check_pair(pa, pb, float)
-    (theta0, set0), (theta1, set1) = _set_pair(pa, pb, spec, _game_moments)
-    q = spec.q
-    race, rows = _match_rows(theta0, q)
-    first, second = _decider(theta1)
-    scores = race.scores() + [(f"{q + 1}-{q}", q, race.tie * first, race.tie * second)]
-    return _breakdown("match", scores, rows, _Laws(set0, set0, set1), _match_win(race, theta1))
+    race, rows, laws, theta1 = _match(pa, pb, spec, _game_moments)
+    return _breakdown("match", rows, laws, _match_win(race, theta1))
 
 
 def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
@@ -184,7 +190,6 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     _check_spec(spec, "match")
     pa, pb = _check_pair(pa, pb, float)
     n_max = _check_count("n_max", n_max, minimum=2)
-    (theta0, set0), (_, set1) = _set_pair(
-        pa, pb, spec, *_pmf_laws(pa, pb, n_max),
-        lambda rows, laws: _pmf_law(_compose_length_law(rows, laws, n_max)))
-    return _compose_length_law(_match_rows(theta0, spec.q)[1], _Laws(set0, set0, set1), n_max)
+    _, rows, laws, _ = _match(pa, pb, spec, *_pmf_laws(pa, pb, n_max),
+                              lambda rows, laws: _pmf_law(_compose_length_law(rows, laws, n_max)))
+    return _compose_length_law(rows, laws, n_max)

@@ -20,30 +20,43 @@ masses plus K-1 all times that player's STT win (``_st_win``), and A's set
 win is A's outright masses, 7-5 included, plus 6-6 times A's ST win
 (``_set_win``).  The win probabilities, the breakdowns' win lines and tie
 rows, and the match's per-set odds read these two.  ``_sets`` is the one
-set evaluation: one race of the set's games serves every tie-breaker
-target asked for, with the set laws when they are asked for too.  A win
-path runs A's races only; B's are raced when rows are first read
+set evaluation, for the set's win, moments, breakdown and PMF and for the
+match: one race of the set's games serves every tie-breaker target asked
+for, with the set's rows and laws when they are asked for too.  A win path
+runs A's races only; B's are raced when rows are first read
 (:class:`~deuce.core._Race`).
 
 Moments, breakdowns and PMFs weight the final scores the same way.  A
 ``_Race`` gives both players' final scores as
 :class:`~deuce.core._ScoreRow`s; the ST appends its STT row and the set its
-7-5 and 7-6 rows.  Each layer states its per-unit laws once
-(:class:`~deuce.core._Laws`), from a serve rule its race reads too
-(``_ST_UNITS``, ``_GAME_UNITS``): the ST's units are points with the STT
-stacked on K-1 all, and the set's are A's and B's games with the ST
-stacked on 7-6.  Within an ST all score durations are fixed or
+7-5 and 7-6 rows.  A row also says how a breakdown shows it, so a layer's
+breakdown is its rows: a tie row splits its mass by each player's chance
+in the tie only when a breakdown asks, and the ST's "TB" and the set's
+"7-6" are shown only where the tie is reachable.  Each layer states its
+per-unit laws once (:class:`~deuce.core._Laws`), from a serve rule its
+race reads too (``_ST_UNITS``, ``_GAME_UNITS``): the ST's units are points
+with the STT stacked on K-1 all, and the set's are A's and B's games with
+the ST stacked on 7-6.  Within an ST all score durations are fixed or
 winner-independent, so its moments are exact; at set level a game's length
 is treated as exchangeable with its winner, which is the usual
 summary-decomposition convention (the exact-process variance differs in the
 third significant figure — see the tests for a quantified comparison).
+
+Termination is decided in one place, ``_decisive_pair_prob``, which every
+two-unit-advantage race reads (the STT's win and length, and the
+best-of-games advantage races): where a pair of units never decides, both
+players winning or both losing every unit they serve, it raises
+:class:`~deuce.core.NonTerminatingError`.  Such a pair reaches every tie
+that the race settles with probability one, so no reachable-mass test is
+needed.
 
 Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
 
 Public functions validate their arguments once and call the unchecked
 evaluators (``_stt_win``, ``_st_race``, ``_sets`` and the rest), which the
-match and best-of layers call too.
+match and best-of layers call too; none of those checks anything but
+termination.
 """
 
 from __future__ import annotations
@@ -94,24 +107,23 @@ _GAME_UNITS = _Laws(opener_units=_alternate_serves)
 
 
 def _decisive_pair_prob(pa, pb):
-    """pA*qB + qA*pB: the per-pair resolution probability of the STT race."""
+    """pA*qB + qA*pB: the chance a pair of units, one served by each player,
+    decides a two-unit-advantage race such as the STT.
+
+    This is the one termination check: where it is 0, at (0,0) and (1,1),
+    every pair splits 1-1 and the race never ends, so this raises there.
+    Those pairs reach every tie such a race settles (K-1 all, 6-6, l-l)
+    with probability one, so no tie of mass 0 is rejected.
+    """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    return pa * (1.0 - pb) + (1.0 - pa) * pb
-
-
-def _require_terminating(pa, pb, reach=1.0) -> None:
-    """Reject the degenerate pairs (0,0) and (1,1) where the STT is reached.
-
-    For those the STT continues forever: every pair of points splits 1-1 with
-    probability one.  ``reach`` is the mass reaching the tie-breaker, which
-    broadcasts with the pairs; a pair fails only where it is positive.
-    """
-    if np.any((np.asarray(reach) > 0.0) & (_decisive_pair_prob(pa, pb) == 0.0)):
+    eta = pa * (1.0 - pb) + (1.0 - pa) * pb
+    if np.any(eta == 0.0):
         raise NonTerminatingError(
             "non-terminating tie-breaker: pA and pB both 0 or both 1 make every "
             "point pair split 1-1, so the two-point-advantage race never resolves"
         )
+    return eta
 
 
 def _stt_length(pa, pb):
@@ -137,11 +149,12 @@ def stt_win_prob(pa, pb):
 
 def _stt_win(pa, pb):
     """:func:`stt_win_prob` for valid ``pa`` and ``pb``; the pairs that never
-    terminate are still rejected.  B's STT win is ``_stt_win(pb, pa)``."""
-    _require_terminating(pa, pb)
+    terminate are still rejected (:func:`_decisive_pair_prob`).  B's STT win
+    is ``_stt_win(pb, pa)``."""
+    eta = _decisive_pair_prob(pa, pb)
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    return _scalar_or_array(pa * (1.0 - pb) / _decisive_pair_prob(pa, pb))
+    return _scalar_or_array(pa * (1.0 - pb) / eta)
 
 
 def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCountDistribution:
@@ -152,7 +165,6 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     """
     pa, pb = _check_pair(pa, pb, float)
     n_max = _check_count("n_max", n_max, minimum=2)
-    _require_terminating(pa, pb)
     eta = pa * (1.0 - pb) + (1.0 - pa) * pb
     laws = _Laws(stacked=_stt_length(pa, pb))
     return _race_tie_law([_ScoreRow(1.0, 0, True)], laws, eta, 1.0 - eta, n_max)
@@ -171,14 +183,8 @@ def _st_split(pa, pb, k: int) -> _SplitPowers:
 
 
 def _st_race(pa, pb, k: int) -> _Race:
-    """The race of a K-point set tie-breaker, from A's per-point tables.
-
-    Rejects the non-terminating pairs only where the tie is reachable:
-    the degenerate pairs (0,0) and (1,1) walk to it with probability one.
-    """
-    race = _Race(_st_split(pa, pb, k), k, _ST_UNITS)
-    _require_terminating(pa, pb, race.tie)
-    return race
+    """The race of a K-point set tie-breaker, from A's per-point tables."""
+    return _Race(_st_split(pa, pb, k), k, _ST_UNITS)
 
 
 def _st_win(wins, tie, pa, pb):
@@ -200,9 +206,8 @@ def st_win_prob(pa, pb, k: int):
 
         sum_h theta(K,h) + theta(K-1,K-1) * theta_STT
 
-    Raises the non-terminating error only when the tie is actually reachable,
-    i.e. for the degenerate pairs (0,0) and (1,1) — those walk to the tie with
-    probability one.
+    Raises the non-terminating error for the degenerate pairs (0,0) and
+    (1,1), which walk to the tie with probability one.
     """
     _check_pair(pa, pb)
     race = _st_race(pa, pb, _check_count("k", k, minimum=2))
@@ -214,9 +219,12 @@ def _st_rows(race: _Race, pa, pb):
 
     Scores K-h and h-K pin the count at K+h points; the last row, K-1 all,
     whose mass is the tie, stacks the STT's twice-geometric pair count on
-    its 2(K-1) points.
+    its 2(K-1) points.  A breakdown shows it as "TB", split by each
+    player's STT win, and only where the tie is reachable.
     """
-    rows = race.rows() + [_ScoreRow(race.tie, 2 * race.n - 2, True)]
+    tie = race.tie
+    shares = lambda: (tie * _stt_win(pa, pb), tie * _stt_win(pb, pa)) if tie > 0.0 else None
+    rows = race.rows() + [_ScoreRow(tie, 2 * race.n - 2, True, "TB", None, shares)]
     return rows, _ST_UNITS._replace(stacked=_stt_length(pa, pb))
 
 
@@ -256,11 +264,7 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     race = _st_race(pa, pb, k)
-    rows, laws = _st_rows(race, pa, pb)
-    scores = race.scores()
-    if race.tie > 0.0:
-        scores.append(("TB", None, race.tie * _stt_win(pa, pb), race.tie * _stt_win(pb, pa)))
-    return _breakdown("st", scores, rows, laws, _st_win(race.wins, race.tie, pa, pb))
+    return _breakdown("st", *_st_rows(race, pa, pb), _st_win(race.wins, race.tie, pa, pb))
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -291,7 +295,6 @@ def _set_games(pa, pb):
     race = _Race(_game_split(pa, pb), _SET_TARGET, _GAME_UNITS)
     split = race.split
     p66 = race.tie * (split.win1 * split.loss2 + split.loss1 * split.win2)
-    _require_terminating(pa, pb, p66)
     return race, race.tie * split.win1 * split.win2, p66
 
 
@@ -301,17 +304,25 @@ def _set_win(race: _Race, a75, p66, theta_st):
     return _clipped_win(sum(race.wins) + a75, p66, theta_st)
 
 
-def _set_rows(race: _Race, p66) -> list:
-    """Both winners' rows of a set's final scores, from :func:`_set_games`.
-
-    A score with g games plays g alternating-server games: 6-h from the
-    race, 7-5 twelve, and 7-6 twelve with the ST stacked.  None of this
-    depends on the tie-breaker target, which only the laws carry
-    (:func:`_games_laws`).
+def _set_rows(race: _Race, a75) -> list:
+    """Both winners' rows of a set's final scores up to 7-5, from
+    :func:`_set_games`: a score with g games plays g alternating-server
+    games, 6-h from the race and 7-5 twelve.  None of this depends on the
+    tie-breaker target; the 7-6 row (:func:`_set_tie_row`) and the laws
+    (:func:`_games_laws`) do.
     """
     split = race.split
     p75 = race.tie * (split.win1 * split.win2 + split.loss1 * split.loss2)
-    return race.rows() + [_ScoreRow(p75, 12, False), _ScoreRow(p66, 12, True)]
+    b75 = race.tie * split.loss1 * split.loss2
+    return race.rows() + [_ScoreRow(p75, 12, False, "7-5", 5, (a75, b75))]
+
+
+def _set_tie_row(p66, theta, theta_b) -> _ScoreRow:
+    """The set's 7-6 row: twelve games with the ST stacked.  A breakdown
+    splits 6-6 by A's ST win ``theta`` and B's, ``theta_b()``, and shows the
+    row only where 6-6 is reachable."""
+    shares = lambda: (p66 * theta, p66 * theta_b()) if p66 > 0.0 else None
+    return _ScoreRow(p66, 12, True, "7-6", 6, shares)
 
 
 def _games_laws(game_a, game_b, stacked) -> _Laws:
@@ -321,10 +332,17 @@ def _games_laws(game_a, game_b, stacked) -> _Laws:
 
 def _st_tie(pa, pb, k: int, st_law=None):
     """A's chance in the set's 6-6 tie at target ``k``, A's ST win; with
-    ``st_law``, paired with ``st_law(rows, laws)``, the ST law stacked on 7-6."""
+    ``st_law``, followed by ``st_law(rows, laws)``, the ST law stacked on
+    7-6, and a function giving B's ST win.  That function holds B's
+    outright masses and the tie, not the race, whose tables would stay
+    alive with it."""
     st = _st_race(pa, pb, k)
     theta = _st_win(st.wins, st.tie, pa, pb)
-    return theta if st_law is None else (theta, st_law(*_st_rows(st, pa, pb)))
+    if st_law is None:
+        return theta
+    law = st_law(*_st_rows(st, pa, pb))
+    losses, tie = st.losses, st.tie
+    return theta, law, lambda: _st_win(losses, tie, pb, pa)
 
 
 def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_moments) -> list:
@@ -334,8 +352,9 @@ def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_m
     With ``game_law`` each win comes paired with the set's law at its
     target: ``game_law(p)`` gives a player's game law, ``st_law(rows,
     laws)`` the ST law stacked on 7-6 and ``set_law(rows, laws)`` the set
-    law; moments by default, or PMF laws (:func:`_pmf_laws`).  Without it
-    only A's races run and no score rows are built.
+    law; moments by default, or PMF laws (:func:`_pmf_laws`).  A breakdown
+    takes the set's rows and laws themselves.  Without ``game_law`` only A's
+    races run, and no score rows are built.
 
     On a grid each set of power tables is a few MB.  Each ST is settled
     before the games build their tables, and those are freed before the
@@ -346,11 +365,12 @@ def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_m
     games, a75, p66 = _set_games(pa, pb)
     if game_law is None:
         return [_set_win(games, a75, p66, theta) for theta in ties]
-    wins = [_set_win(games, a75, p66, theta) for theta, _ in ties]
-    rows = _set_rows(games, p66)
+    wins = [_set_win(games, a75, p66, theta) for theta, *_ in ties]
+    rows = _set_rows(games, a75)
     del games
     units = game_law(pa), game_law(pb)
-    return [(win, set_law(rows, _games_laws(*units, st))) for win, (_, st) in zip(wins, ties)]
+    return [(win, set_law(rows + [_set_tie_row(p66, theta, theta_b)], _games_laws(*units, st)))
+            for win, (theta, st, theta_b) in zip(wins, ties)]
 
 
 def _pmf_laws(pa: float, pb: float, n_max: int) -> tuple:
@@ -396,17 +416,8 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     """
     pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
-    games, a75, p66 = _set_games(pa, pb)
-    st = _st_race(pa, pb, k)
-    theta_st = _st_win(st.wins, st.tie, pa, pb)
-    split = games.split
-    scores = games.scores() + [("7-5", 5, a75, games.tie * split.loss1 * split.loss2)]
-    if p66 > 0.0:  # the 7-6 row only when reachable
-        scores.append(("7-6", 6, p66 * theta_st, p66 * _st_win(st.losses, st.tie, pb, pa)))
-    laws = _games_laws(_game_moments(pa), _game_moments(pb),
-                       _mixture_moments(*_st_rows(st, pa, pb)))
-    return _breakdown("set", scores, _set_rows(games, p66), laws,
-                      _set_win(games, a75, p66, theta_st))
+    win, (rows, laws) = _sets(pa, pb, (k,), _game_moments, set_law=lambda *table: table)[0]
+    return _breakdown("set", rows, laws, win)
 
 
 def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:

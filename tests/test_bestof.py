@@ -250,6 +250,25 @@ def test_bog_degenerate_servers():
     assert var == pytest.approx(0.0, abs=1e-12)
 
 
+def _non_terminating_message(fn, *args) -> str:
+    with pytest.raises(NonTerminatingError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("pa, pb, tb", [
+    (0.0, 0.0, "sttg"), (1.0, 1.0, "sttg"), (0.0, 0.0, "sttp"), (1.0, 1.0, "sttp"),
+    # every game is held to within rounding, so the games race never ends
+    (1.0 - 1e-9, 1.0 - 1e-9, "sttg"),
+])
+@pytest.mark.parametrize("l", [1, 4])
+def test_bog_endless_tie_raises_the_same_error_for_win_and_moments(pa, pb, tb, l):
+    spec = BestOfGamesSpec(l, tb)
+    win = _non_terminating_message(bog_match_win_prob, pa, pb, spec)
+    assert win.startswith("non-terminating tie-breaker")
+    assert _non_terminating_message(bog_match_points_moments, pa, pb, spec) == win
+
+
 def test_bog_isner_mahut_regime():
     """Strong servers on both sides stretch the games race enormously."""
     spec = BestOfGamesSpec(5, "sttg")

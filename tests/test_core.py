@@ -172,7 +172,8 @@ def test_race_matches_exact_score_walk(pattern, n):
         # the race object pairs the same two races, labels them and merges the rows
         laws = _Laws(opener_units=opener_units)
         race = _Race(split, n, laws)
-        scores, rows = race.scores(), race.rows()
+        rows = race.rows()
+        scores = [(row.score, row.loser, *row.shares) for row in rows]
         assert race.tie == tie
         assert [(label, h) for label, h, _, _ in scores] == [(f"{n}-{h}", h) for h in range(n - 1)]
         assert [a for _, _, a, _ in scores] == a_wins

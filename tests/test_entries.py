@@ -3,9 +3,9 @@ evaluator as every other entry of its layer.
 
 Nested layers call each other's unchecked evaluators, so the check at the
 public entry is the only one a bad probability meets.  Every public function
-that takes a probability must reject it there, naming the argument.  The
-breakdown's overall win line and the layer's win probability read one
-formula, so they agree to the bit, corners included.
+that takes a probability must reject it there, naming the argument.  A
+breakdown's overall line and the layer's win probability and moments read
+one evaluation, so they agree to the bit, corners included.
 """
 
 from __future__ import annotations
@@ -68,32 +68,70 @@ def test_checked_value_is_reported_as_given():
 GRID = np.linspace(0.0, 1.0, 11)
 PAIRS = [(float(pa), float(pb)) for pa in GRID for pb in GRID]
 
-# layer -> (breakdown, win probability), both of (pa, pb)
+MATCH = deuce.MatchSpec(7, 10, 2)
+
+# layer -> (breakdown, win probability, moments), each of (pa, pb), or of p for the game
 LAYERS = {
+    "game": (deuce.game_breakdown, deuce.game_win_prob, deuce.game_points_moments),
     "st": (lambda pa, pb: deuce.st_breakdown(pa, pb, 7),
-           lambda pa, pb: deuce.st_win_prob(pa, pb, 7)),
+           lambda pa, pb: deuce.st_win_prob(pa, pb, 7),
+           lambda pa, pb: deuce.st_points_moments(pa, pb, 7)),
     "set": (lambda pa, pb: deuce.set_breakdown(pa, pb, 7),
-            lambda pa, pb: deuce.set_win_prob(pa, pb, 7)),
-    "match": (lambda pa, pb: deuce.match_breakdown(pa, pb, deuce.MatchSpec(7, 10, 2)),
-              lambda pa, pb: deuce.match_win_prob(pa, pb, deuce.MatchSpec(7, 10, 2))),
+            lambda pa, pb: deuce.set_win_prob(pa, pb, 7),
+            lambda pa, pb: deuce.set_points_moments(pa, pb, 7)),
+    "match": (lambda pa, pb: deuce.match_breakdown(pa, pb, MATCH),
+              lambda pa, pb: deuce.match_win_prob(pa, pb, MATCH),
+              lambda pa, pb: deuce.match_points_moments(pa, pb, MATCH)),
 }
 
 
-def _win_line(breakdown, win, *params):
+def _params(layer):
+    return [(float(p),) for p in GRID] if layer == "game" else PAIRS
+
+
+def _agree(breakdown, read, value, *params):
+    """``read`` of the breakdown is ``value``, to the bit, or both raise."""
     try:
         table = breakdown(*params)
     except NonTerminatingError:
         with pytest.raises(NonTerminatingError):
-            win(*params)
+            value(*params)
         return
-    assert table.win_prob == win(*params)
+    assert read(table) == value(*params)
 
 
-@pytest.mark.parametrize("layer", ["game", *LAYERS])
+@pytest.mark.parametrize("layer", LAYERS)
 def test_breakdown_win_line_is_the_win_probability(layer):
-    if layer == "game":
-        for p in GRID:
-            _win_line(deuce.game_breakdown, deuce.game_win_prob, float(p))
-        return
-    for pa, pb in PAIRS:
-        _win_line(*LAYERS[layer], pa, pb)
+    breakdown, win, _ = LAYERS[layer]
+    for params in _params(layer):
+        _agree(breakdown, lambda table: table.win_prob, win, *params)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_breakdown_moments_are_the_moments_function(layer):
+    breakdown, _, moments = LAYERS[layer]
+    for params in _params(layer):
+        _agree(breakdown, lambda table: (table.mean, table.variance), moments, *params)
+
+
+ST_ROWS = [f"7-{h}" for h in range(6)]
+SET_ROWS = [f"6-{h}" for h in range(5)] + ["7-5"]
+
+
+# (layer, params, the rows its breakdown shows, the tie row): a tie of zero
+# mass is hidden in the st and set tables, and shown in the game and match ones
+@pytest.mark.parametrize("layer, params, shown, tie", [
+    ("st", (0.6, 0.55), ST_ROWS + ["TB"], "TB"),
+    ("st", (1.0, 0.0), ST_ROWS, "TB"),
+    ("set", (0.6, 0.55), SET_ROWS + ["7-6"], "7-6"),
+    ("set", (1.0, 0.0), SET_ROWS, "7-6"),
+    ("game", (0.6,), ["4-0", "4-1", "4-2", "TB"], "TB"),
+    ("game", (0.0,), ["4-0", "4-1", "4-2", "TB"], "TB"),
+    ("match", (0.6, 0.55), ["3-0", "3-1", "3-2"], "3-2"),
+    ("match", (1.0, 0.0), ["3-0", "3-1", "3-2"], "3-2"),
+])
+def test_breakdown_shows_its_tie_row_where_the_layer_does(layer, params, shown, tie):
+    table = LAYERS[layer][0](*params)
+    assert [r.score for r in table.rows] == shown
+    if tie in shown:
+        assert (table.row(tie).p_total > 0.0) == (params[0] == 0.6)

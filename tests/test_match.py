@@ -238,7 +238,7 @@ def test_moments_and_breakdown_compose_the_public_set_layer(spec):
     c = np.linspace(0.05, 0.95, 7)
     for pa, pb in ((c[:, None], c[None, :]), (0.64, 0.58), (0.3, 0.71)):
         theta0 = set_win_prob(pa, pb, spec.k0)
-        _, rows = _match_rows(theta0, spec.q)
+        _, rows = _match_rows(theta0, set_win_prob(pa, pb, spec.k1), spec.q)
         set0 = set_points_moments(pa, pb, spec.k0)
         laws = _Laws(set0, set0, set_points_moments(pa, pb, spec.k1))
         mean, var = _mixture_moments(rows, laws)
