@@ -248,10 +248,9 @@ def _win_prob(spec: SystemSpec, params):
 def _round_sig(obj, digits: int):
     """Round every float in a nested structure to ``digits`` significant digits.
 
-    A float array is rounded in one pass over its elements and comes back as
-    nested lists of Python floats.  Each element goes through the same
-    ``.{digits}g`` text as a lone float would (NaN, infinities and -0.0
-    survive the round trip), so the output text is unchanged.
+    Each float goes through its ``.{digits}g`` text and back (NaN, infinities
+    and -0.0 survive the round trip).  Float arrays are left as they are:
+    :func:`_json_text` writes them row by row from the same ``%g`` text.
     """
     if isinstance(obj, bool):
         return obj
@@ -259,10 +258,6 @@ def _round_sig(obj, digits: int):
         return {key: _round_sig(value, digits) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_sig(value, digits) for value in obj]
-    if isinstance(obj, np.ndarray):
-        spec = f".{digits}g"
-        flat = [float(format(x, spec)) for x in obj.ravel().tolist()]
-        return np.reshape(flat, obj.shape).tolist()
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float):
@@ -270,6 +265,70 @@ def _round_sig(obj, digits: int):
             return obj
         return float(f"{obj:.{digits}g}")
     return obj
+
+
+def _g_row(row: np.ndarray, digits: int, sep: str = ",") -> str:
+    """The ``%.{digits}g`` text of each cell of the 1-D array ``row``, joined
+    by ``sep``: one ``%``-format call for the whole row.
+
+    This is the text ``f"{x:.{digits}g}"`` gives for each cell, and CSV grids
+    print it as it is.
+    """
+    return ((f"%.{digits}g{sep}" * len(row)) % tuple(row.tolist()))[:-len(sep)]
+
+
+def _respelled(values: np.ndarray, digits: int) -> np.ndarray:
+    """Mask of the cells whose ``%.{digits}g`` text ``s`` may differ from
+    ``repr(float(s))``, the JSON text of the cell as :func:`_round_sig`
+    rounds it.
+
+    ``--precision`` keeps ``digits`` within 1..15, and every decimal of at
+    most 15 significant digits reads back as a distinct double, except among
+    the subnormals.  Elsewhere ``repr(float(s))``, the shortest text that reads
+    back as that double, has ``s``'s digits, and both texts turn to exponent
+    notation below 1e-4.  So the two differ only in spelling:
+
+    - integer-valued ``s``: ``2`` against ``2.0``, ``-0`` against ``-0.0``;
+    - ``s`` of 10**digits or more: ``%g`` writes an exponent, ``repr`` waits
+      for 1e16;
+    - NaN and the infinities: ``nan`` against ``NaN``.
+
+    The mask holds the non-finite cells, the subnormals and the cells that
+    round down into them (|x| < 2.3e-308), and every cell within
+    |x|·10**(1-digits) of an integer, twice as far as rounding to ``digits``
+    digits can move it.  Every |x| >= 10**(digits-1) rounds to an integer, so
+    that last test holds the large cells too.
+    """
+    size = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        return (~np.isfinite(values) | (size < 2.3e-308)
+                | (np.abs(values - np.round(values)) <= size * 10.0**(1 - digits)))
+
+
+def _json_rows(values: np.ndarray, redo: np.ndarray, digits: int, indent: str) -> str:
+    """Indented JSON text of a float array, each cell rounded as
+    :func:`_round_sig` rounds a lone float.
+
+    Each innermost row is written by :func:`_g_row`, whose ``%g`` text is
+    already the JSON text of every cell outside ``redo`` (see
+    :func:`_respelled`); the cells in ``redo`` are encoded one at a time, as
+    a lone float is.
+    """
+    if not len(values):
+        return "[]"
+    inner = indent + "  "
+    sep = "," + inner
+    if values.ndim > 1:
+        body = sep.join(_json_rows(row, mask, digits, inner) for row, mask in zip(values, redo))
+    else:
+        body = _g_row(values, digits, sep)
+        cells = np.flatnonzero(redo)
+        if len(cells):
+            texts = body.split(sep)
+            for i in cells.tolist():
+                texts[i] = json.dumps(_round_sig(float(values[i]), digits))
+            body = sep.join(texts)
+    return "[" + inner + body + indent + "]"
 
 
 def _flatten(record: dict, prefix: str = ""):
@@ -286,19 +345,22 @@ def _flatten(record: dict, prefix: str = ""):
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def _json_text(obj, indent: str = "\n") -> str:
+def _json_text(obj, digits: int | None = None, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, character for character.
 
     ``json`` encodes indented output in pure Python, one element at a time.
     Here each non-empty list of scalars is one call to the C encoder, whose
     item separator carries the line break and indentation; keys and scalars
     are encoded by ``json`` itself.  Keys are strings, as in every record.
+    A float array is written as the nested lists of its cells rounded to
+    ``digits`` significant digits would be, one ``%``-format call per row
+    (:func:`_json_rows`).
     """
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = (f"{json.dumps(key)}: {_json_text(value, inner)}"
+        items = (f"{json.dumps(key)}: {_json_text(value, digits, inner)}"
                  for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(obj, (list, tuple)):
@@ -307,15 +369,20 @@ def _json_text(obj, indent: str = "\n") -> str:
         if {type(value) for value in obj} <= _JSON_SCALARS:
             body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
         else:
-            body = ("," + inner).join(_json_text(value, inner) for value in obj)
+            body = ("," + inner).join(_json_text(value, digits, inner) for value in obj)
         return "[" + inner + body + indent + "]"
+    if isinstance(obj, np.ndarray):
+        return _json_rows(obj, _respelled(obj, digits), digits, indent)
     return json.dumps(obj)
 
 
 def _emit(record: dict, fmt: str, precision: int) -> None:
+    """Print ``record`` with every float rounded to ``precision`` significant
+    digits: scalars by :func:`_round_sig`, float arrays (JSON only) by
+    :func:`_json_text` a row at a time, to the same text."""
     record = _round_sig(record, precision)
     if fmt == "json":
-        _echo(_json_text(record))
+        _echo(_json_text(record, precision))
     else:
         for key, value in sorted(_flatten(record)):
             _echo(f"{key},{value}")
@@ -475,11 +542,9 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
     values = np.broadcast_to(np.asarray(values, dtype=float), (res, res))
 
     if fmt == "csv":
-        fmt_cell = lambda x: f"{x:.{precision}g}"
-        _echo("pa\\pb," + ",".join(fmt_cell(c) for c in coords))
-        for i in range(res):
-            _echo(fmt_cell(coords[i]) + "," +
-                  ",".join(fmt_cell(v) for v in values[i]))
+        _echo("pa\\pb," + _g_row(coords, precision))
+        for row in np.column_stack((coords, values)):
+            _echo(_g_row(row, precision))
         return
     record = {
         "command": "grid",
@@ -557,6 +622,8 @@ def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
             "prior": prior_echo,
             f"Eff_{_OPS[name].symbol}": report.value,
             "quadrature_error_estimate": report.quadrature_error_estimate,
+            "surface_points": report.surface_points,
+            "antisymmetry_residual": report.antisymmetry_residual,
         })
     record = {"command": "efficiency", "version": __version__, "reports": reports}
     if fmt == "csv":

@@ -18,12 +18,16 @@ import weakref
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 import deuce
 from deuce import core
-from deuce.cli import _OPS, SYSTEM_KINDS, _json_text, _round_sig, main
+from deuce.cli import _OPS, SYSTEM_KINDS, _g_row, _json_text, _round_sig, main
+from deuce.efficiency import BetaPrior, efficiency_one_param, efficiency_two_param
+from deuce.game import game_win_prob
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
-from deuce.sets import set_win_prob, st_win_prob
+from deuce.sets import set_win_prob, st_win_prob, stt_win_prob
 
 
 try:
@@ -402,6 +406,20 @@ def test_efficiency_non_convergent_prior_exits_4():
     assert "numerical failure" in diagnostics(result)
 
 
+def test_efficiency_json_reports_carry_their_diagnostics():
+    record = run_json("efficiency", "stt", "game", "--precision", "15")
+    pair, single = record["reports"]
+    uniform = BetaPrior(1.0, 1.0)
+    two = efficiency_two_param(stt_win_prob, (uniform, uniform))
+    one = efficiency_one_param(game_win_prob, uniform)
+    assert pair["surface_points"] == two.surface_points
+    assert pair["antisymmetry_residual"] == _round_sig(two.antisymmetry_residual, 15)
+    assert single["surface_points"] == one.surface_points
+    assert single["antisymmetry_residual"] is None
+    csv = run_cli("efficiency", "stt", "game", "--format", "csv").stdout
+    assert "surface_points" not in csv and "antisymmetry" not in csv
+
+
 def test_efficiency_csv_lists_one_row_per_system():
     result = run_cli("efficiency", "gt", "game", "--alpha", "1", "--beta", "1",
                      "--format", "csv")
@@ -496,21 +514,58 @@ def _round_each(obj, digits):
 
 
 @pytest.mark.parametrize("digits", [3, 6, 15])
-def test_round_sig_rounds_arrays_as_lone_floats(digits):
+def test_float_arrays_render_as_lone_floats(digits):
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e15,
                 1 - 2**-53, 0.5, 1.0 / 3.0, 123456.789e300]
     values = np.concatenate([specials, np.random.default_rng(5).random(24) * 1e-5])
     grid = values.reshape(6, 6)
-    got = _round_sig(grid, digits)
-    assert isinstance(got, list) and all(isinstance(row, list) for row in got)
-    for x, y in zip(grid.ravel(), [y for row in got for y in row]):
-        want = _round_sig(x, digits)
-        assert type(y) is float
-        if math.isnan(want):
-            assert math.isnan(y)
-        else:
-            assert y == want and math.copysign(1.0, y) == math.copysign(1.0, want)
-    assert json.dumps(_round_sig(grid[0], digits)) == json.dumps(got[0])
+    want = _json_text({"g": _round_sig(grid.tolist(), digits)})
+    assert _json_text({"g": grid}, digits) == want
+    assert json.dumps(json.loads(want), indent=2, sort_keys=True) == want
+
+
+# Cells where ``%g`` and ``repr`` part ways: non-finite, signed zeros, the
+# subnormal and smallest normal magnitudes, the float just below 1, a
+# rounding that carries into a new decade, and the ``%g`` exponent threshold.
+_SPECIAL_CELLS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1 - 2**-53, 999999.5, -999999.5, 1e15,
+                  1.5e15, 9.5, 99.5, 0.00009999995, 1e16, 1.7976931348623157e308]
+
+
+def _reference_json(cells, digits):
+    """Each cell's text as rendered one at a time: its ``.{digits}g`` text
+    read back as a float and encoded by ``json``."""
+    return json.dumps([float(format(x, f".{digits}g")) for x in cells], indent=2)
+
+
+def _check_row(cells, digits):
+    row = np.array(cells, dtype=float)
+    assert _json_text(row, digits) == _reference_json(cells, digits)
+    assert _g_row(row, digits) == ",".join(f"{x:.{digits}g}" for x in cells)
+
+
+@pytest.mark.parametrize("digits", range(1, 16))
+def test_float_row_renderer_matches_per_cell_reference_on_special_values(digits):
+    _check_row(_SPECIAL_CELLS, digits)
+    _check_row([x * 10.0**e for x in (1.0, 0.95, 0.9, 0.99999999999999) for e in range(-6, 18)],
+               digits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=hyp.lists(hyp.floats() | hyp.sampled_from(_SPECIAL_CELLS), min_size=1, max_size=12),
+       digits=hyp.integers(1, 15))
+def test_float_row_renderer_matches_per_cell_reference(cells, digits):
+    _check_row(cells, digits)
+
+
+def test_grid_csv_cells_are_g_text_of_the_values():
+    result = run_cli("grid", "match-mean", "--res", "7", "--precision", "4")
+    assert result.exit_code == 0
+    coords = np.linspace(0.01, 0.99, 7)
+    mean, _ = match_points_moments(coords[:, None], coords[None, :], MatchSpec())
+    lines = result.stdout.splitlines()
+    assert lines[0] == "pa\\pb," + ",".join(f"{x:.4g}" for x in coords)
+    assert lines[1:] == [",".join(f"{x:.4g}" for x in [c, *row]) for c, row in zip(coords, mean)]
 
 
 def test_grid_json_text_matches_per_element_rounding():

@@ -5,14 +5,18 @@ exactly (``float.hex``), or the type and message of the exception it
 raised, followed by any warnings it gave.  It covers every public library
 function over a fixed set of serve probabilities, among them the corners
 (0, 0), (1, 1), (1, 0) and (0.5, 0.5), out-of-range and NaN arguments, and
-arrays for the functions that broadcast; then in-process ``compute`` and
-``breakdown`` CLI calls for every system kind, in JSON and CSV.
+arrays for the functions that broadcast; then in-process ``compute``,
+``breakdown``, ``efficiency`` and ``simulate`` CLI calls for every system
+kind, and ``grid`` calls for every pair kind and quantity at 1, 6 and 15
+significant digits, in JSON and CSV.
 
 Two checkouts give the same digest exactly when these outputs are
 bit-identical, so a refactor that must not move a number is checked by
-diffing the digests of the parent and of the change.  Standard library plus
-``deuce`` from ``src/``; it exits 0 unless the script itself fails.  Run it
-from the repository root:
+diffing the digests of the parent and of the change.  A change that adds
+calls here shows them as new lines against a digest the parent's copy of this
+tool printed; to compare those outputs too, run the changed tool at the root
+of both checkouts.  Standard library plus ``deuce`` from ``src/``; it exits 0
+unless the script itself fails.  Run it from the repository root:
 
     python3 tools/outputs_digest.py > digest.txt
 """
@@ -219,6 +223,25 @@ def command_line() -> None:
                 for fmt in ("json", "csv"):
                     _cli([command, kind, *values, *structure.get(kind, []),
                           "--format", fmt, "--precision", "15"])
+    for fmt in ("json", "csv"):
+        for kind in cli.SYSTEM_KINDS:
+            _cli(["efficiency", kind, *structure.get(kind, []), "--format", fmt,
+                  "--precision", "15"])
+            params = ["--pa", "0.6", "--pb", "0.55"] if cli._KINDS[kind].takes_pair \
+                else ["--p", "0.6"]
+            _cli(["simulate", kind, *params, *structure.get(kind, []), "--reps", "200",
+                  "--seed", "1", "--format", fmt, "--precision", "15"])
+        _cli(["efficiency", "stt", "game", "--prior", "2,1", "--format", fmt])
+        for kind in ("stt", "st", "set", "match", "bog"):
+            for quantity in ("win", "mean", "std"):
+                for precision in ("1", "6", "15"):
+                    _cli(["grid", f"{kind}-{quantity}", *structure.get(kind, []), "--res", "5",
+                          "--format", fmt, "--precision", precision])
+        for quantity in ("diff", "log_ratio"):
+            _cli(["grid", "set", "--other", "st", "--k", "7", "--quantity", quantity,
+                  "--res", "6", "--pmin", "0.3", "--pmax", "0.9", "--format", fmt])
+        # (0, 0) and (1, 1) are on the lattice, where no tie-break ends
+        _cli(["grid", "stt", "--res", "3", "--pmin", "0", "--pmax", "1", "--format", fmt])
 
 
 def main() -> None:
