@@ -9,7 +9,9 @@ efficiency  prior-weighted efficiency reports with quadrature error estimates
 simulate    Monte-Carlo cross-check driver
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 usage error, 3 non-terminating configuration, 4 numerical failure.
+2 usage error, 3 non-terminating configuration, 4 numerical failure.  A
+malformed or non-finite number (``nan``, ``inf``) in any option is a usage
+error.
 """
 
 from __future__ import annotations
@@ -141,13 +143,27 @@ def _structure_options(fn):
     return command
 
 
+class _FiniteFloat(click.FloatRange):
+    """A ``FloatRange`` that also rejects NaN and the infinities.
+
+    ``FloatRange`` lets NaN through, since NaN fails no comparison, and an
+    infinity wherever the range is open-ended on that side (``--alpha inf``).
+    """
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return number
+
+
 def _param_options(fn):
     for option in (
-        click.option("--p", type=click.FloatRange(0.0, 1.0), default=None,
+        click.option("--p", type=_FiniteFloat(0.0, 1.0), default=None,
                      help="server's point-win probability (single-parameter systems)."),
-        click.option("--pa", type=click.FloatRange(0.0, 1.0), default=None,
+        click.option("--pa", type=_FiniteFloat(0.0, 1.0), default=None,
                      help="player A's probability of winning a point on serve."),
-        click.option("--pb", type=click.FloatRange(0.0, 1.0), default=None,
+        click.option("--pb", type=_FiniteFloat(0.0, 1.0), default=None,
                      help="player B's probability of winning a point on serve."),
     ):
         fn = option(fn)
@@ -190,9 +206,14 @@ def _build_specs(kinds, **fields) -> list[SystemSpec]:
     """One spec per kind from one pool of structure flags, ``fields`` (None
     where a flag was not given).
 
-    Each kind takes only the flags that apply to it; a flag that applies to
-    none of ``kinds`` is a usage error, and so is a missing required flag.
+    An unknown kind is a usage error.  Each kind takes only the flags that
+    apply to it; a flag that applies to none of ``kinds`` is a usage error,
+    and so is a missing required flag.
     """
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise click.UsageError(
+                f"unknown system '{kind}': expected one of {', '.join(SYSTEM_KINDS)}")
     provided = {name: value for name, value in fields.items() if value is not None}
     for name in provided:
         if not any(name in _KINDS[kind].fields for kind in kinds):
@@ -239,6 +260,35 @@ def _params_dict(spec: SystemSpec, params) -> dict:
 
 def _win_prob(spec: SystemSpec, params):
     return _OPS[spec.kind].win(spec, params)
+
+
+def _single_system(name: str, kinds, *options):
+    """Register the decorated function as the command ``name`` on one SYSTEM
+    of ``kinds``.
+
+    The command takes --p/--pa/--pb, the structure flags, its own
+    ``options`` and the output flags, in that order.  The function receives
+    ``(spec, params, head)`` and the values of its own and the output flags,
+    where ``head`` is the record's command/version/system/params block.
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def command(system, p, pa, pb, fields, **kwargs):
+            (spec,) = _build_specs([system], **fields)
+            params = _gather_params(spec, p, pa, pb)
+            head = {"command": name, "version": __version__, "system": _spec_dict(spec),
+                    "params": _params_dict(spec, params)}
+            return fn(spec, params, head, **kwargs)
+
+        for decorate in reversed((main.command(name),
+                                  click.argument("system", type=click.Choice(kinds)),
+                                  _param_options, _structure_options, *options,
+                                  _output_options(), _domain_errors)):
+            command = decorate(command)
+        return command
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +449,15 @@ def main() -> None:
     simulations for nested racket-sport scoring systems."""
 
 
-@main.command("compute")
-@click.argument("system", type=click.Choice(SYSTEM_KINDS))
-@_param_options
-@_structure_options
-@_output_options()
-@_domain_errors
-def cmd_compute(system, p, pa, pb, fields, fmt, precision):
+@_single_system("compute", SYSTEM_KINDS)
+def cmd_compute(spec, params, head, fmt, precision):
     """Print win probability, mean, variance, and std of the point count."""
-    (spec,) = _build_specs([system], **fields)
-    params = _gather_params(spec, p, pa, pb)
-    ops = _OPS[system]
+    ops = _OPS[spec.kind]
     theta = float(ops.win(spec, params))
     mean, variance = (float(x) for x in ops.moments(spec, params))
     sym = ops.symbol
     record = {
-        "command": "compute",
-        "version": __version__,
-        "system": _spec_dict(spec),
-        "params": _params_dict(spec, params),
+        **head,
         f"theta_{sym}": theta,
         f"mu_{sym}": mean,
         f"sigma2_{sym}": variance,
@@ -426,46 +466,25 @@ def cmd_compute(system, p, pa, pb, fields, fmt, precision):
     _emit(record, fmt, precision)
 
 
-@main.command("breakdown")
-@click.argument("system", type=click.Choice(sorted(kind for kind, ops in _OPS.items()
-                                                   if ops.breakdown)))
-@_param_options
-@_structure_options
-@_output_options()
-@_domain_errors
-def cmd_breakdown(system, p, pa, pb, fields, fmt, precision):
+_BREAKDOWN_COLUMNS = ("score", "p_first_wins", "p_second_wins", "cond_mean", "cond_var")
+
+
+@_single_system("breakdown", sorted(kind for kind, ops in _OPS.items() if ops.breakdown))
+def cmd_breakdown(spec, params, head, fmt, precision):
     """Print the per-final-score probability and duration table."""
-    (spec,) = _build_specs([system], **fields)
-    params = _gather_params(spec, p, pa, pb)
-    ops = _OPS[system]
+    ops = _OPS[spec.kind]
     table = ops.breakdown(spec, params)
-    sym = ops.symbol
-    rows = [
-        {
-            "score": row.score,
-            "p_first_wins": row.p_first_wins,
-            "p_second_wins": row.p_second_wins,
-            "cond_mean": row.cond_mean,
-            "cond_var": row.cond_var,
-        }
-        for row in table.rows
-    ]
+    rows = [{col: getattr(row, col) for col in _BREAKDOWN_COLUMNS} for row in table.rows]
     if fmt == "csv":
-        record = _round_sig(
-            {"rows": rows, "win": table.win_prob, "mean": table.mean,
-             "var": table.variance}, precision)
-        _echo("score,p_first_wins,p_second_wins,cond_mean,cond_var")
-        for row in record["rows"]:
-            _echo(",".join(str(row[col]) for col in
-                           ("score", "p_first_wins", "p_second_wins",
-                            "cond_mean", "cond_var")))
-        _echo(f"overall,{record['win']},,{record['mean']},{record['var']}")
+        _echo(",".join(_BREAKDOWN_COLUMNS))
+        for row in _round_sig(rows, precision):
+            _echo(",".join(str(row[col]) for col in _BREAKDOWN_COLUMNS))
+        win, mean, var = _round_sig([table.win_prob, table.mean, table.variance], precision)
+        _echo(f"overall,{win},,{mean},{var}")
         return
+    sym = ops.symbol
     record = {
-        "command": "breakdown",
-        "version": __version__,
-        "system": _spec_dict(spec),
-        "params": _params_dict(spec, params),
+        **head,
         "label": table.label,
         f"theta_{sym}": table.win_prob,
         f"mu_{sym}": table.mean,
@@ -483,8 +502,8 @@ def cmd_breakdown(system, p, pa, pb, fields, fmt, precision):
               help="second system for diff/log_ratio (shares the structure flags).")
 @click.option("--res", type=click.IntRange(min=2), default=99, show_default=True,
               help="lattice resolution per axis.")
-@click.option("--pmin", type=click.FloatRange(0.0, 1.0), default=0.01, show_default=True)
-@click.option("--pmax", type=click.FloatRange(0.0, 1.0), default=0.99, show_default=True)
+@click.option("--pmin", type=_FiniteFloat(0.0, 1.0), default=0.01, show_default=True)
+@click.option("--pmax", type=_FiniteFloat(0.0, 1.0), default=0.99, show_default=True)
 @_structure_options
 @_output_options(default_format="csv")
 @_domain_errors
@@ -505,9 +524,6 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
             raise click.UsageError(
                 f"SYSTEM suffix '-{suffix}' conflicts with --quantity {quantity}")
         quantity = _GRID_ALIASES[suffix]
-    if base not in SYSTEM_KINDS:
-        raise click.UsageError(
-            f"unknown system '{base}': expected one of {', '.join(SYSTEM_KINDS)}")
     if quantity is None:
         quantity = "win_prob"
     if pmin >= pmax:
@@ -588,9 +604,9 @@ def _parse_prior(alpha, beta, prior_text, for_pair, kind):
 
 @main.command("efficiency")
 @click.argument("systems", nargs=-1, required=True)
-@click.option("--alpha", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--alpha", type=_FiniteFloat(min=0, min_open=True), default=None,
               help="Beta prior shape a (both players unless --prior is given).")
-@click.option("--beta", type=click.FloatRange(min=0, min_open=True), default=None,
+@click.option("--beta", type=_FiniteFloat(min=0, min_open=True), default=None,
               help="Beta prior shape b.")
 @click.option("--prior", "prior_text", default=None,
               help="comma-separated Beta parameters: a,b or a1,b1,a2,b2.")
@@ -599,10 +615,6 @@ def _parse_prior(alpha, beta, prior_text, for_pair, kind):
 @_domain_errors
 def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
     """Report prior-weighted efficiencies for one or more systems."""
-    for name in systems:
-        if name not in SYSTEM_KINDS:
-            raise click.UsageError(
-                f"unknown system '{name}': expected one of {', '.join(SYSTEM_KINDS)}")
     reports = []
     for spec in _build_specs(systems, **fields):
         name = spec.kind
@@ -638,32 +650,24 @@ def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
     _emit(record, fmt, precision)
 
 
-@main.command("simulate")
-@click.argument("system", type=click.Choice(SYSTEM_KINDS))
-@_param_options
-@_structure_options
-@click.option("--reps", type=click.IntRange(min=1), required=True,
-              help="number of replications.")
-@click.option("--seed", type=int, default=None,
-              help="PRNG seed; drawn from entropy and echoed when omitted.")
-@click.option("--max-points", type=click.IntRange(min=100), default=100_000,
-              show_default=True, help="cap on points per replication.")
-@_output_options()
-@_domain_errors
-def cmd_simulate(system, p, pa, pb, fields, reps, seed, max_points, fmt, precision):
+@_single_system(
+    "simulate", SYSTEM_KINDS,
+    click.option("--reps", type=click.IntRange(min=1), required=True,
+                 help="number of replications."),
+    click.option("--seed", type=int, default=None,
+                 help="PRNG seed; drawn from entropy and echoed when omitted."),
+    click.option("--max-points", type=click.IntRange(min=100), default=100_000,
+                 show_default=True, help="cap on points per replication."),
+)
+def cmd_simulate(spec, params, head, reps, seed, max_points, fmt, precision):
     """Estimate win rate and duration by Monte-Carlo replication."""
-    (spec,) = _build_specs([system], **fields)
-    params = _gather_params(spec, p, pa, pb)
     if seed is None:
         seed = secrets.randbits(63)
     config = SimConfig(system=spec, params=params, replications=reps,
                        seed=seed, max_points_per_replication=max_points)
     summary = simulate(config)
     record = {
-        "command": "simulate",
-        "version": __version__,
-        "system": _spec_dict(spec),
-        "params": _params_dict(spec, params),
+        **head,
         "replications": reps,
         "seed": seed,
         "max_points_per_replication": max_points,

@@ -198,6 +198,20 @@ def _eff_two_parts(
     return lower, upper, residual
 
 
+def _converged(coarse: float, fine: float, tol: float) -> float:
+    """The error estimate |fine - coarse|; past ``tol`` it raises the
+    quadrature error, carrying ``fine`` as the best estimate."""
+    err = abs(fine - coarse)
+    if err > tol:
+        raise QuadratureError(
+            f"efficiency quadrature did not converge: |refined - coarse| = "
+            f"{err:.3e} > tol {tol:.1e}",
+            estimate=fine,
+            error_estimate=err,
+        )
+    return err
+
+
 def efficiency_one_param(
     curve,
     prior: BetaPrior,
@@ -216,14 +230,7 @@ def efficiency_one_param(
     """
     coarse = _eff_one(curve, prior, panels, order)
     fine = _eff_one(curve, prior, 2 * panels, order)
-    err = abs(fine - coarse)
-    if err > tol:
-        raise QuadratureError(
-            f"efficiency quadrature did not converge: |refined - coarse| = "
-            f"{err:.3e} > tol {tol:.1e}",
-            estimate=fine,
-            error_estimate=err,
-        )
+    err = _converged(coarse, fine, tol)
     return EfficiencyReport(system, prior, fine, err, 6 * panels * order, None)
 
 
@@ -248,16 +255,8 @@ def efficiency_two_param(
     lo_c, up_c, residual = _eff_two_parts(surface, prior_a, prior_b, panels, order)
     mirror = residual <= _MIRROR_TOL
     lo_f, up_f, _ = _eff_two_parts(surface, prior_a, prior_b, 2 * panels, order, mirror)
-    coarse = lo_c + up_c
     fine = lo_f + up_f
-    err = abs(fine - coarse)
-    if err > tol:
-        raise QuadratureError(
-            f"efficiency quadrature did not converge: |refined - coarse| = "
-            f"{err:.3e} > tol {tol:.1e}",
-            estimate=fine,
-            error_estimate=err,
-        )
+    err = _converged(lo_c + up_c, fine, tol)
     axis = panels * order  # nodes per axis of a coarse triangle; twice that when refined
     points = 2 * axis**2 + (1 if mirror else 2) * (2 * axis) ** 2
     return EfficiencyReport(system, (prior_a, prior_b), fine, err, points, residual)

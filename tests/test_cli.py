@@ -177,6 +177,13 @@ def test_compute_csv_is_flat_key_value():
         (("simulate", "game", "--p", "0.6", "--reps", "10", "--max-points", "50"),
          "--max-points"),
         (("efficiency", "game", "--k", "9"), "--k"),            # applies to no system
+        (("compute", "game", "--p", "nan"), "--p"),            # non-finite
+        (("breakdown", "set", "--pa", "0.6", "--pb", "nan"), "--pb"),
+        (("grid", "stt", "--pmin", "nan"), "--pmin"),
+        (("grid", "stt", "--pmax", "-inf"), "--pmax"),
+        (("efficiency", "game", "--alpha", "nan"), "--alpha"),
+        (("efficiency", "game", "--beta", "inf"), "--beta"),
+        (("simulate", "stt", "--pa", "0.6", "--pb", "nan", "--reps", "3"), "--pb"),
     ],
 )
 def test_usage_errors_exit_2_and_name_the_flag(args, needle):
@@ -186,8 +193,12 @@ def test_usage_errors_exit_2_and_name_the_flag(args, needle):
 
 
 def test_unknown_system_is_a_usage_error():
-    result = run_cli("compute", "quidditch", "--p", "0.5")
-    assert result.exit_code == 2
+    for args in (("compute", "quidditch", "--p", "0.5"), ("grid", "quidditch"),
+                 ("grid", "quidditch-mean"), ("efficiency", "game", "quidditch")):
+        result = run_cli(*args)
+        assert result.exit_code == 2, args
+        assert "'quidditch'" in diagnostics(result), args
+
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ function over a fixed set of serve probabilities, among them the corners
 arrays for the functions that broadcast; then in-process ``compute``,
 ``breakdown``, ``efficiency`` and ``simulate`` CLI calls for every system
 kind, and ``grid`` calls for every pair kind and quantity at 1, 6 and 15
-significant digits, in JSON and CSV.
+significant digits, in JSON and CSV; and last, run as the ``deuce`` console
+script runs it, the ``--help`` of the group and of each command and a fixed
+list of usage errors, each with its exit code, stdout and stderr.
 
 Two checkouts give the same digest exactly when these outputs are
 bit-identical, so a refactor that must not move a number is checked by
@@ -193,16 +195,63 @@ def library() -> None:
                                              seed=1))
 
 
-def _cli(args: list) -> None:
+# Each a usage error (exit 2); a crash shows as its exception instead.
+USAGE_ERRORS = (
+    # an unknown system, for each command
+    ["compute", "quidditch", "--p", "0.5"],
+    ["breakdown", "gt", "--p", "0.5"],
+    ["grid", "quidditch"],
+    ["grid", "quidditch-mean"],
+    ["efficiency", "quidditch"],
+    ["efficiency", "game", "quidditch"],
+    ["simulate", "quidditch", "--p", "0.5", "--reps", "3"],
+    # a structure flag that applies to none of the systems, or a missing one
+    ["compute", "game", "--p", "0.5", "--k", "7"],
+    ["efficiency", "stt", "game", "--l", "3"],
+    ["compute", "bofk", "--p", "0.5"],
+    # missing or misplaced serve probabilities
+    ["compute", "set", "--pb", "0.5"],
+    ["compute", "set", "--p", "0.5"],
+    ["simulate", "game", "--pa", "0.5", "--pb", "0.5", "--reps", "3"],
+    # grid's own checks
+    ["grid", "match-mean", "--quantity", "win_prob"],
+    ["grid", "st-median"],
+    ["grid", "stt", "--pmin", "0.6", "--pmax", "0.6"],
+    ["grid", "set", "--other", "game", "--quantity", "diff"],
+    ["grid", "set", "--quantity", "log_ratio"],
+    ["grid", "game"],
+    # efficiency's priors
+    ["efficiency", "game", "--prior", "1,x"],
+    ["efficiency", "game", "--prior", "1,2,3"],
+    ["efficiency", "game", "--prior", "nan,1"],
+    ["efficiency", "game", "--prior", "2,1", "--alpha", "2"],
+    # non-finite numbers
+    ["compute", "game", "--p", "nan"],
+    ["compute", "game", "--p", "inf"],
+    ["breakdown", "set", "--pa", "0.6", "--pb", "nan"],
+    ["grid", "stt", "--pmin", "nan"],
+    ["grid", "stt", "--pmax", "nan"],
+    ["efficiency", "game", "--alpha", "nan"],
+    ["efficiency", "game", "--beta", "inf"],
+    ["simulate", "stt", "--pa", "0.6", "--pb", "nan", "--reps", "3"],
+)
+
+
+def _cli(args: list, standalone: bool = False) -> None:
+    """One digest line for ``deuce ARGS``: its exit code, stdout and stderr.
+
+    ``standalone`` runs it as the console script does, which prints usage
+    errors and ``--help``; otherwise a usage error shows as its exception.
+    """
     out, err = io.StringIO(), io.StringIO()
     code = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            cli.main(args, standalone_mode=False)
+            cli.main(args, prog_name="deuce", standalone_mode=standalone, terminal_width=80)
         except SystemExit as exc:
             code = exc.code
-        except Exception as exc:  # a usage error, raised as click does without standalone mode
-            code = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # a usage error without standalone mode, or a crash
+            code = f"{type(exc).__name__}: {exc}".replace("\n", "\\n")
     print(f"cli {' '.join(args)} -> exit={code} out={json.dumps(out.getvalue())} "
           f"err={json.dumps(err.getvalue())}")
 
@@ -242,6 +291,10 @@ def command_line() -> None:
                   "--res", "6", "--pmin", "0.3", "--pmax", "0.9", "--format", fmt])
         # (0, 0) and (1, 1) are on the lattice, where no tie-break ends
         _cli(["grid", "stt", "--res", "3", "--pmin", "0", "--pmax", "1", "--format", fmt])
+    for command in ([], *([name] for name in sorted(cli.main.commands))):
+        _cli([*command, "--help"], standalone=True)
+    for args in USAGE_ERRORS:
+        _cli(args, standalone=True)
 
 
 def main() -> None:
