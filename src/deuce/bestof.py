@@ -5,7 +5,9 @@ best-of-(2l+1) POINTS race (one fixed server, first to l+1 points), and the
 best-of-(2l+1) GAMES match (alternating service games, first to l+1 games),
 whose l-l tie is settled by one of three rules — a single sudden game on a
 coin-flipped serve (SG), a two-game-advantage race (STTG), or a two-point-
-advantage race (STTP).
+advantage race (STTP).  The two advantage races are the set layer's pair
+race (``sets._stt``), over service games or over points; the win and the
+moments read the one race ``_tie_race`` forms.
 
 Public functions validate their arguments once; the races and tie rules
 run on the game and set layers' unchecked evaluators.
@@ -30,10 +32,9 @@ from .core import (
     _Race,
     _scalar_or_array,
     _ScoreRow,
-    geometric_moments,
 )
-from .game import _game_moments, _game_win
-from .sets import _GAME_UNITS, _decisive_pair_prob, _game_split, _games_laws, _stt_length, _stt_win
+from .game import _game_moments
+from .sets import _GAME_UNITS, _game_split, _games_laws, _stt
 
 __all__ = [
     "BestOfGamesSpec",
@@ -73,14 +74,13 @@ def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     )
 
 
-def _tie_win_prob(pa, pb, split, spec: SystemSpec):
+def _tie_race(pa, pb, split, spec: SystemSpec):
+    """The pair race that settles the l-l tie, from the match's per-game
+    tables ``split``, or None for the SG rule, which is no race."""
     if spec.tiebreak == "sg":
-        # a fair coin picks the sudden game's server
-        return 0.5 * (split.win1 + split.win2)
-    if spec.tiebreak == "sttg":
-        # game-level advantage race: each player holds serve with their own game probability
-        return _stt_win(split.win1, split.loss2)
-    return _stt_win(pa, pb)
+        return None
+    # the STTG races service games: each player holds serve with their own game probability
+    return _stt(split.win1, split.loss2) if spec.tiebreak == "sttg" else _stt(pa, pb)
 
 
 def bog_match_win_prob(pa, pb, spec: SystemSpec):
@@ -96,25 +96,24 @@ def bog_match_win_prob(pa, pb, spec: SystemSpec):
     _check_pair(pa, pb)
     l = spec.l
     split = _game_split(pa, pb, l)
-    return _clipped_win(split.tail(l, l, l + 1), split.mass(l, l, l),
-                        _tie_win_prob(pa, pb, split, spec))
+    head, tie = split.tail(l, l, l + 1), split.mass(l, l, l)
+    race = _tie_race(pa, pb, split, spec)
+    # a fair coin picks the sudden game's server
+    return _clipped_win(head, tie, 0.5 * (split.win1 + split.win2) if race is None else race.win())
 
 
-def _tie_extra_moments(pa, pb, spec, tie_unit, mu_a, var_a, mu_b, var_b):
-    """Mean/variance of the points appended after a 2l-game tie."""
-    if spec.tiebreak == "sg":
+def _tie_extra_moments(race, spec, tie_unit, mu_a, var_a, mu_b, var_b):
+    """Mean/variance of the points appended after a 2l-game tie settled by
+    ``race`` (:func:`_tie_race`): a pair of points, or of games counted as
+    games, is two units, and an STTG pair counted in points is one game
+    on each serve."""
+    if race is None:
         mean = 0.5 * (mu_a + mu_b)
         var = 0.5 * (var_a + var_b) + 0.25 * (mu_a - mu_b) ** 2
         return mean, var
-    if spec.tiebreak == "sttp":
-        return _stt_length(pa, pb)
-    eta = _decisive_pair_prob(_game_win(pa), _game_win(pb))
-    gm, gv = geometric_moments(eta)
-    if tie_unit == "games":
-        return 2.0 * gm, 4.0 * gv
-    mu_pair = mu_a + mu_b
-    var_pair = var_a + var_b
-    return gm * mu_pair, gm * var_pair + gv * mu_pair**2
+    if spec.tiebreak == "sttp" or tie_unit == "games":
+        return race.length()
+    return race.length((mu_a + mu_b, var_a + var_b))
 
 
 def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points"):
@@ -141,6 +140,7 @@ def bog_match_points_moments(pa, pb, spec: SystemSpec, tie_unit: str = "points")
     l = spec.l
     race = _Race(_game_split(pa, pb, l), l + 1, _GAME_UNITS)
     rows = race.rows() + [_ScoreRow(race.tie, 2 * l, True)]
-    extra = _tie_extra_moments(pa, pb, spec, tie_unit, *games[0], *games[1])
+    tie_race = _tie_race(pa, pb, race.split, spec)
+    extra = _tie_extra_moments(tie_race, spec, tie_unit, *games[0], *games[1])
     mean, var = _mixture_moments(rows, _games_laws(*games, extra))
     return _scalar_or_array(mean), _scalar_or_array(var)

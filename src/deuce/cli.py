@@ -500,7 +500,7 @@ def cmd_breakdown(spec, params, head, fmt, precision):
               help="cell value; win_prob unless given here or as a SYSTEM suffix.")
 @click.option("--other", type=click.Choice(SYSTEM_KINDS), default=None,
               help="second system for diff/log_ratio (shares the structure flags).")
-@click.option("--res", type=click.IntRange(min=2), default=99, show_default=True,
+@click.option("--res", type=click.IntRange(2, 1000), default=99, show_default=True,
               help="lattice resolution per axis.")
 @click.option("--pmin", type=_FiniteFloat(0.0, 1.0), default=0.01, show_default=True)
 @click.option("--pmax", type=_FiniteFloat(0.0, 1.0), default=0.99, show_default=True)
@@ -669,7 +669,7 @@ def cmd_simulate(spec, params, head, reps, seed, max_points, fmt, precision):
     record = {
         **head,
         "replications": reps,
-        "seed": seed,
+        "seed": config.seed,
         "max_points_per_replication": max_points,
         **dataclasses.asdict(summary),
     }

@@ -18,8 +18,11 @@ of ingredients collected here:
   how a breakdown shows the score) and a layer's per-unit length laws
   (``_Laws``) give, through one reader (``_row_moments``), its moments,
   breakdown and length PMFs,
-* moments of the geometric distribution (two-point and two-game tie-breaker
-  cycles are geometric in the number of cycles).
+* the advantage race played in pairs of units until one player sweeps a
+  pair (``_PairRace``): the game's deuce, the set tie-breaker's own
+  tie-breaker and the best-of-games two-game and two-point ties; its win
+  and length are written here once, and ``geometric_moments`` gives its
+  geometric pair count's moments to callers of the public API.
 
 All probability arguments accept floats or numpy arrays and broadcast; this is
 what makes grid sweeps and quadrature cheap without a second code path.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -518,6 +521,34 @@ def _clipped_win(head, tie, theta):
     return _scalar_or_array(np.minimum(head + tie * theta, 1.0))
 
 
+class _PairRace(NamedTuple):
+    """An advantage race played in pairs of units until one player sweeps a
+    pair: the game's deuce, the STT and the best-of-games STTG and STTP.
+
+    ``a`` and ``b`` are A's and B's chances of sweeping a pair, each formed
+    by its layer as that layer keeps it accurate; B's race is
+    ``_PairRace(b, a)``.  The pair count is geometric with success a + b.
+    Nothing here checks that a + b > 0: the layers whose pairs can split
+    forever check that where they form their race.
+    """
+
+    a: float | np.ndarray
+    b: float | np.ndarray
+
+    def win(self):
+        """A's chance in the race, a / (a + b)."""
+        return _scalar_or_array(self.a / (self.a + self.b))
+
+    def length(self, pair=(2.0, 0.0)):
+        """(mean, variance) of the race's length: a geometric number of
+        pairs, with mean 1/eta and variance (1 - eta)/eta^2 for eta = a + b,
+        each pair an independent length of (mean, variance) ``pair``, two
+        units by default."""
+        eta = self.a + self.b
+        count, (mean, var) = 1.0 / eta, pair
+        return count * mean, count * var + (1.0 - eta) / (eta * eta) * mean**2
+
+
 def _compose_length_law(rows, laws: _Laws, n_max: int) -> PointCountDistribution:
     """Length PMF of a mixture, over final scores, of sums of per-unit lengths.
 
@@ -553,16 +584,15 @@ def _compose_length_law(rows, laws: _Laws, n_max: int) -> PointCountDistribution
     )
 
 
-def _race_tie_law(rows, laws: _Laws, eta, rho, n_max: int) -> PointCountDistribution:
+def _race_tie_law(rows, laws: _Laws, race: _PairRace, rho, n_max: int) -> PointCountDistribution:
     """Length PMF of a race whose outright rows have fixed lengths and whose
-    last row, the tie, stacks twice a geometric pair count, a pair deciding
-    with ``eta`` and not with ``rho``, each formed as the layer keeps it
-    accurate.  ``truncation_mass`` is the exact geometric residual past
-    ``n_max``."""
+    last row, the tie, stacks twice the pair count of ``race``, a pair
+    going on with ``rho``, formed as the layer keeps it accurate.
+    ``truncation_mass`` is the exact geometric residual past ``n_max``."""
     *outright, tie = rows
     support = [(row.units, float(row.mass)) for row in outright]
     lengths = range(tie.units + 2, n_max + 1, 2)
-    support.extend(zip(lengths, _geometric_tail(tie.mass * eta, rho, len(lengths))))
+    support.extend(zip(lengths, _geometric_tail(tie.mass * (race.a + race.b), rho, len(lengths))))
     residual = tie.mass * rho ** max(0, (n_max - tie.units) // 2) if tie.mass > 0.0 else 0.0
     mean, var = _mixture_moments(rows, laws)
     return PointCountDistribution(tuple(support), float(residual), float(mean), float(var))
@@ -599,7 +629,6 @@ class ScoreBreakdown:
     mean: float
     variance: float
     label: str = ""
-    extra: dict = field(default_factory=dict)
 
     def row(self, score: str) -> BreakdownRow:
         for r in self.rows:

@@ -6,11 +6,13 @@ tie-breaker GT) play continues in pairs of points until one player leads by
 two.  The pair structure makes the GT duration twice a geometric variable
 with success probability p^2 + q^2.
 
-The final scores 4-0, 4-1, 4-2 and deuce are closed-form rows, the GT
-stacked on deuce, for core's moments, breakdown and PMF; the game win,
-the innermost call of every set and match, keeps its own closed form.
+The GT is core's pair race (:class:`~deuce.core._PairRace`), formed in
+one place, ``_deuce``: the server sweeps a pair with p^2 and the receiver
+with q^2.  The final scores 4-0, 4-1, 4-2 and deuce are closed-form rows,
+the GT stacked on deuce, for core's moments, breakdown and PMF; the game
+win, the innermost call of every set and match, keeps its own closed form.
 Each public function checks ``p`` and calls an unchecked evaluator
-(``_gt_win``, ``_game_win``, ``_game_moments``, ``_game_pmf``), which the
+(``_deuce``, ``_game_win``, ``_game_moments``, ``_game_pmf``), which the
 set, match and best-of layers call directly.
 """
 
@@ -26,10 +28,10 @@ from .core import (
     _check_prob,
     _Laws,
     _mixture_moments,
+    _PairRace,
     _race_tie_law,
     _scalar_or_array,
     _ScoreRow,
-    _tie_shares,
 )
 
 __all__ = [
@@ -54,14 +56,15 @@ def gt_win_prob(p):
     or drops both); the server takes a decisive pair with p^2, so the
     geometric race gives p^2 / (p^2 + q^2).  The denominator is at least 1/2.
     """
-    return _gt_win(_check_prob("p", p))
+    return _deuce(_check_prob("p", p)).win()
 
 
-def _gt_win(p):
-    """:func:`gt_win_prob` for a valid ``p``."""
+def _deuce(p) -> _PairRace:
+    """The GT of a valid ``p``: the server sweeps a pair of points with p^2
+    and the receiver with q^2, so a pair decides with p^2 + q^2 >= 1/2 and
+    the race always terminates."""
     p = np.asarray(p, dtype=float)
-    q = 1.0 - p
-    return _scalar_or_array(p**2 / (p**2 + q**2))
+    return _PairRace(p**2, (1.0 - p) ** 2)
 
 
 def gt_points_moments(p):
@@ -69,15 +72,8 @@ def gt_points_moments(p):
 
     The point count is 2 Ge(p^2+q^2): mean 2/(p^2+q^2), variance 8pq/(p^2+q^2)^2.
     """
-    mean, var = _gt_moments(np.asarray(_check_prob("p", p), dtype=float))
+    mean, var = _deuce(_check_prob("p", p)).length()
     return _scalar_or_array(mean), _scalar_or_array(var)
-
-
-def _gt_moments(p):
-    """:func:`gt_points_moments` for a valid ``p``: a pair decides with
-    p^2 + q^2 >= 1/2, so the geometric count always terminates."""
-    eta = p * p + (1.0 - p) ** 2
-    return 2.0 / eta, 4.0 * ((1.0 - eta) / (eta * eta))
 
 
 def game_win_prob(p):
@@ -98,18 +94,19 @@ def _game_win(p):
     """:func:`game_win_prob` for a valid ``p``."""
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * _gt_win(p)
+    out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * _deuce(p).win()
     return _scalar_or_array(np.minimum(out, 1.0))
 
 
-def _game_rows(p):
-    """(rows, laws) of a game's final scores.
+def _game_rows(p, deuce: _PairRace):
+    """(rows, laws) of a game's final scores, the GT being ``deuce``.
 
     4-0, 4-1 and 4-2 are closed forms with C(3+h, 3) orderings, split
     between server and receiver, and pin the count at 4+h points.  The
     last row, deuce (3-3), whose mass is C(6, 3) p^3 q^3, stacks the GT's
-    point count on its six points; a breakdown shows it as "TB", the
-    server's share its GT win.
+    point count on its six points; a breakdown shows it as "TB", split by
+    the server's GT win and the receiver's, so neither share is a
+    complement.
     """
     q = 1.0 - p
     rows = []
@@ -117,8 +114,9 @@ def _game_rows(p):
         a, b = ways * p**4 * q**h, ways * q**4 * p**h
         rows.append(_ScoreRow(a + b, 4 + h, False, f"4-{h}", h, (a, b)))
     tie = _DEUCE_WAYS * p**3 * q**3
-    rows.append(_ScoreRow(tie, 6, True, "TB", None, lambda: _tie_shares(tie, _gt_win(p))))
-    return rows, _Laws(stacked=_gt_moments(p))
+    shares = lambda: (tie * deuce.win(), tie * _PairRace(deuce.b, deuce.a).win())
+    rows.append(_ScoreRow(tie, 6, True, "TB", None, shares))
+    return rows, _Laws(stacked=deuce.length())
 
 
 def game_points_moments(p):
@@ -134,7 +132,7 @@ def game_points_moments(p):
 def _game_moments(p):
     """:func:`game_points_moments` for a valid ``p``."""
     p = _scalar_or_array(np.asarray(p, dtype=float))
-    mean, var = _mixture_moments(*_game_rows(p))
+    mean, var = _mixture_moments(*_game_rows(p, _deuce(p)))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -152,9 +150,9 @@ def game_points_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
 
 def _game_pmf(p: float, n_max: int = 400) -> PointCountDistribution:
     """:func:`game_points_pmf` for a valid float ``p`` and ``n_max``."""
-    q = 1.0 - p
-    # a deuce pair ends the game with p^2 + q^2 and goes on with 2pq
-    return _race_tie_law(*_game_rows(p), p**2 + q**2, 2.0 * p * q, n_max)
+    deuce = _deuce(p)
+    # a deuce pair goes on with 2pq, which 1 - p^2 - q^2 would cancel
+    return _race_tie_law(*_game_rows(p, deuce), deuce, 2.0 * p * (1.0 - p), n_max)
 
 
 def game_breakdown(p: float) -> ScoreBreakdown:
@@ -164,4 +162,4 @@ def game_breakdown(p: float) -> ScoreBreakdown:
     win probability and the unconditional point-count moments.
     """
     p = float(_check_prob("p", p))
-    return _breakdown("game", *_game_rows(p), _game_win(p))
+    return _breakdown("game", *_game_rows(p, _deuce(p)), _game_win(p))

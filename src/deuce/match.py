@@ -190,6 +190,6 @@ def match_points_distribution(pa: float, pb: float, spec: SystemSpec,
     _check_spec(spec, "match")
     pa, pb = _check_pair(pa, pb, float)
     n_max = _check_count("n_max", n_max, minimum=2)
-    _, rows, laws, _ = _match(pa, pb, spec, *_pmf_laws(pa, pb, n_max),
+    _, rows, laws, _ = _match(pa, pb, spec, *_pmf_laws(n_max),
                               lambda rows, laws: _pmf_law(_compose_length_law(rows, laws, n_max)))
     return _compose_length_law(rows, laws, n_max)

@@ -6,8 +6,9 @@ player's per-unit tables, and a layer passes only how the race's opener
 serves:
 
 * STT: at (K-1, K-1) points the set tie-breaker continues in pairs of points
-  (one serve each) until someone sweeps a pair; the pair count is geometric
-  with success probability pA*qB + qA*pB.
+  (one serve each) until someone sweeps a pair: core's pair race
+  (:class:`~deuce.core._PairRace`), in which A sweeps with pA*qB and B with
+  qA*pB.
 * ST: first to K points, serve rotation ABBAABB... (units served by the
   opener: ``serves_by_first_server``); at K-1 all the STT decides.
 * Set: first to six games, games alternating servers
@@ -42,10 +43,11 @@ is treated as exchangeable with its winner, which is the usual
 summary-decomposition convention (the exact-process variance differs in the
 third significant figure — see the tests for a quantified comparison).
 
-Termination is decided in one place, ``_decisive_pair_prob``, which every
-two-unit-advantage race reads (the STT's win and length, and the
-best-of-games advantage races): where a pair of units never decides, both
-players winning or both losing every unit they serve, it raises
+Each ST evaluation forms its STT once, in ``_stt``, and carries it into
+its rows, its laws and B's win.  ``_stt`` is also where termination is
+decided, for the STT and for the best-of-games advantage races, which it
+forms too: where a pair of units never decides, both players winning or
+both losing every unit they serve, it raises
 :class:`~deuce.core.NonTerminatingError`.  Such a pair reaches every tie
 that the race settles with probability one, so no reachable-mass test is
 needed.
@@ -54,7 +56,7 @@ Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
 
 Public functions validate their arguments once and call the unchecked
-evaluators (``_stt_win``, ``_st_race``, ``_sets`` and the rest), which the
+evaluators (``_stt``, ``_st_race``, ``_sets`` and the rest), which the
 match and best-of layers call too; none of those checks anything but
 termination.
 """
@@ -76,6 +78,7 @@ from .core import (
     _compose_length_law,
     _Laws,
     _mixture_moments,
+    _PairRace,
     _pmf_law,
     _Race,
     _race_tie_law,
@@ -83,7 +86,6 @@ from .core import (
     _ScoreRow,
     _SplitPowers,
     binomial_convolution_mass,  # noqa: F401  (re-exported: importable from here as before)
-    geometric_moments,
 )
 from .game import _game_moments, _game_pmf, _game_win
 
@@ -106,31 +108,26 @@ _ST_UNITS = _Laws(opener_units=_abba_serves)
 _GAME_UNITS = _Laws(opener_units=_alternate_serves)
 
 
-def _decisive_pair_prob(pa, pb):
-    """pA*qB + qA*pB: the chance a pair of units, one served by each player,
-    decides a two-unit-advantage race such as the STT.
+def _stt(pa, pb) -> _PairRace:
+    """The two-unit-advantage race over pairs of units, one served by each
+    player, who hold serve with ``pa`` and ``pb``: A sweeps a pair with
+    pA*qB and B with qA*pB.  This is the STT over points, and the
+    best-of-games STTG over service games.
 
-    This is the one termination check: where it is 0, at (0,0) and (1,1),
-    every pair splits 1-1 and the race never ends, so this raises there.
-    Those pairs reach every tie such a race settles (K-1 all, 6-6, l-l)
-    with probability one, so no tie of mass 0 is rejected.
+    This is the one termination check: where pA*qB + qA*pB is 0, at (0,0)
+    and (1,1), every pair splits 1-1 and the race never ends, so this
+    raises there.  Those pairs reach every tie such a race settles (K-1
+    all, 6-6, l-l) with probability one, so no tie of mass 0 is rejected.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    if np.any(eta == 0.0):
+    race = _PairRace(pa * (1.0 - pb), (1.0 - pa) * pb)
+    if np.any(race.a + race.b == 0.0):
         raise NonTerminatingError(
             "non-terminating tie-breaker: pA and pB both 0 or both 1 make every "
             "point pair split 1-1, so the two-point-advantage race never resolves"
         )
-    return eta
-
-
-def _stt_length(pa, pb):
-    """(mean, variance) of the STT's point count: twice a geometric number of
-    point pairs, a pair deciding with pA*qB + qA*pB."""
-    g_mean, g_var = geometric_moments(_decisive_pair_prob(pa, pb))
-    return 2.0 * g_mean, 4.0 * g_var
+    return race
 
 
 def stt_win_prob(pa, pb):
@@ -144,17 +141,7 @@ def stt_win_prob(pa, pb):
     which is ODDS(pA)/ (ODDS(pA) + ODDS(pB)) territory: only the odds ratio
     matters, and the serving order within pairs does not.
     """
-    return _stt_win(*_check_pair(pa, pb))
-
-
-def _stt_win(pa, pb):
-    """:func:`stt_win_prob` for valid ``pa`` and ``pb``; the pairs that never
-    terminate are still rejected (:func:`_decisive_pair_prob`).  B's STT win
-    is ``_stt_win(pb, pa)``."""
-    eta = _decisive_pair_prob(pa, pb)
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    return _scalar_or_array(pa * (1.0 - pb) / eta)
+    return _stt(*_check_pair(pa, pb)).win()
 
 
 def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCountDistribution:
@@ -165,9 +152,15 @@ def stt_points_distribution(pa: float, pb: float, n_max: int = 2000) -> PointCou
     """
     pa, pb = _check_pair(pa, pb, float)
     n_max = _check_count("n_max", n_max, minimum=2)
-    eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    laws = _Laws(stacked=_stt_length(pa, pb))
-    return _race_tie_law([_ScoreRow(1.0, 0, True)], laws, eta, 1.0 - eta, n_max)
+    stt = _stt(pa, pb)
+    return _stt_law([_ScoreRow(1.0, 0, True)], _Laws(stacked=stt.length()), stt, n_max)
+
+
+def _stt_law(rows, laws: _Laws, stt: _PairRace, n_max: int) -> PointCountDistribution:
+    """The point-count law of a race whose tie ``stt`` settles, the STT alone
+    or the ST (:func:`_st_rows`), at any ``n_max``: a pair goes on with
+    1 - pA*qB - qA*pB."""
+    return _race_tie_law(rows, laws, stt, 1.0 - (stt.a + stt.b), n_max)
 
 
 def _st_split(pa, pb, k: int) -> _SplitPowers:
@@ -187,15 +180,15 @@ def _st_race(pa, pb, k: int) -> _Race:
     return _Race(_st_split(pa, pb, k), k, _ST_UNITS)
 
 
-def _st_win(wins, tie, pa, pb):
+def _st_win(wins, tie, stt: _PairRace):
     """A player's ST win: the player's outright masses ``wins``, plus the
     tie times the player's STT win, whose outcome does not depend on who
     serves first in its pairs.
 
-    A's are the race's ``wins`` (:func:`_st_race`); B's are its ``losses``,
-    with the pair swapped.
+    A's are the race's ``wins`` (:func:`_st_race`) and the STT ``stt``;
+    B's are its ``losses`` and the STT swapped, ``_PairRace(stt.b, stt.a)``.
     """
-    return _scalar_or_array(sum(wins) + tie * _stt_win(pa, pb))
+    return _scalar_or_array(sum(wins) + tie * stt.win())
 
 
 def st_win_prob(pa, pb, k: int):
@@ -211,11 +204,12 @@ def st_win_prob(pa, pb, k: int):
     """
     _check_pair(pa, pb)
     race = _st_race(pa, pb, _check_count("k", k, minimum=2))
-    return _st_win(race.wins, race.tie, pa, pb)
+    return _st_win(race.wins, race.tie, _stt(pa, pb))
 
 
-def _st_rows(race: _Race, pa, pb):
-    """(rows, laws) of a K-point set tie-breaker's final scores, from its race.
+def _st_rows(race: _Race, stt: _PairRace):
+    """(rows, laws) of a K-point set tie-breaker's final scores, from its race
+    and its STT.
 
     Scores K-h and h-K pin the count at K+h points; the last row, K-1 all,
     whose mass is the tie, stacks the STT's twice-geometric pair count on
@@ -223,9 +217,9 @@ def _st_rows(race: _Race, pa, pb):
     player's STT win, and only where the tie is reachable.
     """
     tie = race.tie
-    shares = lambda: (tie * _stt_win(pa, pb), tie * _stt_win(pb, pa)) if tie > 0.0 else None
+    shares = lambda: (tie * stt.win(), tie * _PairRace(stt.b, stt.a).win()) if tie > 0.0 else None
     rows = race.rows() + [_ScoreRow(tie, 2 * race.n - 2, True, "TB", None, shares)]
-    return rows, _ST_UNITS._replace(stacked=_stt_length(pa, pb))
+    return rows, _ST_UNITS._replace(stacked=stt.length())
 
 
 def st_points_moments(pa, pb, k: int):
@@ -236,14 +230,8 @@ def st_points_moments(pa, pb, k: int):
     """
     _check_pair(pa, pb)
     k = _check_count("k", k, minimum=2)
-    mean, var = _mixture_moments(*_st_rows(_st_race(pa, pb, k), pa, pb))
+    mean, var = _mixture_moments(*_st_rows(_st_race(pa, pb, k), _stt(pa, pb)))
     return _scalar_or_array(mean), _scalar_or_array(var)
-
-
-def _st_law(pa: float, pb: float, n_max: int, rows, laws) -> PointCountDistribution:
-    """The ST point-count law from :func:`_st_rows`, any ``n_max``."""
-    eta = pa * (1.0 - pb) + (1.0 - pa) * pb
-    return _race_tie_law(rows, laws, eta, 1.0 - eta, n_max)
 
 
 def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> PointCountDistribution:
@@ -256,7 +244,9 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    return _st_law(pa, pb, n_max, *_st_rows(_st_race(pa, pb, k), pa, pb))
+    race = _st_race(pa, pb, k)
+    stt = _stt(pa, pb)
+    return _stt_law(*_st_rows(race, stt), stt, n_max)
 
 
 def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
@@ -264,7 +254,8 @@ def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     race = _st_race(pa, pb, k)
-    return _breakdown("st", *_st_rows(race, pa, pb), _st_win(race.wins, race.tie, pa, pb))
+    stt = _stt(pa, pb)
+    return _breakdown("st", *_st_rows(race, stt), _st_win(race.wins, race.tie, stt))
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -332,26 +323,28 @@ def _games_laws(game_a, game_b, stacked) -> _Laws:
 
 def _st_tie(pa, pb, k: int, st_law=None):
     """A's chance in the set's 6-6 tie at target ``k``, A's ST win; with
-    ``st_law``, followed by ``st_law(rows, laws)``, the ST law stacked on
-    7-6, and a function giving B's ST win.  That function holds B's
+    ``st_law``, followed by ``st_law(rows, laws, stt)``, the ST law stacked
+    on 7-6, and a function giving B's ST win.  That function holds B's
     outright masses and the tie, not the race, whose tables would stay
     alive with it."""
     st = _st_race(pa, pb, k)
-    theta = _st_win(st.wins, st.tie, pa, pb)
+    stt = _stt(pa, pb)
+    theta = _st_win(st.wins, st.tie, stt)
     if st_law is None:
         return theta
-    law = st_law(*_st_rows(st, pa, pb))
+    law = st_law(*_st_rows(st, stt), stt)
     losses, tie = st.losses, st.tie
-    return theta, law, lambda: _st_win(losses, tie, pb, pa)
+    return theta, law, lambda: _st_win(losses, tie, _PairRace(stt.b, stt.a))
 
 
-def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_moments) -> list:
+def _sets(pa, pb, ks, game_law=None, st_law=lambda rows, laws, stt: _mixture_moments(rows, laws),
+          set_law=_mixture_moments) -> list:
     """A's set win at each tie-breaker target in ``ks``, from one race of the
     set's games and one ST race per target.
 
     With ``game_law`` each win comes paired with the set's law at its
     target: ``game_law(p)`` gives a player's game law, ``st_law(rows,
-    laws)`` the ST law stacked on 7-6 and ``set_law(rows, laws)`` the set
+    laws, stt)`` the ST law stacked on 7-6 and ``set_law(rows, laws)`` the set
     law; moments by default, or PMF laws (:func:`_pmf_laws`).  A breakdown
     takes the set's rows and laws themselves.  Without ``game_law`` only A's
     races run, and no score rows are built.
@@ -373,10 +366,10 @@ def _sets(pa, pb, ks, game_law=None, st_law=_mixture_moments, set_law=_mixture_m
             for win, (theta, st, theta_b) in zip(wins, ties)]
 
 
-def _pmf_laws(pa: float, pb: float, n_max: int) -> tuple:
+def _pmf_laws(n_max: int) -> tuple:
     """The game and ST laws of :func:`_sets` as PMFs, the ST's cut at ``n_max``."""
     return (lambda p: _pmf_law(_game_pmf(p)),
-            lambda rows, laws: _pmf_law(_st_law(pa, pb, n_max, rows, laws)))
+            lambda rows, laws, stt: _pmf_law(_stt_law(rows, laws, stt, n_max)))
 
 
 def set_win_prob(pa, pb, k: int):
@@ -438,5 +431,5 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     pa, pb = _check_pair(pa, pb, float)
     k = _check_count("k", k, minimum=2)
     n_max = _check_count("n_max", n_max, minimum=2)
-    return _sets(pa, pb, (k,), *_pmf_laws(pa, pb, n_max),
+    return _sets(pa, pb, (k,), *_pmf_laws(n_max),
                  lambda rows, laws: _compose_length_law(rows, laws, n_max))[0][1]

@@ -184,6 +184,7 @@ def test_compute_csv_is_flat_key_value():
         (("efficiency", "game", "--alpha", "nan"), "--alpha"),
         (("efficiency", "game", "--beta", "inf"), "--beta"),
         (("simulate", "stt", "--pa", "0.6", "--pb", "nan", "--reps", "3"), "--pb"),
+        (("grid", "st", "--res", "100000"), "--res"),          # lattice past the cap
     ],
 )
 def test_usage_errors_exit_2_and_name_the_flag(args, needle):
@@ -454,6 +455,16 @@ def test_simulate_echoes_config_and_is_deterministic():
     assert record["seed"] == 42
     assert record["replications"] == 5000
     assert record["win_rate_A"] == pytest.approx(0.7357, abs=4 * record["win_rate_se"])
+
+
+def test_simulate_echoes_the_seed_it_used():
+    # the simulator reduces a seed mod 2**64, so both calls run one stream
+    first = run_cli("simulate", "game", "--p", "0.6", "--reps", "50", "--seed", "1")
+    second = run_cli("simulate", "game", "--p", "0.6", "--reps", "50",
+                     "--seed", str(2**64 + 1))
+    assert first.exit_code == second.exit_code == 0
+    assert second.stdout == first.stdout
+    assert json.loads(first.stdout)["seed"] == 1
 
 
 def test_simulate_draws_and_echoes_seed_when_omitted():

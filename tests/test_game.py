@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ def test_game_breakdown_is_consistent():
         weighted_mean = sum(r.p_total * r.cond_mean for r in b.rows)
         assert weighted_mean == pytest.approx(b.mean, abs=1e-9)
         assert b.win_prob == pytest.approx(sum(r.p_first_wins for r in b.rows), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0 - 1e-9, 0.999, 0.6, 1e-9])
+def test_game_breakdown_deuce_shares_match_exact_values(p):
+    """Each player's TB share is the deuce mass times that player's own GT
+    win, exact for the float ``p``: the receiver's share near p = 1 is
+    about 1e-44, where a complement of the server's GT win reads 0."""
+    x = Fraction(p)
+    q = 1 - x
+    tie = 20 * x**3 * q**3
+    row = game_breakdown(p).row("TB")
+    assert row.p_first_wins == pytest.approx(float(tie * x * x / (x * x + q * q)), rel=1e-15, abs=0)
+    assert row.p_second_wins == pytest.approx(float(tie * q * q / (x * x + q * q)), rel=1e-15, abs=0)
 
 
 def test_game_moments_at_half():
