@@ -35,7 +35,7 @@ from .bestof import (
     bog_match_points_moments,
     bog_match_win_prob,
 )
-from .core import _KINDS, _TIEBREAKS, NonTerminatingError, QuadratureError, SystemSpec
+from .core import _KINDS, _MINIMUM, _TIEBREAKS, NonTerminatingError, QuadratureError, SystemSpec
 from .efficiency import BetaPrior, efficiency_one_param, efficiency_two_param
 from .game import (
     game_breakdown,
@@ -116,30 +116,37 @@ def _echo(text: str, err: bool = False) -> None:
     click.echo(text, file=sys.stderr if err else sys.stdout)
 
 
+# The structure flags, in the order they are applied; each takes its type
+# from the spec's own rules: a count's minimum, or the l-all tie rules.
+_STRUCTURE_HELP = {
+    "k": "tie-break target (st) or games per set (set).",
+    "k0": "tie-break target in non-deciding sets (match).",
+    "k1": "tie-break target in the deciding set (match).",
+    "q": "sets needed to win the match (best of 2q+1).",
+    "l": "race length parameter for bofk/bog (win l+1 units).",
+    "tiebreak": "rule applied at l-all games (bog).",
+}
+
+_PARAM_HELP = {
+    "p": "server's point-win probability (single-parameter systems).",
+    "pa": "player A's probability of winning a point on serve.",
+    "pb": "player B's probability of winning a point on serve.",
+}
+
+
 def _structure_options(fn):
-    """Attach the scoring-structure flags shared by every subcommand, which
-    receives them as one mapping, ``fields`` (:func:`_build_specs`)."""
+    """Attach the scoring-structure flags shared by every subcommand, one per
+    ``_STRUCTURE_HELP`` entry, with the ranges :class:`SystemSpec` checks.
+    The subcommand receives them as one mapping, ``fields``
+    (:func:`_build_specs`)."""
 
     @functools.wraps(fn)
     def command(**kwargs):
-        fields = {name: kwargs.pop(name) for name in ("k", "k0", "k1", "q", "l", "tiebreak")}
-        return fn(fields=fields, **kwargs)
+        return fn(fields={name: kwargs.pop(name) for name in _STRUCTURE_HELP}, **kwargs)
 
-    for option in (
-        click.option("--k", type=click.IntRange(min=2), default=None,
-                     help="tie-break target (st) or games per set (set)."),
-        click.option("--k0", type=click.IntRange(min=2), default=None,
-                     help="tie-break target in non-deciding sets (match)."),
-        click.option("--k1", type=click.IntRange(min=2), default=None,
-                     help="tie-break target in the deciding set (match)."),
-        click.option("--q", type=click.IntRange(min=1), default=None,
-                     help="sets needed to win the match (best of 2q+1)."),
-        click.option("--l", type=click.IntRange(min=1), default=None,
-                     help="race length parameter for bofk/bog (win l+1 units)."),
-        click.option("--tiebreak", type=click.Choice(_TIEBREAKS),
-                     default=None, help="rule applied at l-all games (bog)."),
-    ):
-        command = option(command)
+    for name, text in _STRUCTURE_HELP.items():
+        kind = click.IntRange(min=_MINIMUM[name]) if name in _MINIMUM else click.Choice(_TIEBREAKS)
+        command = click.option(f"--{name}", type=kind, default=None, help=text)(command)
     return command
 
 
@@ -158,15 +165,8 @@ class _FiniteFloat(click.FloatRange):
 
 
 def _param_options(fn):
-    for option in (
-        click.option("--p", type=_FiniteFloat(0.0, 1.0), default=None,
-                     help="server's point-win probability (single-parameter systems)."),
-        click.option("--pa", type=_FiniteFloat(0.0, 1.0), default=None,
-                     help="player A's probability of winning a point on serve."),
-        click.option("--pb", type=_FiniteFloat(0.0, 1.0), default=None,
-                     help="player B's probability of winning a point on serve."),
-    ):
-        fn = option(fn)
+    for name, text in _PARAM_HELP.items():
+        fn = click.option(f"--{name}", type=_FiniteFloat(0.0, 1.0), default=None, help=text)(fn)
     return fn
 
 
@@ -298,18 +298,16 @@ def _single_system(name: str, kinds, *options):
 def _round_sig(obj, digits: int):
     """Round every float in a nested structure to ``digits`` significant digits.
 
-    Each float goes through its ``.{digits}g`` text and back (NaN, infinities
-    and -0.0 survive the round trip).  Float arrays are left as they are:
-    :func:`_json_text` writes them row by row from the same ``%g`` text.
+    Each float, ``np.float64`` among them, goes through its ``.{digits}g``
+    text and back (NaN, infinities and -0.0 survive the round trip); every
+    other scalar, a bool too, is returned as it is.  Float arrays are left as
+    they are: :func:`_json_text` writes them row by row from the same ``%g``
+    text.
     """
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, dict):
         return {key: _round_sig(value, digits) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_sig(value, digits) for value in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if isinstance(obj, float):
         if math.isnan(obj) or math.isinf(obj):
             return obj
@@ -386,25 +384,18 @@ def _flatten(record: dict, prefix: str = ""):
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             yield from _flatten(value, name + ".")
-        elif isinstance(value, list):
-            yield name, json.dumps(value)
         else:
             yield name, value
-
-
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _json_text(obj, digits: int | None = None, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, character for character.
 
-    ``json`` encodes indented output in pure Python, one element at a time.
-    Here each non-empty list of scalars is one call to the C encoder, whose
-    item separator carries the line break and indentation; keys and scalars
-    are encoded by ``json`` itself.  Keys are strings, as in every record.
-    A float array is written as the nested lists of its cells rounded to
-    ``digits`` significant digits would be, one ``%``-format call per row
-    (:func:`_json_rows`).
+    Containers are laid out here, one element at a time, as ``json`` lays
+    out indented output; keys and scalars are encoded by ``json`` itself.
+    Keys are strings, as in every record.  A float array is written as the
+    nested lists of its cells rounded to ``digits`` significant digits would
+    be, one ``%``-format call per row (:func:`_json_rows`).
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -416,10 +407,7 @@ def _json_text(obj, digits: int | None = None, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if {type(value) for value in obj} <= _JSON_SCALARS:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-        else:
-            body = ("," + inner).join(_json_text(value, digits, inner) for value in obj)
+        body = ("," + inner).join(_json_text(value, digits, inner) for value in obj)
         return "[" + inner + body + indent + "]"
     if isinstance(obj, np.ndarray):
         return _json_rows(obj, _respelled(obj, digits), digits, indent)

@@ -11,13 +11,12 @@ of ingredients collected here:
   every layer reads,
 * a race's final scores (``_Race``): A's masses and the tie at once, which
   is all a win path reads, and B's masses and both players' score rows
-  when a moment, breakdown or PMF first reads them; a layer's clipped win
-  probability (``_clipped_win``), and A's and B's shares of a tie that A
-  wins with a given chance (``_tie_shares``),
-* the mixture over final scores: rows (``_ScoreRow``: mass, unit count and
-  how a breakdown shows the score) and a layer's per-unit length laws
-  (``_Laws``) give, through one reader (``_row_moments``), its moments,
-  breakdown and length PMFs,
+  when a moment, breakdown or PMF first reads them, and a layer's clipped
+  win probability (``_clipped_win``),
+* the mixture over final scores: rows (``_ScoreRow``: mass, unit count,
+  A's and B's shares of the mass, and how a breakdown shows the score) and
+  a layer's per-unit length laws (``_Laws``) give, through one reader
+  (``_row_moments``), its moments, breakdown and length PMFs,
 * the advantage race played in pairs of units until one player sweeps a
   pair (``_PairRace``): the game's deuce, the set tie-breaker's own
   tie-breaker and the best-of-games two-game and two-point ties; its win
@@ -430,6 +429,11 @@ class _ScoreRow(NamedTuple):
     loser: int | None = None
     shares: tuple | Callable[[], tuple | None] = ()
 
+    def split_mass(self) -> tuple | None:
+        """A's and B's shares of ``mass``: ``shares``, or what its function
+        forms."""
+        return self.shares() if callable(self.shares) else self.shares
+
 
 class _Laws(NamedTuple):
     """A layer's per-unit length laws, each ``(mean, variance)`` or, to
@@ -507,12 +511,6 @@ class _Race:
         rows of its own tie rule."""
         return [_ScoreRow(a + b, self.n + h, False, f"{self.n}-{h}", h, (a, b))
                 for h, (a, b) in enumerate(zip(self.wins, self.losses))]
-
-
-def _tie_shares(tie, theta):
-    """A's and B's shares of a tie of mass ``tie`` in which A's chance is
-    ``theta`` and B's the rest."""
-    return tie * theta, tie * (1.0 - theta)
 
 
 def _clipped_win(head, tie, theta):
@@ -650,7 +648,7 @@ def _breakdown(label: str, rows, laws: _Laws, win_prob) -> ScoreBreakdown:
     mean, var = _mix(rows, moments)
     shown = []
     for row, (m, v) in zip(rows, moments):
-        shares = row.shares() if callable(row.shares) else row.shares
+        shares = row.split_mass()
         if shares is not None:
             shown.append(BreakdownRow(row.score, row.loser, *map(float, shares),
                                       float(m), float(v)))
@@ -696,7 +694,7 @@ class SystemSpec:
                 f"unknown system kind {self.kind!r}; expected one of {tuple(_KINDS)}"
             )
         defaults = _KINDS[self.kind].fields
-        for name in ("k", "k0", "k1", "q", "l", "tiebreak"):
+        for name in (*_MINIMUM, "tiebreak"):
             if getattr(self, name) is not None and name not in defaults:
                 raise ValueError(f"{name} does not apply to system {self.kind!r}")
         for name, default in defaults.items():

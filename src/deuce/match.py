@@ -10,11 +10,12 @@ race of the set's games, and one ST race per target.
 The match's race over sets (:class:`~deuce.core._Race`) gives both
 players' final set scores as rows, and the match appends its decider row,
 whose shares, theta1 for A and the rest for B, are formed only when a
-breakdown asks.  Its laws are the k0 set for every set and the k1 set
-stacked as the decider, so every conditional point-count moment is a sum
-of per-set moments, all computed with A opening service (changing the
-opener flips which player serves more, but that level of detail is not
-carried here — win probabilities are unaffected).  One match evaluation,
+breakdown or the joint PMF of the set score asks.  Its laws are the k0 set
+for every set and the k1 set stacked as the decider, so every conditional
+point-count moment is a sum of per-set moments, all computed with A
+opening service (changing the opener flips which player serves more, but
+that level of detail is not carried here — win probabilities are
+unaffected).  One match evaluation,
 ``_match``, gives the race, rows, laws and theta1 that the moments,
 breakdown and PMF read; the win reads only the set odds and A's race, and
 builds no rows.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
                    _check_count, _check_pair, _check_spec, _clipped_win, _compose_length_law,
                    _Laws, _mixture_moments, _pmf_law, _plain_split, _Race, _scalar_or_array,
-                   _ScoreRow, _tie_shares)
+                   _ScoreRow)
 from .game import _game_moments
 from .sets import _pmf_laws, _sets
 
@@ -83,13 +84,13 @@ def _match_rows(theta0, theta1, q: int):
 
     A score (q+1, b) with b < q plays q+1+b sets at k0; the full-length
     score plays 2q at k0 and stacks the k1 decider, and its row's mass is
-    the tie, which a breakdown splits by A's chance in the decider, theta1,
-    and B's, the rest.  Every set is the opener's unit of the match's laws,
-    and the decider the stacked one.
+    the tie, which a breakdown and the JPMF split by A's chance in the
+    decider, theta1, and B's, the rest.  Every set is the opener's unit of
+    the match's laws, and the decider the stacked one.
     """
     race = _match_race(theta0, q)
     tie = race.tie
-    shares = lambda: _tie_shares(tie, theta1)
+    shares = lambda: (tie * theta1, tie * (1.0 - theta1))
     return race, race.rows() + [_ScoreRow(tie, 2 * q, True, f"{q + 1}-{q}", q, shares)]
 
 
@@ -104,13 +105,13 @@ def _match(pa, pb, spec: SystemSpec, *laws):
 
 
 def _set_score_jpmf(theta0, theta1, q: int) -> SetScoreJPMF:
-    race = _match_race(theta0, q)
+    """The JPMF from the match's rows: each row's shares are the masses of
+    A's and B's wins with the loser on ``loser`` sets."""
+    race, rows = _match_rows(theta0, theta1, q)
     transient = {(a, b): race.split.mass(a + b, 0, a) for a in range(q + 1) for b in range(q + 1)}
     absorbing = {}
-    for b, (first, second) in enumerate(zip(race.wins, race.losses)):
-        absorbing[(q + 1, b)] = first
-        absorbing[(b, q + 1)] = second
-    absorbing[(q + 1, q)], absorbing[(q, q + 1)] = _tie_shares(race.tie, theta1)
+    for row in rows:
+        absorbing[(q + 1, row.loser)], absorbing[(row.loser, q + 1)] = row.split_mass()
     return SetScoreJPMF(q=q, absorbing=absorbing, transient=transient)
 
 

@@ -201,6 +201,21 @@ def test_unknown_system_is_a_usage_error():
         assert "'quidditch'" in diagnostics(result), args
 
 
+@pytest.mark.parametrize("name, value", [
+    *((name, minimum - 1) for name, minimum in core._MINIMUM.items()), ("tiebreak", "x"),
+])
+def test_structure_flags_reject_what_the_spec_rejects(name, value):
+    # each structure flag's range is the spec's own: a count one below its
+    # minimum, or an unknown l-all tie rule, fails at the flag and in SystemSpec
+    kind = next(kind for kind, rule in core._KINDS.items() if name in rule.fields)
+    result = run_cli("compute", kind, f"--{name}", str(value))
+    assert result.exit_code == 2, result.output
+    assert f"'--{name}'" in diagnostics(result)
+    required = {"l": 3} if "l" in core._KINDS[kind].fields else {}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        core.SystemSpec(kind, **{**required, name: value})
+
+
 
 # ---------------------------------------------------------------------------
 # the kind table

@@ -209,6 +209,13 @@ USAGE_ERRORS = (
     ["compute", "game", "--p", "0.5", "--k", "7"],
     ["efficiency", "stt", "game", "--l", "3"],
     ["compute", "bofk", "--p", "0.5"],
+    # a structure flag below its minimum, or an unknown l-all tie rule
+    ["compute", "st", "--k", "1"],
+    ["compute", "match", "--k0", "1"],
+    ["compute", "match", "--k1", "1"],
+    ["compute", "match", "--q", "0"],
+    ["compute", "bofk", "--l", "0"],
+    ["compute", "bog", "--l", "3", "--tiebreak", "x"],
     # missing or misplaced serve probabilities
     ["compute", "set", "--pb", "0.5"],
     ["compute", "set", "--p", "0.5"],
