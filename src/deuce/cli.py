@@ -45,7 +45,7 @@ from .game import (
     gt_win_prob,
 )
 from .match import match_breakdown, match_points_moments, match_win_prob
-from .montecarlo import SimConfig, simulate
+from .montecarlo import _CONFIG_MINIMUM, SimConfig, simulate
 from .sets import (
     set_breakdown,
     set_points_moments,
@@ -640,12 +640,13 @@ def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
 
 @_single_system(
     "simulate", SYSTEM_KINDS,
-    click.option("--reps", type=click.IntRange(min=1), required=True,
-                 help="number of replications."),
+    click.option("--reps", type=click.IntRange(min=_CONFIG_MINIMUM["replications"]),
+                 required=True, help="number of replications."),
     click.option("--seed", type=int, default=None,
                  help="PRNG seed; drawn from entropy and echoed when omitted."),
-    click.option("--max-points", type=click.IntRange(min=100), default=100_000,
-                 show_default=True, help="cap on points per replication."),
+    click.option("--max-points",
+                 type=click.IntRange(min=_CONFIG_MINIMUM["max_points_per_replication"]),
+                 default=100_000, show_default=True, help="cap on points per replication."),
 )
 def cmd_simulate(spec, params, head, reps, seed, max_points, fmt, precision):
     """Estimate win rate and duration by Monte-Carlo replication."""

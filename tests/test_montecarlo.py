@@ -24,14 +24,18 @@ from deuce.core import SystemSpec, first_server_on_point
 from deuce.game import game_points_moments, game_win_prob, gt_points_moments, gt_win_prob
 from deuce.match import MatchSpec, match_points_moments, match_win_prob
 from deuce.montecarlo import (
+    _BLOCK_STEPS,
     SimConfig,
     SimSummary,
     _draw,
+    _draw_bits,
     _GOLDEN,
     _mix64,
     _rep_streams,
     _score_table,
+    _settle,
     _simulate_outcomes,
+    _threshold,
     simulate,
 )
 from deuce.rules import _serves_first_abba, _tables
@@ -99,6 +103,47 @@ def test_draw_follows_the_documented_formula(seed, rep, j):
     expected = (word >> 11) / 2.0**53
     got = _draw(_rep_streams(seed, rep + 1), j)[rep]
     assert got == expected
+
+
+@pytest.mark.parametrize("j0", [3, 13, 2**20 + 5])
+def test_block_rows_are_the_single_draws(j0):
+    # a block that starts off a multiple of its length still gives row c the
+    # draw j0 + c, with or without the scratch buffer the runner passes
+    keys = _rep_streams(77, 300)
+    shape = (_BLOCK_STEPS, keys.size)
+    for tmp in (None, np.empty(shape, dtype=np.uint64)):
+        block = _draw_bits(keys, j0, np.empty(shape, dtype=np.uint64), tmp)
+        assert block.max() < 2**53
+        for c in range(_BLOCK_STEPS):
+            assert np.array_equal(block[c] * 2.0**-53, _draw(keys, j0 + c))
+
+
+_ULP_PROBES = [
+    np.nextafter(k * 2.0**-53, toward)
+    for k in (3, 2**52 + 1, 0x1234567ABCDEF, 2**53 - 3)
+    for toward in (0.0, 1.0)
+]
+
+
+@pytest.mark.parametrize(
+    "p", [0.0, 5e-324, 2.0**-53, *_ULP_PROBES, 0.5, 1.0 - 2.0**-53, 1.0]
+)
+def test_integer_threshold_is_the_float_comparison(p):
+    # u = bits * 2**-53 is exact, so bits < ceil(p * 2**53) must be u < p
+    # for the bits next to the threshold and for real draws alike
+    thresh = _threshold(p)
+    k = int(thresh)
+    bits = np.array([0, 1, 2**53 - 1, *range(max(k - 2, 0), min(k + 3, 2**53))],
+                    dtype=np.uint64)
+    assert np.array_equal(bits < thresh, bits.astype(np.float64) * 2.0**-53 < p)
+    keys = _rep_streams(5, 1000)
+    block = _draw_bits(keys, 3, np.empty((_BLOCK_STEPS, keys.size), dtype=np.uint64))
+    for c in range(_BLOCK_STEPS):
+        assert np.array_equal(block[c] < thresh, _draw(keys, 3 + c) < p)
+    if p == 0.0:
+        assert k == 0
+    if p == 1.0:
+        assert k == 2**53
 
 
 def test_rep_streams_differ_between_seeds_and_reps():
@@ -582,6 +627,92 @@ def test_counted_races_reproduce_golden_digests(
     tables = _tables(spec)
     assert (tables.final > tables.live) == (spec.kind in ("st", "set", "match", "bofk", "bog"))
     _check_golden(spec, params, reps, seed, cap, digest, summary, table)
+
+
+# ------------------------------------------------------ the one-step runner
+
+def _stepwise_outcomes(config):
+    """The runner one step at a time: a float uniform per step, u < p_win[s]."""
+    tables = _tables(config.system)
+    pa, pb = config.params if config.system.takes_pair else (config.params, 0.0)
+    p_win = np.array([pa, 1.0 - pb, 0.5])[tables.server]
+    n, cap = config.replications, config.max_points_per_replication
+    points, winner_a, capped = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
+    score = np.zeros((n, 2), np.int32)
+    rep, keys, s = np.arange(n), _rep_streams(config.seed, n), np.zeros(n, np.intp)
+    tally, counts = np.zeros(n, np.int32), np.zeros((n, len(tables.races), 2), np.int64)
+    step = 0
+    while rep.size:
+        edge = 2 * s + (_draw(keys, step) < p_win[s])
+        s = tables.nxt[edge]
+        if tables.fold is not None:
+            tally += tables.fold[edge]
+        step += 1
+        _settle(tables, s, counts)
+        fin = (s >= tables.final) | (step - tables.coins[s] >= cap)
+        f = np.flatnonzero(fin)
+        done, end = rep[f], s[f]
+        points[done] = step - tables.coins[end]
+        winner_a[done] = tables.a_won[end]
+        ok = end >= tables.final
+        capped[done] = ~ok
+        f, done, end = f[ok], done[ok], end[ok]
+        if tables.scored is not None:
+            score[done] = counts[f, tables.scored]
+        elif tables.score is not None:
+            score[done] = tables.score[end] + tally[f, None]
+        keep = ~fin
+        rep, s, keys, tally, counts = rep[keep], s[keep], keys[keep], tally[keep], counts[keep]
+    records = tables.score is not None or tables.scored is not None
+    return points, winner_a, capped, score if records else None
+
+
+# Every kind, at parameters where caps of 100 to 128 end some replications
+# and not others (bofk, stt, st, set, match, sttg, sttp), plus the serve
+# coin: at (1, 1) the bog l=12 sg match takes its coin step at step 97 and
+# ends at step 101 on 100 points, l=13 ties past every cap below 105.  At
+# gt-at-a-draw, p is the first draw of the one-replication run, which u < p
+# must lose.
+_STEPWISE_CASES = [
+    ("gt", SystemSpec("gt"), 0.6),
+    ("gt-at-a-draw", SystemSpec("gt"), float(_draw(_rep_streams(41, 1), 0)[0])),
+    ("game", SystemSpec("game"), 0.6),
+    ("bofk-l60", SystemSpec("bofk", l=60), 0.5),
+    ("stt", SystemSpec("stt"), (0.97, 0.97)),
+    ("st-k7", SystemSpec("st", k=7), (0.97, 0.96)),
+    ("set-k7", SystemSpec("set", k=7), (0.95, 0.93)),
+    ("match-7-10-1", SystemSpec("match", k0=7, k1=10, q=1), (0.6, 0.55)),
+    ("bog-l3-sg", SystemSpec("bog", l=3, tiebreak="sg"), (0.6, 0.75)),
+    ("bog-l3-sttg", SystemSpec("bog", l=3, tiebreak="sttg"), (0.8, 0.8)),
+    ("bog-l3-sttp", SystemSpec("bog", l=3, tiebreak="sttp"), (0.97, 0.97)),
+    ("bog-l12-sg-coin", SystemSpec("bog", l=12, tiebreak="sg"), (1.0, 1.0)),
+    ("bog-l13-sg-coin", SystemSpec("bog", l=13, tiebreak="sg"), (1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("tabling", ["tabled", "counted"])
+@pytest.mark.parametrize("cap", [100, 101, 128])
+@pytest.mark.parametrize(
+    "spec, params", [case[1:] for case in _STEPWISE_CASES],
+    ids=[case[0] for case in _STEPWISE_CASES],
+)
+def test_block_runner_matches_the_stepwise_runner(request, tabling, cap, spec, params):
+    # blocks of draws, integer thresholds and absorbing terminals must give
+    # every replication the outcome of one step, one float uniform at a time
+    if tabling == "counted":
+        request.getfixturevalue("counted_races")
+    for reps, seed in ((1, 41), (7, 42), (500, 43)):
+        config = SimConfig(spec, params, reps, seed, max_points_per_replication=cap)
+        got = _simulate_outcomes(config)
+        points, winner_a, capped, score = _stepwise_outcomes(config)
+        assert np.array_equal(got.points, points)
+        assert np.array_equal(got.winner_a, winner_a)
+        assert np.array_equal(got.capped, capped)
+        if score is None:
+            assert got.score_a is None and got.score_b is None
+        else:
+            assert np.array_equal(got.score_a, score[:, 0])
+            assert np.array_equal(got.score_b, score[:, 1])
 
 
 # ------------------------------------------------------------- long targets
