@@ -7,7 +7,10 @@ whose l-l tie is settled by one of three rules — a single sudden game on a
 coin-flipped serve (SG), a two-game-advantage race (STTG), or a two-point-
 advantage race (STTP).  The two advantage races are the set layer's pair
 race (``sets._stt``), over service games or over points; the win and the
-moments read the one race ``_tie_race`` forms.
+moments read the one race ``_tie_race`` forms.  Both wins follow core's one
+rule, the outright masses plus the tie at the tie's odds, clipped at 1:
+the points race through ``_Race.win``, and the games match, whose head is
+one binomial tail, through ``_clipped_win``.
 
 Public functions validate their arguments once; the races and tie rules
 run on the game and set layers' unchecked evaluators.
@@ -27,6 +30,7 @@ from .core import (
     _check_spec,
     _clipped_win,
     _Laws,
+    _MINIMUM,
     _mixture_moments,
     _plain_split,
     _Race,
@@ -50,17 +54,17 @@ def bofk_win_prob(p, l: int):
 
     The race to l+1 points, ``sum_h C(l+h, l) p^(l+1) q^h`` over the final
     scores, plus the l-all mass times p for the last point — identical to
-    the binomial majority Pr{B(2l+1, p) >= l+1}.
+    the binomial majority Pr{B(2l+1, p) >= l+1}.  Rounding can carry the
+    sum one ulp past 1, so it is clipped there (:meth:`~deuce.core._Race.win`).
     """
-    _check_count("l", l, minimum=1)
+    _check_count("l", l, minimum=_MINIMUM["l"])
     p = np.asarray(_check_prob("p", p), dtype=float)
-    race = _Race(_plain_split(l, p, 0, p), l + 1)
-    return _scalar_or_array(sum(race.wins) + race.tie * p)
+    return _Race(_plain_split(l, p, 0, p), l + 1).win(p)
 
 
 def bofk_points_distribution(p, l: int) -> PointCountDistribution:
     """Exact PMF of the race length: the support is finite, n in [l+1, 2l+1]."""
-    _check_count("l", l, minimum=1)
+    _check_count("l", l, minimum=_MINIMUM["l"])
     p = float(_check_prob("p", p))
     race = _Race(_plain_split(l, p, 0, p), l + 1)
     # from l all the next point ends the race, whoever takes it

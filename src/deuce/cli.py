@@ -644,9 +644,9 @@ def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
                  required=True, help="number of replications."),
     click.option("--seed", type=int, default=None,
                  help="PRNG seed; drawn from entropy and echoed when omitted."),
-    click.option("--max-points",
+    click.option("--max-points", default=SimConfig.max_points_per_replication,
                  type=click.IntRange(min=_CONFIG_MINIMUM["max_points_per_replication"]),
-                 default=100_000, show_default=True, help="cap on points per replication."),
+                 show_default=True, help="cap on points per replication."),
 )
 def cmd_simulate(spec, params, head, reps, seed, max_points, fmt, precision):
     """Estimate win rate and duration by Monte-Carlo replication."""

@@ -11,8 +11,10 @@ of ingredients collected here:
   every layer reads,
 * a race's final scores (``_Race``): A's masses and the tie at once, which
   is all a win path reads, and B's masses and both players' score rows
-  when a moment, breakdown or PMF first reads them, and a layer's clipped
-  win probability (``_clipped_win``),
+  when a moment, breakdown or PMF first reads them; a race's win
+  (``_Race.win``) is its outright masses plus the tie times the chance in
+  the tie, clipped at 1 (``_clipped_win``), the one rule every layer's win
+  follows,
 * the mixture over final scores: rows (``_ScoreRow``: mass, unit count,
   A's and B's shares of the mass, and how a breakdown shows the score) and
   a layer's per-unit length laws (``_Laws``) give, through one reader
@@ -20,8 +22,8 @@ of ingredients collected here:
 * the advantage race played in pairs of units until one player sweeps a
   pair (``_PairRace``): the game's deuce, the set tie-breaker's own
   tie-breaker and the best-of-games two-game and two-point ties; its win
-  and length are written here once, and ``geometric_moments`` gives its
-  geometric pair count's moments to callers of the public API.
+  and length are written here once, and ``geometric_moments`` reads its
+  length law for callers of the public API.
 
 All probability arguments accept floats or numpy arrays and broadcast; this is
 what makes grid sweeps and quadrature cheap without a second code path.
@@ -331,17 +333,19 @@ def geometric_moments(eta):
 
     For success probability eta: mean 1/eta, variance (1-eta)/eta**2.
     eta = 0 is rejected — the waiting time is infinite (non-terminating process).
+    It is the length of a pair race (:class:`_PairRace`) that each pair
+    ends with probability eta, each pair one unit long.
     """
     arr = np.asarray(eta, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr > 1.0):
         raise NonTerminatingError(
             f"geometric success probability must lie in (0, 1], got {eta!r}"
         )
-    mean = 1.0 / arr
-    var = (1.0 - arr) / arr**2
-    if arr.ndim == 0:
-        return float(mean), float(var)
-    return mean, var
+    with np.errstate(invalid="ignore"):
+        mean, var = _PairRace(arr, 0.0).length((1.0, 0.0))
+    # Where 1/eta overflows (eta below 2**-1024) the length reads inf * 0 as
+    # the pairs' own spread; the variance there is infinite.
+    return _scalar_or_array(mean), _scalar_or_array(np.where(np.isinf(mean), np.inf, var))
 
 
 @dataclass(frozen=True)
@@ -492,9 +496,9 @@ class _Race:
     The race reads its serve rule from the layer's ``laws``, as the moments
     do (:meth:`_SplitPowers.race`).  ``wins[h]`` is A's mass on n-h, for
     h = 0..n-2, and ``tie`` the mass reaching n-1 all, which each layer
-    settles by its own rule; these are all a win path reads.  B's masses,
-    ``losses``, are raced on the ``.swapped()`` tables when :meth:`rows`
-    first reads them.
+    settles by its own rule; these are all a win path (:meth:`win`)
+    reads.  B's masses, ``losses``, are raced on the ``.swapped()`` tables
+    when :meth:`rows` first reads them.
     """
 
     def __init__(self, split: _SplitPowers, n: int, laws: _Laws = _Laws()):
@@ -504,6 +508,11 @@ class _Race:
     @functools.cached_property
     def losses(self) -> list:
         return self.split.swapped().race(self.n, self.laws.opener_units)[0]
+
+    def win(self, theta):
+        """A's win: A's outright masses plus the tie times A's chance in it,
+        ``theta``, clipped at 1 (:func:`_clipped_win`)."""
+        return _clipped_win(sum(self.wins), self.tie, theta)
 
     def rows(self) -> list:
         """Both winners' :class:`_ScoreRow` "n-h" of n+h units, with A's and
@@ -515,7 +524,8 @@ class _Race:
 
 def _clipped_win(head, tie, theta):
     """A's win probability, head + tie * theta, from A's outright mass, the tie
-    and A's chance in it; clipped at 1, which rounding can pass by an ulp."""
+    and A's chance in it; clipped at 1, which rounding can pass by an ulp
+    or two."""
     return _scalar_or_array(np.minimum(head + tie * theta, 1.0))
 
 
@@ -723,8 +733,9 @@ def _check_spec(spec, kind: str) -> SystemSpec:
     return spec
 
 
-def MatchSpec(k0: int = 7, k1: int = 7, q: int = 2) -> SystemSpec:
-    """Match format: best of 2q+1 sets, set tie-breaker targets k0 / k1.
+def MatchSpec(k0: int | None = None, k1: int | None = None, q: int | None = None) -> SystemSpec:
+    """Match format: best of 2q+1 sets, set tie-breaker targets k0 / k1;
+    an omitted one takes the kind table's default, 7 / 7 / 2.
 
     ``k0`` applies to sets that cannot be the decider, ``k1`` to the (2q+1)-th
     set — the long-format decider (e.g. k1=10) is how several tours replaced
@@ -733,6 +744,7 @@ def MatchSpec(k0: int = 7, k1: int = 7, q: int = 2) -> SystemSpec:
     return SystemSpec("match", k0=k0, k1=k1, q=q)
 
 
-def BestOfGamesSpec(l: int, tiebreak: str = "sttg") -> SystemSpec:
-    """Best-of-(2l+1) games match; ``tiebreak`` names the l-l tie rule."""
+def BestOfGamesSpec(l: int, tiebreak: str | None = None) -> SystemSpec:
+    """Best-of-(2l+1) games match; ``tiebreak`` names the l-l tie rule,
+    "sttg" when omitted (the kind table's default)."""
     return SystemSpec("bog", l=l, tiebreak=tiebreak)

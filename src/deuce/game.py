@@ -9,8 +9,11 @@ with success probability p^2 + q^2.
 The GT is core's pair race (:class:`~deuce.core._PairRace`), formed in
 one place, ``_deuce``: the server sweeps a pair with p^2 and the receiver
 with q^2.  The final scores 4-0, 4-1, 4-2 and deuce are closed-form rows,
-the GT stacked on deuce, for core's moments, breakdown and PMF; the game
-win, the innermost call of every set and match, keeps its own closed form.
+the GT stacked on deuce, for core's moments, breakdown and PMF.  The game
+win, the innermost call of every set and match, sums the same orderings
+(``_SCORE_WAYS``, ``_DEUCE_WAYS``) in closed form, without building rows,
+and settles deuce by the rule every race's win follows
+(:func:`~deuce.core._clipped_win`).
 Each public function checks ``p`` and calls an unchecked evaluator
 (``_deuce``, ``_game_win``, ``_game_moments``, ``_game_pmf``), which the
 set, match and best-of layers call directly.
@@ -26,6 +29,7 @@ from .core import (
     _breakdown,
     _check_count,
     _check_prob,
+    _clipped_win,
     _Laws,
     _mixture_moments,
     _PairRace,
@@ -91,11 +95,13 @@ def game_win_prob(p):
 
 
 def _game_win(p):
-    """:func:`game_win_prob` for a valid ``p``."""
+    """:func:`game_win_prob` for a valid ``p``: the server's outright
+    masses, p^4 times each score's orderings and q^h, plus deuce times
+    the GT win, clipped at 1 (:func:`~deuce.core._clipped_win`)."""
     p = np.asarray(p, dtype=float)
     q = 1.0 - p
-    out = p**4 * (1.0 + 4.0 * q + 10.0 * q**2) + _DEUCE_WAYS * p**3 * q**3 * _deuce(p).win()
-    return _scalar_or_array(np.minimum(out, 1.0))
+    head = p**4 * sum(ways * q**h for h, ways in _SCORE_WAYS.items())
+    return _clipped_win(head, _DEUCE_WAYS * p**3 * q**3, _deuce(p).win())
 
 
 def _game_rows(p, deuce: _PairRace):

@@ -17,8 +17,9 @@ opening service (changing the opener flips which player serves more, but
 that level of detail is not carried here — win probabilities are
 unaffected).  One match evaluation,
 ``_match``, gives the race, rows, laws and theta1 that the moments,
-breakdown and PMF read; the win reads only the set odds and A's race, and
-builds no rows.
+breakdown and PMF read; the win reads only the set odds and A's race, its
+outright masses plus q all times theta1 (``_Race.win``), and builds no
+rows.
 
 Public functions validate their arguments once and call unchecked
 evaluators; a match call validates ``pa`` and ``pb`` once, not again in
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MatchSpec, PointCountDistribution, ScoreBreakdown, SystemSpec, _breakdown,
-                   _check_count, _check_pair, _check_spec, _clipped_win, _compose_length_law,
+                   _check_count, _check_pair, _check_spec, _compose_length_law,
                    _Laws, _mixture_moments, _pmf_law, _plain_split, _Race, _scalar_or_array,
                    _ScoreRow)
 from .game import _game_moments
@@ -69,14 +70,9 @@ def _set_pair(pa, pb, spec: SystemSpec, *laws):
 
 def _match_race(theta0, q: int) -> _Race:
     """The race to q+1 sets, with the same odds ``theta0`` in every set; its
-    ``tie`` is q all, which the decider settles."""
+    ``tie`` is q all, which the decider settles, so A's match win is
+    ``win(theta1)``, clipped at 1 (:meth:`~deuce.core._Race.win`)."""
     return _Race(_plain_split(q, theta0, 0, theta0), q + 1)
-
-
-def _match_win(race: _Race, theta1):
-    """A's match win: A's outright masses plus the tie times A's chance in
-    the decider, theta1; clipped at 1."""
-    return _clipped_win(sum(race.wins), race.tie, theta1)
 
 
 def _match_rows(theta0, theta1, q: int):
@@ -141,7 +137,7 @@ def match_win_prob(pa, pb, spec: SystemSpec):
     _check_spec(spec, "match")
     _check_pair(pa, pb)
     theta0, theta1 = _set_pair(pa, pb, spec)
-    return _match_win(_match_race(theta0, spec.q), theta1)
+    return _match_race(theta0, spec.q).win(theta1)
 
 
 def match_points_moments(pa, pb, spec: SystemSpec):
@@ -168,7 +164,7 @@ def match_breakdown(pa: float, pb: float, spec: SystemSpec) -> ScoreBreakdown:
     _check_spec(spec, "match")
     pa, pb = _check_pair(pa, pb, float)
     race, rows, laws, theta1 = _match(pa, pb, spec, _game_moments)
-    return _breakdown("match", rows, laws, _match_win(race, theta1))
+    return _breakdown("match", rows, laws, race.win(theta1))
 
 
 def match_points_distribution(pa: float, pb: float, spec: SystemSpec,

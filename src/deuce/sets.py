@@ -15,17 +15,18 @@ serves:
   (``games_served_by_first_server``); at five games all, games 11 and 12
   give 7-5 or 6-6, and at 6-6 the ST decides.
 
-Each layer states once, next to its race, how its tie is settled, by the
-Theorem of Total Probability.  A player's ST win is that player's outright
-masses plus K-1 all times that player's STT win (``_st_win``), and A's set
-win is A's outright masses, 7-5 included, plus 6-6 times A's ST win
-(``_set_win``).  The win probabilities, the breakdowns' win lines and tie
-rows, and the match's per-set odds read these two.  ``_sets`` is the one
-set evaluation, for the set's win, moments, breakdown and PMF and for the
-match: one race of the set's games serves every tie-breaker target asked
-for, with the set's rows and laws when they are asked for too.  A win path
-runs A's races only; B's are raced when rows are first read
-(:class:`~deuce.core._Race`).
+Every layer's win follows one rule, the Theorem of Total Probability,
+written once in core (``_Race.win``, ``_clipped_win``): the outright
+masses plus the tie times the chance in the tie, clipped at 1.  Each layer
+states next to its race only what settles its tie.  A player's ST win takes
+K-1 all at that player's STT win (``_st``), and A's set win takes A's
+outright masses, 7-5 included, and 6-6 at A's ST win (``_sets``).  The
+win probabilities, the breakdowns' win lines and tie rows, and the match's
+per-set odds read these two.  ``_sets`` is the one set evaluation, for the
+set's win, moments, breakdown and PMF and for the match: one race of the
+set's games serves every tie-breaker target asked for, with the set's rows
+and laws when they are asked for too.  A win path runs A's races only;
+B's are raced when rows are first read (:class:`~deuce.core._Race`).
 
 Moments, breakdowns and PMFs weight the final scores the same way.  A
 ``_Race`` gives both players' final scores as
@@ -43,11 +44,12 @@ is treated as exchangeable with its winner, which is the usual
 summary-decomposition convention (the exact-process variance differs in the
 third significant figure — see the tests for a quantified comparison).
 
-Each ST evaluation forms its STT once, in ``_stt``, and carries it into
-its rows, its laws and B's win.  ``_stt`` is also where termination is
-decided, for the STT and for the best-of-games advantage races, which it
-forms too: where a pair of units never decides, both players winning or
-both losing every unit they serve, it raises
+Each ST evaluation, ``_st``, forms its race and its STT once, and carries
+the STT into its rows, its laws and both players' wins.  ``_stt``, which
+forms the STT, is also where termination is decided, for the STT and for
+the best-of-games advantage races, which it forms too: where a pair of
+units never decides, both players winning or both losing every unit they
+serve, it raises
 :class:`~deuce.core.NonTerminatingError`.  Such a pair reaches every tie
 that the race settles with probability one, so no reachable-mass test is
 needed.
@@ -56,7 +58,7 @@ Exact sums stay within the float range up to about 515 trials of one kind
 (see :class:`~deuce.core._SplitPowers`).
 
 Public functions validate their arguments once and call the unchecked
-evaluators (``_stt``, ``_st_race``, ``_sets`` and the rest), which the
+evaluators (``_stt``, ``_st``, ``_sets`` and the rest), which the
 match and best-of layers call too; none of those checks anything but
 termination.
 """
@@ -77,6 +79,7 @@ from .core import (
     _clipped_win,
     _compose_length_law,
     _Laws,
+    _MINIMUM,
     _mixture_moments,
     _PairRace,
     _pmf_law,
@@ -163,32 +166,23 @@ def _stt_law(rows, laws: _Laws, stt: _PairRace, n_max: int) -> PointCountDistrib
     return _race_tie_law(rows, laws, stt, 1.0 - (stt.a + stt.b), n_max)
 
 
-def _st_split(pa, pb, k: int) -> _SplitPowers:
-    """A's per-point tables for a K-point set tie-breaker; B's are ``.swapped()``.
+def _st(pa, pb, k: int) -> tuple:
+    """(race, stt): the one evaluation of a K-point set tie-breaker, its
+    race and the STT that settles K-1 all.
 
-    A wins a point on A's serve with pA and on B's serve with 1 - pB, and
-    loses it with 1 - pA and pB.  No score before the tie reads more than
-    K-1 points of either serve, so the tables stop there.
+    The race reads A's per-point tables; B's are ``.swapped()``.  A wins a
+    point on A's serve with pA and on B's serve with 1 - pB, and loses it
+    with 1 - pA and pB.  No score before the tie reads more than K-1
+    points of either serve, so the tables stop there.
+
+    A player's ST win is the race's win (:meth:`~deuce.core._Race.win`) at
+    that player's STT win, whose outcome does not depend on who serves
+    first in its pairs: A's is ``race.win(stt.win())``, and B's reads the
+    race's ``losses`` and the STT swapped, ``_PairRace(stt.b, stt.a)``.
     """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    return _SplitPowers(k - 1, pa, 1.0 - pa, 1.0 - pb, pb)
-
-
-def _st_race(pa, pb, k: int) -> _Race:
-    """The race of a K-point set tie-breaker, from A's per-point tables."""
-    return _Race(_st_split(pa, pb, k), k, _ST_UNITS)
-
-
-def _st_win(wins, tie, stt: _PairRace):
-    """A player's ST win: the player's outright masses ``wins``, plus the
-    tie times the player's STT win, whose outcome does not depend on who
-    serves first in its pairs.
-
-    A's are the race's ``wins`` (:func:`_st_race`) and the STT ``stt``;
-    B's are its ``losses`` and the STT swapped, ``_PairRace(stt.b, stt.a)``.
-    """
-    return _scalar_or_array(sum(wins) + tie * stt.win())
+    return _Race(_SplitPowers(k - 1, pa, 1.0 - pa, 1.0 - pb, pb), k, _ST_UNITS), _stt(pa, pb)
 
 
 def st_win_prob(pa, pb, k: int):
@@ -199,12 +193,13 @@ def st_win_prob(pa, pb, k: int):
 
         sum_h theta(K,h) + theta(K-1,K-1) * theta_STT
 
+    Rounding can carry the sum one ulp past 1, so it is clipped there.
     Raises the non-terminating error for the degenerate pairs (0,0) and
     (1,1), which walk to the tie with probability one.
     """
     _check_pair(pa, pb)
-    race = _st_race(pa, pb, _check_count("k", k, minimum=2))
-    return _st_win(race.wins, race.tie, _stt(pa, pb))
+    race, stt = _st(pa, pb, _check_count("k", k, minimum=_MINIMUM["k"]))
+    return race.win(stt.win())
 
 
 def _st_rows(race: _Race, stt: _PairRace):
@@ -229,8 +224,8 @@ def st_points_moments(pa, pb, k: int):
     and the spread of the score means contribute (:func:`_mixture_moments`).
     """
     _check_pair(pa, pb)
-    k = _check_count("k", k, minimum=2)
-    mean, var = _mixture_moments(*_st_rows(_st_race(pa, pb, k), _stt(pa, pb)))
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
+    mean, var = _mixture_moments(*_st_rows(*_st(pa, pb, k)))
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -242,20 +237,18 @@ def st_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> P
     landing on pair (n - 2K + 2)/2.
     """
     pa, pb = _check_pair(pa, pb, float)
-    k = _check_count("k", k, minimum=2)
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
     n_max = _check_count("n_max", n_max, minimum=2 * k - 2)
-    race = _st_race(pa, pb, k)
-    stt = _stt(pa, pb)
+    race, stt = _st(pa, pb, k)
     return _stt_law(*_st_rows(race, stt), stt, n_max)
 
 
 def st_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     """Per-final-score summary of a K-point set tie-breaker."""
     pa, pb = _check_pair(pa, pb, float)
-    k = _check_count("k", k, minimum=2)
-    race = _st_race(pa, pb, k)
-    stt = _stt(pa, pb)
-    return _breakdown("st", *_st_rows(race, stt), _st_win(race.wins, race.tie, stt))
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
+    race, stt = _st(pa, pb, k)
+    return _breakdown("st", *_st_rows(race, stt), race.win(stt.win()))
 
 
 def _game_split(pa, pb, n: int = _SET_TARGET - 1) -> _SplitPowers:
@@ -287,12 +280,6 @@ def _set_games(pa, pb):
     split = race.split
     p66 = race.tie * (split.win1 * split.loss2 + split.loss1 * split.win2)
     return race, race.tie * split.win1 * split.win2, p66
-
-
-def _set_win(race: _Race, a75, p66, theta_st):
-    """A's set win: A's outright masses on 6-0 .. 6-4 and 7-5, plus 6-6
-    times A's ST win; clipped at 1, which rounding can pass by an ulp."""
-    return _clipped_win(sum(race.wins) + a75, p66, theta_st)
 
 
 def _set_rows(race: _Race, a75) -> list:
@@ -327,20 +314,21 @@ def _st_tie(pa, pb, k: int, st_law=None):
     on 7-6, and a function giving B's ST win.  That function holds B's
     outright masses and the tie, not the race, whose tables would stay
     alive with it."""
-    st = _st_race(pa, pb, k)
-    stt = _stt(pa, pb)
-    theta = _st_win(st.wins, st.tie, stt)
+    st, stt = _st(pa, pb, k)
+    theta = st.win(stt.win())
     if st_law is None:
         return theta
     law = st_law(*_st_rows(st, stt), stt)
     losses, tie = st.losses, st.tie
-    return theta, law, lambda: _st_win(losses, tie, _PairRace(stt.b, stt.a))
+    return theta, law, lambda: _clipped_win(sum(losses), tie, _PairRace(stt.b, stt.a).win())
 
 
 def _sets(pa, pb, ks, game_law=None, st_law=lambda rows, laws, stt: _mixture_moments(rows, laws),
           set_law=_mixture_moments) -> list:
     """A's set win at each tie-breaker target in ``ks``, from one race of the
-    set's games and one ST race per target.
+    set's games and one ST race per target: A's outright masses on
+    6-0 .. 6-4 and 7-5, the same at every target, plus 6-6 times A's ST
+    win there, clipped at 1 (:func:`~deuce.core._clipped_win`).
 
     With ``game_law`` each win comes paired with the set's law at its
     target: ``game_law(p)`` gives a player's game law, ``st_law(rows,
@@ -356,9 +344,10 @@ def _sets(pa, pb, ks, game_law=None, st_law=lambda rows, laws, stt: _mixture_mom
     """
     ties = [_st_tie(pa, pb, k, None if game_law is None else st_law) for k in ks]
     games, a75, p66 = _set_games(pa, pb)
+    head = sum(games.wins) + a75
     if game_law is None:
-        return [_set_win(games, a75, p66, theta) for theta in ties]
-    wins = [_set_win(games, a75, p66, theta) for theta, *_ in ties]
+        return [_clipped_win(head, p66, theta) for theta in ties]
+    wins = [_clipped_win(head, p66, theta) for theta, *_ in ties]
     rows = _set_rows(games, a75)
     del games
     units = game_law(pa), game_law(pb)
@@ -384,7 +373,7 @@ def set_win_prob(pa, pb, k: int):
     values are never touched.
     """
     _check_pair(pa, pb)
-    return _sets(pa, pb, (_check_count("k", k, minimum=2),))[0]
+    return _sets(pa, pb, (_check_count("k", k, minimum=_MINIMUM["k"]),))[0]
 
 
 def set_points_moments(pa, pb, k: int):
@@ -396,7 +385,8 @@ def set_points_moments(pa, pb, k: int):
     rules over the score distribution.
     """
     _check_pair(pa, pb)
-    _, (mean, var) = _sets(pa, pb, (_check_count("k", k, minimum=2),), _game_moments)[0]
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
+    _, (mean, var) = _sets(pa, pb, (k,), _game_moments)[0]
     return _scalar_or_array(mean), _scalar_or_array(var)
 
 
@@ -408,7 +398,7 @@ def set_breakdown(pa: float, pb: float, k: int) -> ScoreBreakdown:
     own ST win probability, so the underdog's share is never a complement.
     """
     pa, pb = _check_pair(pa, pb, float)
-    k = _check_count("k", k, minimum=2)
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
     win, (rows, laws) = _sets(pa, pb, (k,), _game_moments, set_law=lambda *table: table)[0]
     return _breakdown("set", rows, laws, win)
 
@@ -429,7 +419,7 @@ def set_points_distribution(pa: float, pb: float, k: int, n_max: int = 2000) -> 
     which would wipe out the relative accuracy of the small masses.
     """
     pa, pb = _check_pair(pa, pb, float)
-    k = _check_count("k", k, minimum=2)
+    k = _check_count("k", k, minimum=_MINIMUM["k"])
     n_max = _check_count("n_max", n_max, minimum=2)
     return _sets(pa, pb, (k,), *_pmf_laws(n_max),
                  lambda rows, laws: _compose_length_law(rows, laws, n_max))[0][1]

@@ -233,6 +233,9 @@ def test_geometric_moments_closed_form():
     mean, var = geometric_moments(0.52)
     assert mean == pytest.approx(1.9230769230769231, abs=1e-12)
     assert var == pytest.approx(1.7751479289940828, abs=1e-12)
+    # below 2**-1024 the mean overflows, and the variance is inf, not nan
+    with np.errstate(over="ignore", divide="ignore"):
+        assert geometric_moments(1e-310) == (math.inf, math.inf)
 
 
 def test_geometric_moments_match_series_oracle():

@@ -21,6 +21,7 @@ from deuce.game import game_win_prob, gt_win_prob
 from deuce.match import MatchSpec, match_win_prob
 from deuce.sets import (
     set_win_prob,
+    st_breakdown,
     st_points_distribution,
     st_win_prob,
     stt_win_prob,
@@ -199,3 +200,12 @@ def test_win_probabilities_stay_in_unit_interval_on_grid():
     for spec in (MatchSpec(7, 7, 2), MatchSpec(7, 10, 2), MatchSpec(7, 7, 1), MatchSpec(6, 9, 3)):
         theta = match_win_prob(pa, pb, spec)
         assert np.all((theta >= 0.0) & (theta <= 1.0))
+    # The ST and the points race read above 1 here before their sums were clipped.
+    for k in (7, 30):
+        theta = st_win_prob(pa, pb, k)
+        assert np.all((theta >= 0.0) & (theta <= 1.0))
+    for l in (29, 100):
+        theta = bofk_win_prob(g, l)
+        assert np.all((theta >= 0.0) & (theta <= 1.0))
+    assert 0.0 <= st_win_prob(0.065, 0.0, 7) <= 1.0
+    assert 0.0 <= st_breakdown(0.065, 0.0, 7).win_prob <= 1.0

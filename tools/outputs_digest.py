@@ -4,8 +4,9 @@ Each line names a call, then each of its outputs with every float written
 exactly (``float.hex``), or the type and message of the exception it
 raised, followed by any warnings it gave.  It covers every public library
 function over a fixed set of serve probabilities, among them the corners
-(0, 0), (1, 1), (1, 0) and (0.5, 0.5), out-of-range and NaN arguments, and
-arrays for the functions that broadcast; then in-process ``compute``,
+(0, 0), (1, 1), (1, 0) and (0.5, 0.5), out-of-range and NaN arguments,
+arrays for the functions that broadcast, and cells where a win's sum of
+score masses rounds past 1 unless it is clipped; then in-process ``compute``,
 ``breakdown``, ``efficiency`` and ``simulate`` CLI calls for every system
 kind, and ``grid`` calls for every pair kind and quantity at 1, 6 and 15
 significant digits, in JSON and CSV; and last, run as the ``deuce`` console
@@ -164,6 +165,13 @@ def library() -> None:
         pairs(deuce.set_breakdown, k, arrays=False)
         pairs(deuce.set_points_distribution, k, 400, arrays=False)
     call(deuce.set_points_distribution, 0.6, 0.55, 7)
+    # cells where a sum of score masses rounds past 1 unless it is clipped,
+    # and the set calls that read the ST there
+    call(deuce.st_win_prob, 0.065, 0.0, 7)
+    call(deuce.st_breakdown, 0.065, 0.0, 7)
+    call(deuce.set_win_prob, 0.065, 0.0, 7)
+    call(deuce.set_breakdown, 0.0, 0.065, 7)
+    call(deuce.bofk_win_prob, 0.92, 29)
     for k in (1, 2.0):
         call(deuce.st_win_prob, 0.6, 0.55, k)
         call(deuce.set_win_prob, 0.6, 0.55, k)
