@@ -4,60 +4,17 @@ Win probabilities at every level of the point -> game -> set -> match
 hierarchy, full distributions and moments of match duration in points,
 best-of-K comparison systems, prior-weighted efficiency functionals, and a
 seeded Monte-Carlo oracle that replays the exact rules point by point.
+
+Each layer module's ``__all__`` is its public surface, stated once there;
+the package re-exports every one of them except :mod:`deuce.efficiency`'s,
+which is imported as ``deuce.efficiency``.
 """
 
-from .bestof import (
-    BestOfGamesSpec,
-    bofk_points_distribution,
-    bofk_win_prob,
-    bog_match_points_moments,
-    bog_match_win_prob,
-)
-from .core import (
-    BreakdownRow,
-    NonTerminatingError,
-    PointCountDistribution,
-    QuadratureError,
-    ScoreBreakdown,
-    SystemSpec,
-    binomial_convolution_mass,
-    binomial_convolution_tail,
-    first_server_on_point,
-    first_server_serves_game,
-    games_served_by_first_server,
-    geometric_moments,
-    odds,
-    serves_by_first_server,
-)
-from .game import (
-    game_breakdown,
-    game_points_moments,
-    game_points_pmf,
-    game_win_prob,
-    gt_points_moments,
-    gt_win_prob,
-)
-from .match import (
-    MatchSpec,
-    SetScoreJPMF,
-    match_breakdown,
-    match_points_distribution,
-    match_points_moments,
-    match_set_jpmf,
-    match_win_prob,
-)
-from .montecarlo import SimConfig, SimSummary, simulate
-from .sets import (
-    set_breakdown,
-    set_points_distribution,
-    set_points_moments,
-    set_win_prob,
-    st_breakdown,
-    st_points_distribution,
-    st_points_moments,
-    st_win_prob,
-    stt_points_distribution,
-    stt_win_prob,
-)
+from .bestof import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .game import *  # noqa: F401,F403
+from .match import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .sets import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -96,8 +96,8 @@ _OPS = {
 }
 
 
-_GRID_QUANTITIES = ("win_prob", "mean_points", "std_points", "diff", "log_ratio")
 _GRID_ALIASES = {"win": "win_prob", "mean": "mean_points", "std": "std_points"}
+_GRID_QUANTITIES = (*_GRID_ALIASES.values(), "diff", "log_ratio")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,8 @@ def _build_specs(kinds, **fields) -> list[SystemSpec]:
 
 
 def _gather_params(spec: SystemSpec, p, pa, pb):
-    """Return the scalar or pair the system consumes, naming bad flags."""
+    """Return the record's params, ``{"pa": .., "pb": ..}`` or ``{"p": ..}``
+    as the system consumes them, naming bad flags."""
     if spec.takes_pair:
         if p is not None:
             raise click.UsageError(
@@ -239,23 +240,17 @@ def _gather_params(spec: SystemSpec, p, pa, pb):
         if pa is None or pb is None:
             raise click.UsageError(
                 f"--pa and --pb are required for system '{spec.kind}'")
-        return (pa, pb)
+        return {"pa": pa, "pb": pb}
     if pa is not None or pb is not None:
         raise click.UsageError(
             f"--pa/--pb do not apply to system '{spec.kind}'; use --p")
     if p is None:
         raise click.UsageError(f"--p is required for system '{spec.kind}'")
-    return p
+    return {"p": p}
 
 
 def _spec_dict(spec: SystemSpec) -> dict:
     return {name: value for name, value in vars(spec).items() if value is not None}
-
-
-def _params_dict(spec: SystemSpec, params) -> dict:
-    if spec.takes_pair:
-        return {"pa": params[0], "pb": params[1]}
-    return {"p": params}
 
 
 def _win_prob(spec: SystemSpec, params):
@@ -276,10 +271,9 @@ def _single_system(name: str, kinds, *options):
         @functools.wraps(fn)
         def command(system, p, pa, pb, fields, **kwargs):
             (spec,) = _build_specs([system], **fields)
-            params = _gather_params(spec, p, pa, pb)
             head = {"command": name, "version": __version__, "system": _spec_dict(spec),
-                    "params": _params_dict(spec, params)}
-            return fn(spec, params, head, **kwargs)
+                    "params": _gather_params(spec, p, pa, pb)}
+            return fn(spec, (pa, pb) if spec.takes_pair else p, head, **kwargs)
 
         for decorate in reversed((main.command(name),
                                   click.argument("system", type=click.Choice(kinds)),
@@ -512,8 +506,7 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
             raise click.UsageError(
                 f"SYSTEM suffix '-{suffix}' conflicts with --quantity {quantity}")
         quantity = _GRID_ALIASES[suffix]
-    if quantity is None:
-        quantity = "win_prob"
+    quantity = quantity or "win_prob"
     if pmin >= pmax:
         raise click.UsageError("--pmin must be below --pmax")
 
@@ -530,10 +523,9 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
     ops = _OPS[base]
     if quantity == "win_prob":
         values = ops.win(spec, (pa, pb))
-    elif quantity == "mean_points":
-        values = ops.moments(spec, (pa, pb))[0]
-    elif quantity == "std_points":
-        values = np.sqrt(ops.moments(spec, (pa, pb))[1])
+    elif quantity in ("mean_points", "std_points"):
+        mean, variance = ops.moments(spec, (pa, pb))
+        values = mean if quantity == "mean_points" else np.sqrt(variance)
     else:
         if other is None:
             raise click.UsageError(f"--other is required when --quantity is {quantity}")

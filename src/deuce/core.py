@@ -461,15 +461,16 @@ def _pmf_law(dist: PointCountDistribution) -> tuple:
 
 def _row_moments(rows, laws: _Laws) -> list:
     """Each row's (mean, variance) of length: its independent units' moments
-    add, and a stacked row adds the stacked law's.  Every moment, breakdown
-    row and composed law reads its rows through here."""
+    add, and a stacked row adds the stacked law's.  A kind of unit the row
+    does not play adds nothing, even where its law is infinite.  Every
+    moment, breakdown row and composed law reads its rows through here."""
     (mean1, var1), (mean2, var2) = laws.opener[:2], laws.other[:2]
     moments = []
     for row in rows:
         first = laws.opener_units(row.units)
         second = row.units - first
-        mean = first * mean1 + second * mean2
-        var = first * var1 + second * var2
+        mean = (first * mean1 if first else 0.0) + (second * mean2 if second else 0.0)
+        var = (first * var1 if first else 0.0) + (second * var2 if second else 0.0)
         if row.stacked:
             mean, var = mean + laws.stacked[0], var + laws.stacked[1]
         moments.append((mean, var))
@@ -480,9 +481,18 @@ def _mix(rows, moments):
     """(mean, variance) of a mixture from each row's (mean, variance), by the
     iterated rules.  The variance is centered, sum mass * (v + (mean_row -
     mean)^2), so no term is negative; E[L^2] - mean^2 cancels to noise, even
-    below 0, when the spread is small against the mean."""
+    below 0, when the spread is small against the mean.
+
+    Where a decisive chance underflows to 0, a row's length is infinite: a
+    row of zero mass then forms 0 * inf, and an infinite mean inf - inf.
+    Only there, the mean mixes the rows with mass, and the spread is inf.
+    """
     mean = sum(r.mass * m for r, (m, _) in zip(rows, moments))
-    return mean, sum(r.mass * (v + (m - mean) ** 2) for r, (m, v) in zip(rows, moments))
+    var = sum(r.mass * (v + (m - mean) ** 2) for r, (m, v) in zip(rows, moments))
+    if np.isnan(var).any():
+        mean = sum(np.where(r.mass > 0.0, r.mass * m, 0.0) for r, (m, _) in zip(rows, moments))
+        var = np.where(np.isnan(var), np.inf, var)
+    return mean, var
 
 
 def _mixture_moments(rows, laws: _Laws):

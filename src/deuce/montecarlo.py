@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemSpec, _check_count, _check_prob
+from .core import SystemSpec, _check_count, _check_pair, _check_prob
 from .rules import _WON, _Tables, _tables
 
 __all__ = ["SimConfig", "SimSummary", "simulate"]
@@ -151,17 +151,14 @@ class SimConfig:
                     f"system {self.system.kind!r} takes a (pA, pB) pair, "
                     f"got params {self.params!r}"
                 ) from None
-            _check_prob("pA", float(pa))
-            _check_prob("pB", float(pb))
-            object.__setattr__(self, "params", (float(pa), float(pb)))
+            object.__setattr__(self, "params", _check_pair(pa, pb, float))
         else:
             if isinstance(self.params, (tuple, list)):
                 raise ValueError(
                     f"system {self.system.kind!r} takes a single serve "
                     f"probability, got params {self.params!r}"
                 )
-            _check_prob("p", float(self.params))
-            object.__setattr__(self, "params", float(self.params))
+            object.__setattr__(self, "params", float(_check_prob("p", self.params)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Public entries: each validates its arguments once, and reads the same
-evaluator as every other entry of its layer.
+"""Public entries: each is declared once, in its module's ``__all__``,
+validates its arguments once, and reads the same evaluator as every other
+entry of its layer.
 
 Nested layers call each other's unchecked evaluators, so the check at the
 public entry is the only one a bad probability meets.  Every public function
@@ -11,13 +12,50 @@ one evaluation, so they agree to the bit, corners included.
 from __future__ import annotations
 
 import inspect
+import types
 
 import numpy as np
 import pytest
 
 import deuce
-from deuce import bestof, core, game, match, sets
+from deuce import bestof, core, efficiency, game, match, montecarlo, sets
 from deuce.core import NonTerminatingError
+
+# the modules whose ``__all__`` the package re-exports
+REEXPORTED = (bestof, core, game, match, montecarlo, sets)
+# spec constructors core defines and a layer lists as its own
+SPEC_CONSTRUCTORS = {"MatchSpec": match, "BestOfGamesSpec": bestof}
+
+
+def _defined(module) -> set:
+    """The public functions and classes ``module`` defines itself."""
+    return {name for name, obj in vars(module).items()
+            if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == module.__name__}
+
+
+@pytest.mark.parametrize("module", REEXPORTED + (efficiency,), ids=lambda m: m.__name__)
+def test_all_lists_what_the_module_defines(module):
+    listed = {name for name, owner in SPEC_CONSTRUCTORS.items() if owner is module}
+    expected = _defined(module) - set(SPEC_CONSTRUCTORS) | listed
+    assert len(module.__all__) == len(set(module.__all__))
+    assert set(module.__all__) == expected
+
+
+def test_package_surface_is_the_union_of_the_layer_lists():
+    lists = [name for module in REEXPORTED for name in module.__all__]
+    assert len(lists) == len(set(lists)) == 45
+    public = {name for name, obj in vars(deuce).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == set(lists)
+    for module in REEXPORTED:
+        for name in module.__all__:
+            assert getattr(deuce, name) is getattr(module, name)
+    for name, obj in vars(deuce).items():
+        if isinstance(obj, types.ModuleType):
+            assert obj.__name__ == f"deuce.{name}"
+    assert not set(efficiency.__all__) & set(vars(deuce))
+
 
 PROBABILITY_ARGS = ("p", "pa", "pb", "p1", "p2")
 

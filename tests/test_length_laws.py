@@ -3,15 +3,22 @@
 The library composes only the positive part of each law; the oracle convolves
 full n_max-long arrays with score masses from its own score walks.  Both must
 list the same support (up to subnormal entries at the far edge), agree
-entrywise far into the tail, and report the same truncation mass.
+entrywise far into the tail, and report the same truncation mass.  Where a
+pair race's decisive chance underflows, every length law's moments are
+(inf, inf), never NaN.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 import oracles
-from deuce.match import MatchSpec, match_points_distribution
-from deuce.sets import set_points_distribution
+from deuce.bestof import BestOfGamesSpec, bog_match_points_moments
+from deuce.match import (MatchSpec, match_breakdown, match_points_distribution,
+                         match_points_moments)
+from deuce.sets import (set_points_distribution, set_points_moments, st_points_moments,
+                        stt_points_distribution)
 
 
 def assert_matches_dense(dist, ref, ref_truncation):
@@ -61,3 +68,35 @@ def test_match_points_distribution_matches_dense_reference(pa, pb, k0, k1, q, n_
     ref, ref_truncation = oracles.match_points_pmf_dense(pa, pb, k0, k1, q, n_max)
     dist = match_points_distribution(pa, pb, MatchSpec(k0, k1, q), n_max)
     assert_matches_dense(dist, ref, ref_truncation)
+
+
+def _mean_var(law):
+    return law.mean, law.variance
+
+
+# At (5e-324, 0) A sweeps an STT pair with chance 5e-324 and B never does:
+# the STT's mean overflows, so every law that can reach it is infinite.
+@pytest.mark.parametrize(
+    "moments",
+    [
+        lambda pa, pb: _mean_var(stt_points_distribution(pa, pb)),
+        lambda pa, pb: st_points_moments(pa, pb, 7),
+        lambda pa, pb: set_points_moments(pa, pb, 7),
+        lambda pa, pb: bog_match_points_moments(pa, pb, BestOfGamesSpec(3, "sttp")),
+        lambda pa, pb: match_points_moments(pa, pb, MatchSpec()),
+        lambda pa, pb: _mean_var(match_breakdown(pa, pb, MatchSpec())),
+        lambda pa, pb: _mean_var(match_points_distribution(pa, pb, MatchSpec(), 2000)),
+    ],
+    ids=["stt_pmf", "st", "set", "bog_sttp", "match", "match_breakdown", "match_pmf"],
+)
+def test_moments_are_infinite_where_the_decisive_chance_underflows(moments):
+    with np.errstate(all="ignore"):
+        assert moments(5e-324, 0.0) == (math.inf, math.inf)
+
+
+def test_infinite_cells_leave_the_rest_of_a_match_grid_alone():
+    pa, pb = np.array([5e-324, 0.6]), np.array([0.0, 0.55])
+    with np.errstate(all="ignore"):
+        mean, var = match_points_moments(pa, pb, MatchSpec())
+    assert mean[0] == var[0] == math.inf
+    assert (mean[1], var[1]) == match_points_moments(0.6, 0.55, MatchSpec())

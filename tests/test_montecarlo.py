@@ -187,6 +187,15 @@ def test_config_rejects_bad_input(kwargs):
         SimConfig(**kwargs)
 
 
+def test_config_names_a_bad_probability_like_every_entry():
+    with pytest.raises(ValueError, match=r"^pa must lie in \[0, 1\], got 1\.2"):
+        SimConfig(SystemSpec("set"), (1.2, 0.5), 10, 1)
+    with pytest.raises(ValueError, match=r"^pb must lie in \[0, 1\], got -0\.1"):
+        SimConfig(SystemSpec("set"), (0.5, -0.1), 10, 1)
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1\.5"):
+        SimConfig(SystemSpec("game"), 1.5, 10, 1)
+
+
 # -------------------------------------------------------------- determinism
 
 def test_identical_configs_reproduce_bit_identical_summaries():

@@ -1,17 +1,21 @@
 """Print a digest of the ``deuce`` outputs, one line per call.
 
-Each line names a call, then each of its outputs with every float written
+It opens with the package surface: one line per public name of ``deuce``,
+with the kind of its object and the module that defines it.  Each further
+line names a call, then each of its outputs with every float written
 exactly (``float.hex``), or the type and message of the exception it
 raised, followed by any warnings it gave.  It covers every public library
 function over a fixed set of serve probabilities, among them the corners
 (0, 0), (1, 1), (1, 0) and (0.5, 0.5), out-of-range and NaN arguments,
-arrays for the functions that broadcast, and cells where a win's sum of
-score masses rounds past 1 unless it is clipped; then in-process ``compute``,
-``breakdown``, ``efficiency`` and ``simulate`` CLI calls for every system
-kind, and ``grid`` calls for every pair kind and quantity at 1, 6 and 15
-significant digits, in JSON and CSV; and last, run as the ``deuce`` console
-script runs it, the ``--help`` of the group and of each command and a fixed
-list of usage errors, each with its exit code, stdout and stderr.
+arrays for the functions that broadcast, cells where a win's sum of score
+masses rounds past 1 unless it is clipped, and a pair where a tie-breaker's
+decisive chance underflows, so its length laws are infinite; then
+in-process ``compute``, ``breakdown``, ``efficiency`` and ``simulate`` CLI
+calls for every system kind, and ``grid`` calls for every pair kind and
+quantity at 1, 6 and 15 significant digits, in JSON and CSV; and last, run
+as the ``deuce`` console script runs it, the ``--help`` of the group and of
+each command and a fixed list of usage errors, each with its exit code,
+stdout and stderr.
 
 Two checkouts give the same digest exactly when these outputs are
 bit-identical, so a refactor that must not move a number is checked by
@@ -31,6 +35,7 @@ import dataclasses
 import io
 import json
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -106,6 +111,13 @@ def call(fn, *args) -> None:
         else:
             text = _hex(out)
     _line(fn.__name__, args, text, caught)
+
+
+def surface() -> None:
+    for name, obj in sorted(vars(deuce).items()):
+        if not name.startswith("_"):
+            where = obj.__name__ if isinstance(obj, types.ModuleType) else obj.__module__
+            print(f"deuce.{name} -> {type(obj).__name__} {where}")
 
 
 def library() -> None:
@@ -193,6 +205,17 @@ def library() -> None:
             pairs(deuce.bog_match_points_moments, spec)
     call(deuce.bog_match_points_moments, 0.6, 0.55, deuce.BestOfGamesSpec(4), "games")
     call(deuce.bog_match_points_moments, 0.6, 0.55, deuce.BestOfGamesSpec(4, "sg"), "games")
+
+    # A sweeps an STT pair with chance 5e-324 and B never does, so the STT's
+    # mean overflows, and every length law that can reach it is infinite
+    tiny = (5e-324, 0.0)
+    call(deuce.stt_points_distribution, *tiny)
+    call(deuce.st_points_moments, *tiny, 7)
+    call(deuce.set_points_moments, *tiny, 7)
+    call(deuce.bog_match_points_moments, *tiny, deuce.BestOfGamesSpec(3, "sttp"))
+    for fn in (deuce.match_points_moments, deuce.match_breakdown):
+        call(fn, *tiny, deuce.MatchSpec(7, 10, 2))
+    call(deuce.match_points_distribution, *tiny, deuce.MatchSpec(7, 10, 2), 800)
 
     prior = deuce.efficiency.BetaPrior(1.0, 1.0)
     call(deuce.efficiency.efficiency_one_param, deuce.game_win_prob, prior)
@@ -313,6 +336,7 @@ def command_line() -> None:
 
 
 def main() -> None:
+    surface()
     library()
     command_line()
 
