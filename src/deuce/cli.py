@@ -264,15 +264,14 @@ def _single_system(name: str, kinds, *options):
     The command takes --p/--pa/--pb, the structure flags, its own
     ``options`` and the output flags, in that order.  The function receives
     ``(spec, params, head)`` and the values of its own and the output flags,
-    where ``head`` is the record's command/version/system/params block.
+    where ``head`` opens the record with its system and params (:func:`_head`).
     """
 
     def register(fn):
         @functools.wraps(fn)
         def command(system, p, pa, pb, fields, **kwargs):
             (spec,) = _build_specs([system], **fields)
-            head = {"command": name, "version": __version__, "system": _spec_dict(spec),
-                    "params": _gather_params(spec, p, pa, pb)}
+            head = _head(name, system=_spec_dict(spec), params=_gather_params(spec, p, pa, pb))
             return fn(spec, (pa, pb) if spec.takes_pair else p, head, **kwargs)
 
         for decorate in reversed((main.command(name),
@@ -354,10 +353,9 @@ def _json_rows(values: np.ndarray, redo: np.ndarray, digits: int, indent: str) -
     Each innermost row is written by :func:`_g_row`, whose ``%g`` text is
     already the JSON text of every cell outside ``redo`` (see
     :func:`_respelled`); the cells in ``redo`` are encoded one at a time, as
-    a lone float is.
+    a lone float is.  No array is empty: a record holds only grids, of at
+    least 2×2 cells.
     """
-    if not len(values):
-        return "[]"
     inner = indent + "  "
     sep = "," + inner
     if values.ndim > 1:
@@ -408,16 +406,32 @@ def _json_text(obj, digits: int | None = None, indent: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _head(command: str, **fields) -> dict:
+    """A record: the command and the package version, then ``fields``."""
+    return {"command": command, "version": __version__, **fields}
+
+
+def _tagged(symbol: str, theta, mean, variance) -> dict:
+    """A system's win probability and length moments under their tags."""
+    return {f"theta_{symbol}": theta, f"mu_{symbol}": mean, f"sigma2_{symbol}": variance}
+
+
+def _csv(rows, precision: int) -> None:
+    """Print one CSV line per row, its values rounded by :func:`_round_sig`
+    and spelled by ``str``."""
+    for row in _round_sig(rows, precision):
+        _echo(",".join(map(str, row)))
+
+
 def _emit(record: dict, fmt: str, precision: int) -> None:
     """Print ``record`` with every float rounded to ``precision`` significant
-    digits: scalars by :func:`_round_sig`, float arrays (JSON only) by
-    :func:`_json_text` a row at a time, to the same text."""
-    record = _round_sig(record, precision)
+    digits: as JSON, scalars by :func:`_round_sig` and float arrays by
+    :func:`_json_text` a row at a time, to the same text; as CSV, one sorted
+    ``key,value`` line per flattened key (:func:`_csv`)."""
     if fmt == "json":
-        _echo(_json_text(record, precision))
+        _echo(_json_text(_round_sig(record, precision), precision))
     else:
-        for key, value in sorted(_flatten(record)):
-            _echo(f"{key},{value}")
+        _csv(sorted(_flatten(record)), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +451,8 @@ def cmd_compute(spec, params, head, fmt, precision):
     ops = _OPS[spec.kind]
     theta = float(ops.win(spec, params))
     mean, variance = (float(x) for x in ops.moments(spec, params))
-    sym = ops.symbol
-    record = {
-        **head,
-        f"theta_{sym}": theta,
-        f"mu_{sym}": mean,
-        f"sigma2_{sym}": variance,
-        f"sigma_{sym}": math.sqrt(variance),
-    }
-    _emit(record, fmt, precision)
+    _emit({**head, **_tagged(ops.symbol, theta, mean, variance),
+           f"sigma_{ops.symbol}": math.sqrt(variance)}, fmt, precision)
 
 
 _BREAKDOWN_COLUMNS = ("score", "p_first_wins", "p_second_wins", "cond_mean", "cond_var")
@@ -458,22 +465,11 @@ def cmd_breakdown(spec, params, head, fmt, precision):
     table = ops.breakdown(spec, params)
     rows = [{col: getattr(row, col) for col in _BREAKDOWN_COLUMNS} for row in table.rows]
     if fmt == "csv":
-        _echo(",".join(_BREAKDOWN_COLUMNS))
-        for row in _round_sig(rows, precision):
-            _echo(",".join(str(row[col]) for col in _BREAKDOWN_COLUMNS))
-        win, mean, var = _round_sig([table.win_prob, table.mean, table.variance], precision)
-        _echo(f"overall,{win},,{mean},{var}")
+        _csv([_BREAKDOWN_COLUMNS, *(list(row.values()) for row in rows),
+              ("overall", table.win_prob, "", table.mean, table.variance)], precision)
         return
-    sym = ops.symbol
-    record = {
-        **head,
-        "label": table.label,
-        f"theta_{sym}": table.win_prob,
-        f"mu_{sym}": table.mean,
-        f"sigma2_{sym}": table.variance,
-        "rows": rows,
-    }
-    _emit(record, fmt, precision)
+    _emit({**head, "label": table.label, "rows": rows,
+           **_tagged(ops.symbol, table.win_prob, table.mean, table.variance)}, fmt, precision)
 
 
 @main.command("grid")
@@ -542,15 +538,8 @@ def cmd_grid(system, quantity, other, res, pmin, pmax, fields, fmt, precision):
         for row in np.column_stack((coords, values)):
             _echo(_g_row(row, precision))
         return
-    record = {
-        "command": "grid",
-        "version": __version__,
-        "system": _spec_dict(spec),
-        "quantity": quantity,
-        "pa": coords,
-        "pb": coords,
-        "values": values,
-    }
+    record = _head("grid", system=_spec_dict(spec), quantity=quantity,
+                   pa=coords, pb=coords, values=values)
     if other is not None:
         record["other"] = _spec_dict(specs[1])
     _emit(record, "json", precision)
@@ -595,7 +584,7 @@ def _parse_prior(alpha, beta, prior_text, for_pair, kind):
 @_domain_errors
 def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
     """Report prior-weighted efficiencies for one or more systems."""
-    reports = []
+    reports, lines = [], [("system", "efficiency", "quadrature_error_estimate")]
     for spec in _build_specs(systems, **fields):
         name = spec.kind
         win = functools.partial(_OPS[name].win, spec)
@@ -617,17 +606,12 @@ def cmd_efficiency(systems, alpha, beta, prior_text, fields, fmt, precision):
             "surface_points": report.surface_points,
             "antisymmetry_residual": report.antisymmetry_residual,
         })
-    record = {"command": "efficiency", "version": __version__, "reports": reports}
+        lines.append((";".join(f"{key}={value}" for key, value in _spec_dict(spec).items()),
+                      report.value, report.quadrature_error_estimate))
     if fmt == "csv":
-        record = _round_sig(record, precision)
-        _echo("system,efficiency,quadrature_error_estimate")
-        for entry in record["reports"]:
-            spec_text = ";".join(f"{key}={value}" for key, value
-                                 in entry["system"].items())
-            value = next(v for key, v in entry.items() if key.startswith("Eff_"))
-            _echo(f"{spec_text},{value},{entry['quadrature_error_estimate']}")
-        return
-    _emit(record, fmt, precision)
+        _csv(lines, precision)
+    else:
+        _emit(_head("efficiency", reports=reports), fmt, precision)
 
 
 @_single_system(

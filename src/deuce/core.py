@@ -168,6 +168,13 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+# Length laws are infinite where a decisive chance underflows, and their
+# moments overflow on the way there: the functions that form those moments
+# expect it, and numpy does not warn of it.  A decorator, as it costs about
+# half what a fresh ``with np.errstate(...)`` costs per call.
+_EXPECTED_OVERFLOW = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 class _SplitPowers:
     """Power tables shared by every serve-split sum of one evaluation.
 
@@ -341,8 +348,7 @@ def geometric_moments(eta):
         raise NonTerminatingError(
             f"geometric success probability must lie in (0, 1], got {eta!r}"
         )
-    with np.errstate(invalid="ignore"):
-        mean, var = _PairRace(arr, 0.0).length((1.0, 0.0))
+    mean, var = _PairRace(arr, 0.0).length((1.0, 0.0))
     # Where 1/eta overflows (eta below 2**-1024) the length reads inf * 0 as
     # the pairs' own spread; the variance there is infinite.
     return _scalar_or_array(mean), _scalar_or_array(np.where(np.isinf(mean), np.inf, var))
@@ -455,8 +461,10 @@ class _Laws(NamedTuple):
 
 
 def _pmf_law(dist: PointCountDistribution) -> tuple:
-    """A law for the compose step: a length PMF's moments and its array."""
-    return dist.mean, dist.variance, _pmf_array(dist.support)
+    """A law for the compose step: a length PMF's moments, as numpy scalars,
+    and its array.  A Python float's square raises where the mean is finite
+    but its square is not; a numpy scalar's reads inf (:func:`_mix`)."""
+    return np.float64(dist.mean), np.float64(dist.variance), _pmf_array(dist.support)
 
 
 def _row_moments(rows, laws: _Laws) -> list:
@@ -477,6 +485,7 @@ def _row_moments(rows, laws: _Laws) -> list:
     return moments
 
 
+@_EXPECTED_OVERFLOW
 def _mix(rows, moments):
     """(mean, variance) of a mixture from each row's (mean, variance), by the
     iterated rules.  The variance is centered, sum mass * (v + (mean_row -
@@ -486,6 +495,7 @@ def _mix(rows, moments):
     Where a decisive chance underflows to 0, a row's length is infinite: a
     row of zero mass then forms 0 * inf, and an infinite mean inf - inf.
     Only there, the mean mixes the rows with mass, and the spread is inf.
+    Where it is merely tiny, the mean is finite and its square overflows.
     """
     mean = sum(r.mass * m for r, (m, _) in zip(rows, moments))
     var = sum(r.mass * (v + (m - mean) ** 2) for r, (m, v) in zip(rows, moments))
@@ -557,11 +567,13 @@ class _PairRace(NamedTuple):
         """A's chance in the race, a / (a + b)."""
         return _scalar_or_array(self.a / (self.a + self.b))
 
+    @_EXPECTED_OVERFLOW
     def length(self, pair=(2.0, 0.0)):
         """(mean, variance) of the race's length: a geometric number of
         pairs, with mean 1/eta and variance (1 - eta)/eta^2 for eta = a + b,
         each pair an independent length of (mean, variance) ``pair``, two
-        units by default."""
+        units by default.  Below eta of about 1e-154 the variance overflows,
+        and below 2**-1024 the mean too (inf * 0 then reads NaN)."""
         eta = self.a + self.b
         count, (mean, var) = 1.0 / eta, pair
         return count * mean, count * var + (1.0 - eta) / (eta * eta) * mean**2

@@ -91,6 +91,15 @@ def test_compute_game_at_a_tiny_serve_probability():
     assert record["sigma2_G"] >= 0.0
 
 
+def test_compute_infinite_lengths_quietly():
+    # B never sweeps an STT pair and A almost never does: the lengths are
+    # infinite, which is the answer, so nothing goes to stderr
+    result = run_cli("compute", "st", "--pa", "5e-324", "--pb", "0")
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["sigma2_ST"] == math.inf
+    assert diagnostics(result) == ""
+
+
 def test_compute_tags_follow_the_system():
     for system, args, tag in [
         ("gt", ("--p", "0.6"), "GT"),
@@ -185,6 +194,10 @@ def test_compute_csv_is_flat_key_value():
         (("efficiency", "game", "--beta", "inf"), "--beta"),
         (("simulate", "stt", "--pa", "0.6", "--pb", "nan", "--reps", "3"), "--pb"),
         (("grid", "st", "--res", "100000"), "--res"),          # lattice past the cap
+        (("grid", "set-mean", "--quantity", "win_prob"), "conflicts with --quantity"),
+        (("grid", "set", "--other", "game", "--quantity", "diff"), "cannot be gridded"),
+        (("efficiency", "set", "--prior", "1,2,3"), "a,b or a1,b1,a2,b2"),
+        (("efficiency", "set", "--prior", "0,1"), "--prior: beta parameters must be positive"),
     ],
 )
 def test_usage_errors_exit_2_and_name_the_flag(args, needle):
@@ -362,6 +375,14 @@ def test_grid_other_system_is_checked_whatever_the_quantity(fmt):
     result = run_cli("grid", "st", "--other", "bofk", "--res", "3", "--format", fmt)
     assert result.exit_code == 2
     assert "--l is required for system 'bofk'" in diagnostics(result)
+
+
+def test_grid_json_names_the_other_system():
+    record = run_json("grid", "set", "--other", "st", "--k", "7", "--quantity", "diff",
+                      "--res", "3", "--format", "json")
+    assert record["system"] == {"kind": "set", "k": 7}
+    assert record["other"] == {"kind": "st", "k": 7}
+    assert "other" not in run_json("grid", "set", "--res", "3", "--format", "json")
 
 
 def test_grid_json_lists_coordinates_and_values():

@@ -17,8 +17,8 @@ import oracles
 from deuce.bestof import BestOfGamesSpec, bog_match_points_moments
 from deuce.match import (MatchSpec, match_breakdown, match_points_distribution,
                          match_points_moments)
-from deuce.sets import (set_points_distribution, set_points_moments, st_points_moments,
-                        stt_points_distribution)
+from deuce.sets import (set_breakdown, set_points_distribution, set_points_moments,
+                        st_points_distribution, st_points_moments, stt_points_distribution)
 
 
 def assert_matches_dense(dist, ref, ref_truncation):
@@ -74,29 +74,42 @@ def _mean_var(law):
     return law.mean, law.variance
 
 
+# Every length law a pair race can reach, as (mean, variance).
+LAWS = {
+    "stt_pmf": lambda pa, pb: _mean_var(stt_points_distribution(pa, pb)),
+    "st_pmf": lambda pa, pb: _mean_var(st_points_distribution(pa, pb, 7)),
+    "set_pmf": lambda pa, pb: _mean_var(set_points_distribution(pa, pb, 7)),
+    "match_pmf": lambda pa, pb: _mean_var(match_points_distribution(pa, pb, MatchSpec(), 2000)),
+    "st": lambda pa, pb: st_points_moments(pa, pb, 7),
+    "set": lambda pa, pb: set_points_moments(pa, pb, 7),
+    "match": lambda pa, pb: match_points_moments(pa, pb, MatchSpec()),
+    "bog_sttp": lambda pa, pb: bog_match_points_moments(pa, pb, BestOfGamesSpec(3, "sttp")),
+    "set_breakdown": lambda pa, pb: _mean_var(set_breakdown(pa, pb, 7)),
+    "match_breakdown": lambda pa, pb: _mean_var(match_breakdown(pa, pb, MatchSpec())),
+}
+
+
 # At (5e-324, 0) A sweeps an STT pair with chance 5e-324 and B never does:
 # the STT's mean overflows, so every law that can reach it is infinite.
-@pytest.mark.parametrize(
-    "moments",
-    [
-        lambda pa, pb: _mean_var(stt_points_distribution(pa, pb)),
-        lambda pa, pb: st_points_moments(pa, pb, 7),
-        lambda pa, pb: set_points_moments(pa, pb, 7),
-        lambda pa, pb: bog_match_points_moments(pa, pb, BestOfGamesSpec(3, "sttp")),
-        lambda pa, pb: match_points_moments(pa, pb, MatchSpec()),
-        lambda pa, pb: _mean_var(match_breakdown(pa, pb, MatchSpec())),
-        lambda pa, pb: _mean_var(match_points_distribution(pa, pb, MatchSpec(), 2000)),
-    ],
-    ids=["stt_pmf", "st", "set", "bog_sttp", "match", "match_breakdown", "match_pmf"],
-)
+# pytest turns a RuntimeWarning into an error, so none may warn either.
+@pytest.mark.parametrize("moments", LAWS.values(), ids=LAWS.keys())
 def test_moments_are_infinite_where_the_decisive_chance_underflows(moments):
-    with np.errstate(all="ignore"):
-        assert moments(5e-324, 0.0) == (math.inf, math.inf)
+    assert moments(5e-324, 0.0) == (math.inf, math.inf)
+
+
+# Below a decisive chance of about 1e-154 the mean is finite and its square
+# is not: the variance is inf, in the PMFs too, whose laws compose from
+# floats, and no law raises or warns.
+@pytest.mark.parametrize("pa", [1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("moments", LAWS.values(), ids=LAWS.keys())
+def test_variance_is_infinite_where_only_the_mean_is_finite(moments, pa):
+    mean, var = moments(pa, 0.0)
+    assert math.isfinite(mean) and mean > 1.0 / pa
+    assert var == math.inf
 
 
 def test_infinite_cells_leave_the_rest_of_a_match_grid_alone():
     pa, pb = np.array([5e-324, 0.6]), np.array([0.0, 0.55])
-    with np.errstate(all="ignore"):
-        mean, var = match_points_moments(pa, pb, MatchSpec())
+    mean, var = match_points_moments(pa, pb, MatchSpec())
     assert mean[0] == var[0] == math.inf
     assert (mean[1], var[1]) == match_points_moments(0.6, 0.55, MatchSpec())

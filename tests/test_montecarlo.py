@@ -279,6 +279,18 @@ def test_summary_standard_error_definitions():
     assert s.mean_points_se == pytest.approx(s.std_points / math.sqrt(n), rel=1e-12)
 
 
+def test_one_replication_has_no_spread():
+    # one point count gives a win rate and a mean, but no sample spread, so
+    # the spread and both standard errors that need it are NaN
+    out = _simulate_outcomes(SimConfig(SystemSpec("game"), 0.6, 1, 5))
+    s = simulate(SimConfig(SystemSpec("game"), 0.6, 1, 5))
+    assert s.capped_replications == 0
+    assert s.win_rate_A == float(out.winner_a[0])
+    assert s.win_rate_se == 0.0
+    assert s.mean_points == float(out.points[0])
+    assert all(map(math.isnan, (s.mean_points_se, s.std_points, s.std_points_se)))
+
+
 # ----------------------------------------------- agreement with closed forms
 
 def _z(value, target, se):

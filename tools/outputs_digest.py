@@ -8,8 +8,9 @@ raised, followed by any warnings it gave.  It covers every public library
 function over a fixed set of serve probabilities, among them the corners
 (0, 0), (1, 1), (1, 0) and (0.5, 0.5), out-of-range and NaN arguments,
 arrays for the functions that broadcast, cells where a win's sum of score
-masses rounds past 1 unless it is clipped, and a pair where a tie-breaker's
-decisive chance underflows, so its length laws are infinite; then
+masses rounds past 1 unless it is clipped, a pair where a tie-breaker's
+decisive chance underflows, so its length laws are infinite, and pairs
+where it is so small that only the variances are; then
 in-process ``compute``, ``breakdown``, ``efficiency`` and ``simulate`` CLI
 calls for every system kind, and ``grid`` calls for every pair kind and
 quantity at 1, 6 and 15 significant digits, in JSON and CSV; and last, run
@@ -216,6 +217,20 @@ def library() -> None:
     for fn in (deuce.match_points_moments, deuce.match_breakdown):
         call(fn, *tiny, deuce.MatchSpec(7, 10, 2))
     call(deuce.match_points_distribution, *tiny, deuce.MatchSpec(7, 10, 2), 800)
+    # A sweeps with chance 1e-160 or less: the means are finite, their
+    # squares and so the variances are not
+    for pa in (1e-160, 1e-200, 1e-300):
+        call(deuce.stt_points_distribution, pa, 0.0, 30)
+        for fn, n_max in ((deuce.st_points_distribution, 200),
+                          (deuce.set_points_distribution, 400)):
+            call(fn, pa, 0.0, 7, n_max)
+        for fn in (deuce.st_points_moments, deuce.set_points_moments,
+                   deuce.st_breakdown, deuce.set_breakdown):
+            call(fn, pa, 0.0, 7)
+        for fn in (deuce.match_points_moments, deuce.match_breakdown):
+            call(fn, pa, 0.0, deuce.MatchSpec(7, 10, 2))
+        call(deuce.match_points_distribution, pa, 0.0, deuce.MatchSpec(7, 10, 2), 800)
+        call(deuce.bog_match_points_moments, pa, 0.0, deuce.BestOfGamesSpec(3, "sttp"))
 
     prior = deuce.efficiency.BetaPrior(1.0, 1.0)
     call(deuce.efficiency.efficiency_one_param, deuce.game_win_prob, prior)
